@@ -692,7 +692,7 @@ def main(argv=None) -> int:
         cause = exc.cause
         if isinstance(cause, (OSError, ParseError, OrderingError)):
             return EXIT_IO
-        if isinstance(cause, AssertionError):
+        if isinstance(cause, (AssertionError, NumericOverflowError)):
             return EXIT_INTERNAL
         return EXIT_CONFIG
     except (ConfigError, InvalidParameterError, MissingSeriesError) as exc:

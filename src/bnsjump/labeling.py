@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -23,6 +24,7 @@ from .market_data import ReturnSeries
 log = logging.getLogger(__name__)
 
 DIRECTIONS = ("down", "up", "both")
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,14 @@ def index_series(returns: ReturnSeries) -> IndexedReturns:
 
 def index_for_timestamp(indexed: IndexedReturns, ts: datetime) -> int:
     """Index of the row with exactly this timestamp (for date-based splits)."""
-    for i, stamp in enumerate(indexed.timestamps):
-        if stamp == ts:
-            return i
-    raise InvalidParameterError(f"no return row at {ts}")
+    stamps = indexed.timestamps
+    try:
+        i = bisect_left(stamps, ts)
+    except TypeError:  # naive against timezone-aware: no row can be equal
+        i = len(stamps)
+    if i == len(stamps) or stamps[i] != ts:
+        raise InvalidParameterError(f"no return row at {ts}")
+    return i
 
 
 def mark_big_jumps(returns, cfg: LabelingConfig) -> np.ndarray:
@@ -139,30 +145,15 @@ def build_dataset(returns: IndexedReturns, marks: np.ndarray, cfg: LabelingConfi
     if n < cfg.window_len + cfg.lookahead:
         log.warning("series of %d rows is shorter than window_len + lookahead = %d; empty dataset",
                     n, cfg.window_len + cfg.lookahead)
-        return LabeledDataset(anchor_index=np.empty(0, dtype=int),
-                              features=np.empty((0, cfg.window_len)),
-                              theta=np.empty(0, dtype=int), source_length=n)
     prefix = np.concatenate([[0], np.cumsum(marks)])  # prefix[j] = marks in rows < j
-    anchors: list[int] = []
-    rows: list[np.ndarray] = []
-    targets: list[int] = []
     keys = returns.session_key
-    for i in range(cfg.window_len - 1, n - cfg.lookahead, cfg.stride):
-        lo = i - cfg.window_len + 1
-        hi = i + cfg.lookahead
-        if keys[lo] != keys[hi]:
-            continue
-        count = int(prefix[hi + 1] - prefix[i + 1])
-        anchors.append(int(returns.index[i]))
-        rows.append(returns.values[lo:i + 1])
-        targets.append(1 if count >= cfg.min_jumps else 0)
-    if not anchors:
-        return LabeledDataset(anchor_index=np.empty(0, dtype=int),
-                              features=np.empty((0, cfg.window_len)),
-                              theta=np.empty(0, dtype=int), source_length=n)
-    return LabeledDataset(anchor_index=np.array(anchors, dtype=int),
-                          features=np.vstack(rows), theta=np.array(targets, dtype=int),
-                          source_length=n)
+    anchors = np.arange(cfg.window_len - 1, n - cfg.lookahead, cfg.stride)
+    anchors = anchors[keys[anchors - cfg.window_len + 1] == keys[anchors + cfg.lookahead]]
+    counts = prefix[anchors + cfg.lookahead + 1] - prefix[anchors + 1]
+    window = anchors[:, None] + np.arange(1 - cfg.window_len, 1)
+    return LabeledDataset(anchor_index=returns.index[anchors].astype(int),
+                          features=returns.values[window],
+                          theta=(counts >= cfg.min_jumps).astype(int), source_length=n)
 
 
 @dataclass(frozen=True)
@@ -218,15 +209,24 @@ def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Lab
 
 
 def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
-    """Serialize as ``index,f1..fW,theta`` with round-trip float formatting."""
-    w = dataset.window_len
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["index"] + [f"f{j + 1}" for j in range(w)] + ["theta"])
-    for i in range(len(dataset)):
-        row = [int(dataset.anchor_index[i])]
-        row += [repr(float(x)) for x in dataset.features[i]]
-        row.append(int(dataset.theta[i]))
-        writer.writerow(row)
+    """Serialize as ``index,f1..fW,theta`` with round-trip float formatting.
+
+    No field ever needs CSV quoting, so rows are joined directly, a chunk
+    of rows at a time.  Feature windows overlap, so each distinct bit
+    pattern in a chunk is formatted once and shared by every cell holding it.
+    """
+    fileobj.write(",".join(["index", *(f"f{j + 1}" for j in range(dataset.window_len)), "theta"]))
+    fileobj.write("\n")
+    for lo in range(0, len(dataset), CSV_CHUNK_ROWS):
+        chunk = slice(lo, lo + CSV_CHUNK_ROWS)
+        feats = np.asarray(dataset.features[chunk], dtype=float)
+        bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+        fileobj.write("".join(
+            ",".join([repr(i), *row, repr(t)]) + "\n"
+            for i, row, t in zip(dataset.anchor_index[chunk].tolist(),
+                                 text[inverse.reshape(feats.shape)].tolist(),
+                                 dataset.theta[chunk].tolist())))
 
 
 def read_dataset_csv(fileobj) -> LabeledDataset:

@@ -21,7 +21,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time
 from pathlib import Path
 from typing import Callable, Iterable
@@ -33,6 +33,7 @@ from .errors import InvalidParameterError, OrderingError, ParseError
 log = logging.getLogger(__name__)
 
 BV_SCALE = math.pi / 2.0  # 1 / mu_1^2 for the absolute first moment of a standard normal
+_EPOCH = date(1970, 1, 1).toordinal()  # day ordinal of the datetime64 epoch
 
 
 def _parse_session(text: str) -> tuple[time, time]:
@@ -73,13 +74,15 @@ class SessionCalendar:
     def to_spec(self) -> str:
         return ",".join(f"{o.strftime('%H:%M')}-{c.strftime('%H:%M')}" for o, c in self.sessions)
 
-    def session_index(self, ts: datetime) -> int | None:
-        """Index of the session containing ``ts`` (inclusive ends), else None."""
-        t = ts.time()
-        for i, (open_t, close_t) in enumerate(self.sessions):
-            if open_t <= t <= close_t:
-                return i
-        return None
+    def session_indices(self, stamps) -> np.ndarray:
+        """Index of the session containing each timestamp (inclusive ends), -1 outside all.
+
+        Bars repeat the same times of day, so each distinct time is looked up once.
+        """
+        times = list(map(datetime.time, stamps))
+        index = {t: next((i for i, (open_t, close_t) in enumerate(self.sessions)
+                          if open_t <= t <= close_t), -1) for t in set(times)}
+        return np.fromiter(map(index.__getitem__, times), dtype=int, count=len(times))
 
     def session_minutes(self, idx: int) -> int:
         open_t, close_t = self.sessions[idx]
@@ -98,8 +101,37 @@ class SessionCalendar:
         within = (ts.hour - open_t.hour) * 60 + (ts.minute - open_t.minute)
         return offset + within
 
-    def day_open(self) -> time:
-        return self.sessions[0][0]
+
+def _day_ordinals(stamps) -> np.ndarray:
+    return np.fromiter(map(datetime.toordinal, stamps), dtype=np.int64, count=len(stamps))
+
+
+def _take(stamps: tuple, rows: np.ndarray) -> tuple:
+    return tuple(map(stamps.__getitem__, rows.tolist()))
+
+
+def _block_starts(series) -> np.ndarray:
+    """True at every row that opens a (day, session) block."""
+    starts = np.ones(len(series), dtype=bool)
+    starts[1:] = (series.day[1:] != series.day[:-1]) | (series.session[1:] != series.session[:-1])
+    return starts
+
+
+def _runs(key: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of every run of equal consecutive values in ``key``."""
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return list(zip(cuts[:-1], cuts[1:])) if len(key) else []
+
+
+def _groups(series, by: str) -> list[tuple[str, int, int]]:
+    """(label, start, stop) per day, per month or ("overall") of the whole series."""
+    if by == "overall":
+        return [("overall", 0, len(series))] if len(series) else []
+    if by == "day":
+        return [(series.timestamps[lo].date().isoformat(), lo, hi) for lo, hi in _runs(series.day)]
+    month = (series.day - _EPOCH).astype("datetime64[D]").astype("datetime64[M]")
+    return [(f"{series.timestamps[lo].year:04d}-{series.timestamps[lo].month:02d}", lo, hi)
+            for lo, hi in _runs(month)]
 
 
 @dataclass(frozen=True)
@@ -110,13 +142,14 @@ class BarSeries:
     closes: np.ndarray
     session: np.ndarray  # session index per row
     calendar: SessionCalendar
+    day: np.ndarray | None = None  # day ordinal per row; derived from timestamps when omitted
+
+    def __post_init__(self):
+        if self.day is None:
+            object.__setattr__(self, "day", _day_ordinals(self.timestamps))
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def days(self) -> list[date]:
-        return [ts.date() for ts in self.timestamps]
 
     @classmethod
     def build(cls, timestamps: Iterable[datetime], closes: Iterable[float],
@@ -128,18 +161,16 @@ class BarSeries:
         for a, b in zip(stamps, stamps[1:]):
             if b <= a:
                 raise OrderingError(f"timestamps not strictly increasing at {b}")
-        session = np.empty(len(stamps), dtype=int)
-        for i, ts in enumerate(stamps):
-            idx = calendar.session_index(ts)
-            if idx is None:
-                raise InvalidParameterError(f"bar at {ts} falls outside every session")
-            session[i] = idx
+        session = calendar.session_indices(stamps)
+        outside = np.flatnonzero(session < 0)
+        if len(outside):
+            raise InvalidParameterError(f"bar at {stamps[outside[0]]} falls outside every session")
         return cls(timestamps=stamps, closes=values, session=session, calendar=calendar)
 
     def select(self, mask: np.ndarray) -> "BarSeries":
-        keep = [ts for ts, m in zip(self.timestamps, mask) if m]
-        return BarSeries(timestamps=tuple(keep), closes=self.closes[mask],
-                         session=self.session[mask], calendar=self.calendar)
+        rows = np.flatnonzero(mask)
+        return BarSeries(timestamps=_take(self.timestamps, rows), closes=self.closes[rows],
+                         session=self.session[rows], calendar=self.calendar, day=self.day[rows])
 
 
 @dataclass(frozen=True)
@@ -149,24 +180,18 @@ class ReturnSeries:
     timestamps: tuple[datetime, ...]
     values: np.ndarray
     session: np.ndarray
+    day: np.ndarray | None = None  # day ordinal per row; derived from timestamps when omitted
+
+    def __post_init__(self):
+        if self.day is None:
+            object.__setattr__(self, "day", _day_ordinals(self.timestamps))
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def days(self) -> list[date]:
-        return [ts.date() for ts in self.timestamps]
-
     def session_keys(self) -> np.ndarray:
         """Integer id per row, constant exactly within one (day, session) block."""
-        keys = np.zeros(len(self), dtype=int)
-        current = 0
-        for i in range(1, len(self)):
-            if (self.timestamps[i].date() != self.timestamps[i - 1].date()
-                    or self.session[i] != self.session[i - 1]):
-                current += 1
-            keys[i] = current
-        return keys
+        return np.cumsum(_block_starts(self)) - 1
 
 
 def _open_text(source) -> io.TextIOBase:
@@ -199,8 +224,6 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
             raise ParseError(f"expected header 'timestamp,close', got {','.join(header)!r}", 1)
         stamps: list[datetime] = []
         closes: list[float] = []
-        sessions: list[int] = []
-        rejected = 0
         prev: datetime | None = None
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -220,22 +243,27 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
             if prev is not None and ts <= prev:
                 raise OrderingError(f"line {line_no}: timestamp {ts} not after {prev}")
             prev = ts
-            idx = calendar.session_index(ts)
-            if idx is None:
-                rejected += 1
-                continue
             stamps.append(ts)
             closes.append(close)
-            sessions.append(idx)
     finally:
         if close_after:
             fh.close()
-    series = BarSeries(timestamps=tuple(stamps), closes=np.array(closes, dtype=float),
-                       session=np.array(sessions, dtype=int), calendar=calendar)
-    return series, rejected
+    session = calendar.session_indices(stamps)
+    rows = np.flatnonzero(session >= 0)
+    series = BarSeries(timestamps=_take(stamps, rows), closes=np.array(closes, dtype=float)[rows],
+                       session=session[rows], calendar=calendar)
+    return series, len(stamps) - len(rows)
 
 
 OutlierPolicy = Callable[[BarSeries], np.ndarray]
+
+
+def _changes(series: BarSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that follow a bar of their own (day, session) block whose close
+    is not <= 0, and their percent changes from that bar."""
+    c = series.closes
+    rows = np.flatnonzero(~_block_starts(series)[1:] & ~(c[:-1] <= 0)) + 1
+    return rows, 100.0 * (c[rows] - c[rows - 1]) / c[rows - 1]
 
 
 def sigma_outlier_policy(threshold: float = 10.0) -> OutlierPolicy:
@@ -244,22 +272,17 @@ def sigma_outlier_policy(threshold: float = 10.0) -> OutlierPolicy:
     def policy(series: BarSeries) -> np.ndarray:
         mask = np.zeros(len(series), dtype=bool)
         changes = np.full(len(series), np.nan)
-        days = series.days
-        for i in range(1, len(series)):
-            same_block = (days[i] == days[i - 1] and series.session[i] == series.session[i - 1])
-            if same_block and series.closes[i - 1] > 0:
-                changes[i] = 100.0 * (series.closes[i] - series.closes[i - 1]) / series.closes[i - 1]
-        for day in sorted(set(days)):
-            rows = np.array([d == day for d in days])
-            day_changes = changes[rows]
-            finite = day_changes[np.isfinite(day_changes)]
-            if len(finite) < 2:
+        rows, values = _changes(series)
+        changes[rows] = values
+        for lo, hi in _runs(series.day):
+            day_changes = changes[lo:hi]
+            finite = np.isfinite(day_changes)
+            if finite.sum() < 2:
                 continue
-            sd = float(np.std(finite))
+            sd = float(np.std(day_changes[finite]))
             if sd == 0.0:
                 continue
-            flag = rows & np.isfinite(changes) & (np.abs(changes) > threshold * sd)
-            mask |= flag
+            mask[lo:hi] = finite & (np.abs(day_changes) > threshold * sd)
         return mask
 
     policy.description = f"drop bars with |1-bar pct change| > {threshold} x same-day std"
@@ -282,16 +305,10 @@ def preprocess(series: BarSeries, trim_minutes: int = 10,
     n = len(series)
     if n == 0:
         return series, 0.0
-    drop = np.zeros(n, dtype=bool)
-    cal = series.calendar
-    open_minutes = [(s[0].hour * 60 + s[0].minute) for s in cal.sessions]
-    for i, ts in enumerate(series.timestamps):
-        sess = int(series.session[i])
-        minute = ts.hour * 60 + ts.minute
-        if sess == 0 and minute - open_minutes[0] <= trim_minutes:
-            drop[i] = True
-        elif trim_reopen and sess > 0 and minute - open_minutes[sess] <= trim_minutes:
-            drop[i] = True
+    open_minutes = np.array([s[0].hour * 60 + s[0].minute for s in series.calendar.sessions])
+    minute = np.fromiter((ts.hour * 60 + ts.minute for ts in series.timestamps), dtype=int, count=n)
+    drop = ((minute - open_minutes[series.session] <= trim_minutes)
+            & ((series.session == 0) | trim_reopen))
     drop |= series.closes <= 0.0
     if outlier_policy is not None:
         flagged = outlier_policy(series) & ~drop
@@ -337,21 +354,9 @@ def pct_change(series: BarSeries) -> ReturnSeries:
     The first bar of every session emits no return, so no change spans the
     lunch break or an overnight gap.
     """
-    stamps: list[datetime] = []
-    values: list[float] = []
-    sessions: list[int] = []
-    days = series.days
-    for i in range(1, len(series)):
-        if days[i] != days[i - 1] or series.session[i] != series.session[i - 1]:
-            continue
-        prev_close = series.closes[i - 1]
-        if prev_close <= 0:
-            continue
-        stamps.append(series.timestamps[i])
-        values.append(100.0 * (series.closes[i] - prev_close) / prev_close)
-        sessions.append(int(series.session[i]))
-    return ReturnSeries(timestamps=tuple(stamps), values=np.array(values, dtype=float),
-                        session=np.array(sessions, dtype=int))
+    rows, values = _changes(series)
+    return ReturnSeries(timestamps=_take(series.timestamps, rows), values=values,
+                        session=series.session[rows], day=series.day[rows])
 
 
 @dataclass(frozen=True)
@@ -390,16 +395,9 @@ def descriptive_stats(series: BarSeries, group_by: str = "overall") -> dict[str,
     either for the whole series or per calendar month."""
     if group_by not in ("overall", "month"):
         raise InvalidParameterError(f"group_by must be 'overall' or 'month', got {group_by!r}")
-    groups: dict[str, list[float]] = {}
-    for ts, close in zip(series.timestamps, series.closes):
-        key = "overall" if group_by == "overall" else f"{ts.year:04d}-{ts.month:02d}"
-        groups.setdefault(key, []).append(float(close))
     reports: dict[str, StatsReport] = {}
-    for key in sorted(groups):
-        x = np.array(groups[key])
-        if len(x) == 0:
-            log.info("group %s is empty, omitted from stats", key)
-            continue
+    for key, lo, hi in _groups(series, group_by):
+        x = series.closes[lo:hi]
         skew, kurt = _skew_kurt(x)
         reports[key] = StatsReport(
             count=len(x), mean=float(x.mean()), median=float(np.median(x)),
@@ -435,36 +433,25 @@ def realized_measures(returns: ReturnSeries, window: str = "day") -> RVSeries:
     """
     if window not in ("day", "month"):
         raise InvalidParameterError(f"window must be 'day' or 'month', got {window!r}")
-    order: list[str] = []
-    rows: dict[str, list[int]] = {}
-    for i, ts in enumerate(returns.timestamps):
-        key = ts.date().isoformat() if window == "day" else f"{ts.year:04d}-{ts.month:02d}"
-        if key not in rows:
-            rows[key] = []
-            order.append(key)
-        rows[key].append(i)
     labels: list[str] = []
     ends: list[datetime] = []
     rv_out: list[float] = []
     bv_out: list[float] = []
     jump_out: list[float] = []
-    keys = returns.session_keys()
-    for key in order:
-        idx = rows[key]
-        r = returns.values[idx]
-        rv = float(np.sum(r**2))
-        pair_terms = []
-        for a, b in zip(idx, idx[1:]):
-            if b == a + 1 and keys[a] == keys[b]:
-                pair_terms.append(abs(returns.values[a]) * abs(returns.values[b]))
-        if len(r) < 2 or not pair_terms:
+    v = returns.values
+    pairs = np.abs(v[:-1]) * np.abs(v[1:])  # |r_{i-1}| * |r_i| for every adjacent row pair
+    paired = ~_block_starts(returns)[1:]
+    for key, lo, hi in _groups(returns, window):
+        rv = float(np.sum(v[lo:hi] ** 2))
+        pair_terms = pairs[lo:hi - 1][paired[lo:hi - 1]]
+        if len(pair_terms) == 0:
             bv = float("nan")
             jump = float("nan")
         else:
             bv = BV_SCALE * float(np.sum(pair_terms))
             jump = max(rv - bv, 0.0)
         labels.append(key)
-        ends.append(returns.timestamps[idx[-1]])
+        ends.append(returns.timestamps[hi - 1])
         rv_out.append(rv)
         bv_out.append(bv)
         jump_out.append(jump)

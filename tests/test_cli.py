@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bnsjump import cli
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
+from bnsjump.errors import NumericOverflowError
 from bnsjump.market_data import write_bars_csv
 from bnsjump.synthetic import synthetic_bars
 
@@ -151,6 +153,15 @@ class TestPipeline:
         code = main(["pipeline", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")] + PIPELINE_FLAGS)
         assert code == EXIT_IO
+
+    def test_overflow_inside_stage_is_internal_error(self, tmp_path, bars_csv, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise NumericOverflowError("non-finite value")
+
+        monkeypatch.setattr(cli, "build_dataset", overflow)
+        code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o")]
+                    + PIPELINE_FLAGS)
+        assert code == EXIT_INTERNAL
 
     def test_missing_config_file_is_config_error(self, tmp_path, bars_csv):
         code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o"),

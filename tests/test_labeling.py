@@ -1,5 +1,5 @@
 import io
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -69,6 +69,8 @@ class TestIndexSeries:
         assert index_for_timestamp(indexed, returns.timestamps[1]) == 1
         with pytest.raises(InvalidParameterError):
             index_for_timestamp(indexed, datetime(1999, 1, 1))
+        with pytest.raises(InvalidParameterError):
+            index_for_timestamp(indexed, returns.timestamps[1].replace(tzinfo=timezone.utc))
 
 
 class TestMarks:
