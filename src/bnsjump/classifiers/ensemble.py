@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..seeding import substream
-from .tree import DecisionTreeClassifier, RegressionTree
+from .tree import DecisionTreeClassifier, RegressionTree, _presort
 
 
 class RandomForestClassifier:
@@ -74,11 +74,12 @@ class GradientBoostClassifier:
         p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
         self.base_score = math.log(p0 / (1.0 - p0))
         margin = np.full(len(y), self.base_score)
+        order = _presort(X)  # X is the same in every round
         self.trees = []
         for _ in range(self.rounds):
             p = _sigmoid(margin)
             tree = RegressionTree(max_depth=self.max_depth, min_leaf=self.min_leaf)
-            tree.fit(X, y - p, p * (1.0 - p))
+            tree.fit(X, y - p, p * (1.0 - p), order)
             margin = margin + self.learning_rate * tree.predict(X)
             self.trees.append(tree)
         return self

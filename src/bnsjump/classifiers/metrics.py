@@ -28,9 +28,6 @@ class ClassReport:
     accuracy: float
     n: int
 
-    def for_class(self, c: int) -> ClassMetrics:
-        return self.class1 if c == 1 else self.class0
-
     def supports(self) -> tuple[int, int]:
         return self.class0.support, self.class1.support
 

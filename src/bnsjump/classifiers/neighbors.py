@@ -6,6 +6,10 @@ import numpy as np
 
 from ..seeding import substream
 
+# Queries are scored this many rows at a time, so the distance matrix held at
+# once is KNN_CHUNK_ROWS x n_train rather than n_test x n_train.
+KNN_CHUNK_ROWS = 256
+
 
 def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, |A| x |B|."""
@@ -27,10 +31,14 @@ class KNearestClassifier:
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
         k = min(self.k, len(self.y))
-        d2 = _sq_distances(np.asarray(X, dtype=float), self.X)
-        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        return self.y[nearest].mean(axis=1)
+        scores = np.empty(len(X))
+        for lo in range(0, len(X), KNN_CHUNK_ROWS):
+            d2 = _sq_distances(X[lo:lo + KNN_CHUNK_ROWS], self.X)
+            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            scores[lo:lo + KNN_CHUNK_ROWS] = self.y[nearest].mean(axis=1)
+        return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_score(X) > 0.5).astype(int)

@@ -9,8 +9,6 @@ squared-error regression tree used by gradient boosting.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -39,37 +37,73 @@ def _route(node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray, attr: s
     _route(node.right, X, idx[~mask], out, attr)
 
 
-def _best_gini_split(X, y, idx, features, min_leaf):
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Row order of every feature, ``d x n``; stable, so tied values keep row order."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _partition(X, idx, order, feature, threshold):
+    """Children ``(idx, order)`` of a node split on ``x <= threshold``.
+
+    Both partitions are stable: ``idx`` stays ascending and every row of
+    ``order`` stays sorted by its feature, so a child's order rows equal a
+    fresh stable argsort of the child's rows and no node sorts again.
+    """
+    mask = X[idx, feature] <= threshold
+    goes_left = np.zeros(len(X), dtype=bool)
+    goes_left[idx[mask]] = True
+    flat = order.ravel()
+    sel = goes_left[flat]
+    d, n_left = order.shape[0], int(mask.sum())
+    return ((idx[mask], flat.compress(sel).reshape(d, n_left)),
+            (idx[~mask], flat.compress(~sel).reshape(d, idx.size - n_left)))
+
+
+def _first_best(scores, valid, xs, features):
+    """(score, feature, threshold) of the lowest valid score over all features, or None.
+
+    Features are visited in order and a later one must beat the incumbent
+    by more than 1e-12, so near-ties resolve to the lowest feature.
+    """
+    if scores.shape[1] == 0:  # a single-row node has no cut
+        return None
+    pick = np.argmin(scores, axis=1)
+    best = None
+    for r in np.flatnonzero(valid.any(axis=1)):
+        p = pick[r]
+        score = float(scores[r, p])
+        if best is None or score < best[0] - 1e-12:
+            best = (score, int(features[r]), float(xs[r, p]))
+    return best
+
+
+def _valid_cuts(xs, min_leaf):
+    """Candidate cut after sorted position p: distinct neighbours, both sides >= min_leaf."""
+    n = xs.shape[1]
+    k = np.arange(1, n, dtype=float)
+    valid = (xs[:, 1:] != xs[:, :-1]) & ((k >= min_leaf) & (n - k >= min_leaf))
+    return k, n - k, valid
+
+
+def _best_gini_split(X, y, order, features, min_leaf):
     """Best (impurity, feature, threshold) over candidate features, or None.
 
-    Candidate positions are boundaries between distinct sorted values; the
-    weighted Gini depends only on the label partition, so ties resolve
-    identically under any order-preserving transform.
+    Every candidate feature is scored in one 2-D pass over its presorted
+    rows.  Candidate positions are boundaries between distinct sorted
+    values; the weighted Gini depends only on the label partition, so ties
+    resolve identically under any order-preserving transform.
     """
-    n = idx.size
-    best = None
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        if xs[0] == xs[-1]:
-            continue
-        ys = y[idx][order]
-        left_ones = np.cumsum(ys)[:-1].astype(float)
-        k = np.arange(1, n, dtype=float)
-        right_ones = float(ys.sum()) - left_ones
-        rk = n - k
-        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (rk >= min_leaf)
-        if not valid.any():
-            continue
-        gini_l = 1.0 - (left_ones / k) ** 2 - ((k - left_ones) / k) ** 2
-        gini_r = 1.0 - (right_ones / rk) ** 2 - ((rk - right_ones) / rk) ** 2
-        weighted = (k * gini_l + rk * gini_r) / n
-        weighted = np.where(valid, weighted, np.inf)
-        p = int(np.argmin(weighted))
-        if best is None or weighted[p] < best[0] - 1e-12:
-            best = (float(weighted[p]), int(f), float(xs[p]))
-    return best
+    n = order.shape[1]
+    rows = order[features]
+    xs = X[rows, features[:, None]]
+    ys = y[rows]
+    left_ones = np.cumsum(ys, axis=1)[:, :-1].astype(float)
+    right_ones = float(ys[0].sum()) - left_ones
+    k, rk, valid = _valid_cuts(xs, min_leaf)
+    gini_l = 1.0 - (left_ones / k) ** 2 - ((k - left_ones) / k) ** 2
+    gini_r = 1.0 - (right_ones / rk) ** 2 - ((rk - right_ones) / rk) ** 2
+    weighted = np.where(valid, (k * gini_l + rk * gini_r) / n, np.inf)
+    return _first_best(weighted, valid, xs, features)
 
 
 class DecisionTreeClassifier:
@@ -92,7 +126,7 @@ class DecisionTreeClassifier:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         self.n_features = X.shape[1]
-        self.root = self._grow(X, y, np.arange(len(y)), depth=0)
+        self.root = self._grow(X, y, np.arange(len(y)), _presort(X), depth=0)
         return self
 
     def _candidate_features(self) -> np.ndarray:
@@ -100,7 +134,7 @@ class DecisionTreeClassifier:
             return np.arange(self.n_features)
         return np.sort(self.rng.choice(self.n_features, self.max_features, replace=False))
 
-    def _grow(self, X, y, idx, depth) -> _Node:
+    def _grow(self, X, y, idx, order, depth) -> _Node:
         node = _Node()
         ones = int(y[idx].sum())
         n = idx.size
@@ -108,13 +142,13 @@ class DecisionTreeClassifier:
         node.value = 1 if 2 * ones > n else 0
         if depth >= self.max_depth or n < 2 * self.min_leaf or ones == 0 or ones == n:
             return node
-        best = _best_gini_split(X, y, idx, self._candidate_features(), self.min_leaf)
+        best = _best_gini_split(X, y, order, self._candidate_features(), self.min_leaf)
         if best is None:
             return node
         _, node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = self._grow(X, y, idx[mask], depth + 1)
-        node.right = self._grow(X, y, idx[~mask], depth + 1)
+        left, right = _partition(X, idx, order, node.feature, node.threshold)
+        node.left = self._grow(X, y, *left, depth + 1)
+        node.right = self._grow(X, y, *right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -130,30 +164,20 @@ class DecisionTreeClassifier:
         return out
 
 
-def _best_mse_split(X, g, idx, min_leaf):
-    """Best squared-error split: maximize L^2/k + R^2/(n-k) of target sums."""
-    n = idx.size
-    best = None
+def _best_mse_split(X, g, idx, order, min_leaf):
+    """Best squared-error split: maximize L^2/k + R^2/(n-k) of target sums.
+
+    All features are scored in one 2-D pass over their presorted rows.
+    Returns (-gain, feature, threshold), or None: the gain is negated so
+    the shared lowest-score search picks the same cut as a highest-gain one.
+    """
     total = float(g[idx].sum())
-    for f in range(X.shape[1]):
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        if xs[0] == xs[-1]:
-            continue
-        gs = g[idx][order]
-        left = np.cumsum(gs)[:-1]
-        k = np.arange(1, n, dtype=float)
-        rk = n - k
-        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (rk >= min_leaf)
-        if not valid.any():
-            continue
-        gain = left**2 / k + (total - left) ** 2 / rk
-        gain = np.where(valid, gain, -np.inf)
-        p = int(np.argmax(gain))
-        if best is None or gain[p] > best[0] + 1e-12:
-            best = (float(gain[p]), int(f), float(xs[p]))
-    return best
+    features = np.arange(order.shape[0])
+    xs = X[order, features[:, None]]
+    left = np.cumsum(g[order], axis=1)[:, :-1]
+    k, rk, valid = _valid_cuts(xs, min_leaf)
+    gain = left**2 / k + (total - left) ** 2 / rk
+    return _first_best(np.where(valid, -gain, np.inf), valid, xs, features)
 
 
 class RegressionTree:
@@ -168,23 +192,26 @@ class RegressionTree:
         self.min_leaf = min_leaf
         self.root: _Node | None = None
 
-    def fit(self, X: np.ndarray, residuals: np.ndarray, hessians: np.ndarray) -> "RegressionTree":
+    def fit(self, X: np.ndarray, residuals: np.ndarray, hessians: np.ndarray,
+            order: np.ndarray | None = None) -> "RegressionTree":
+        """``order`` is ``_presort(X)``, passed in when many trees share one X."""
         X = np.asarray(X, dtype=float)
-        self.root = self._grow(X, residuals, hessians, np.arange(len(residuals)), depth=0)
+        order = _presort(X) if order is None else order
+        self.root = self._grow(X, residuals, hessians, np.arange(len(residuals)), order, depth=0)
         return self
 
-    def _grow(self, X, g, h, idx, depth) -> _Node:
+    def _grow(self, X, g, h, idx, order, depth) -> _Node:
         node = _Node()
         node.value = float(g[idx].sum() / (h[idx].sum() + 1e-12))
         if depth >= self.max_depth or idx.size < 2 * self.min_leaf:
             return node
-        best = _best_mse_split(X, g, idx, self.min_leaf)
+        best = _best_mse_split(X, g, idx, order, self.min_leaf)
         if best is None:
             return node
         _, node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = self._grow(X, g, h, idx[mask], depth + 1)
-        node.right = self._grow(X, g, h, idx[~mask], depth + 1)
+        left, right = _partition(X, idx, order, node.feature, node.threshold)
+        node.left = self._grow(X, g, h, *left, depth + 1)
+        node.right = self._grow(X, g, h, *right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime
 from io import StringIO
 from pathlib import Path
@@ -42,6 +43,7 @@ from .errors import (
     ParseError,
 )
 from .labeling import (
+    LabeledDataset,
     LabelingConfig,
     SplitSpec,
     build_dataset,
@@ -453,11 +455,29 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
+def _read_labeled(path: str) -> LabeledDataset:
+    """The labeled CSV, bounded like ``pipeline`` bounds its splits.
+
+    Split ranges are checked against the length of the return series, which
+    the CSV does not hold; ``label`` records it as ``n_returns`` in the
+    ``label.json`` it writes beside the CSV.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        dataset = read_dataset_csv(fh)
+    info = Path(path).with_name("label.json")
+    if not info.exists():
+        return dataset
+    try:
+        n_returns = int(json.loads(info.read_text(encoding="utf-8"))["n_returns"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{info}: no usable n_returns ({exc!r})") from None
+    return replace(dataset, source_length=n_returns)
+
+
 def cmd_train(args) -> int:
     cfg = _read_config(getattr(args, "config", None))
     out_dir = _out_dir(args, "train")
-    with open(args.dataset, "r", encoding="utf-8", newline="") as fh:
-        dataset = read_dataset_csv(fh)
+    dataset = _read_labeled(args.dataset)
     spec = _parse_split("cli", f"{args.train}/{args.test}" if args.test else args.train)
     train_set, test_set = split(dataset, spec)
     bank = _collect_hyperparams(args, cfg)
@@ -494,8 +514,7 @@ def cmd_report(args) -> int:
     cfg = _read_config(getattr(args, "config", None))
     opts = _resolve(args, cfg, BENCH_OPTIONS)
     out_dir = _out_dir(args, "report")
-    with open(args.dataset, "r", encoding="utf-8", newline="") as fh:
-        dataset = read_dataset_csv(fh)
+    dataset = _read_labeled(args.dataset)
     splits = _collect_splits(args, cfg)
     if not splits:
         raise ConfigError("no splits given; use --split NAME=a:b/c:d")

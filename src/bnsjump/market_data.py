@@ -88,7 +88,7 @@ class SessionCalendar:
         open_t, close_t = self.sessions[idx]
         return (close_t.hour - open_t.hour) * 60 + (close_t.minute - open_t.minute)
 
-    def minute_position(self, ts: datetime, session_idx: int) -> int:
+    def minute_position(self, ts: datetime | time, session_idx: int) -> int:
         """Cumulative trading-minute position of ``ts`` within its day.
 
         Minutes of earlier sessions are counted in full, so positions run
@@ -332,20 +332,14 @@ def resample(series: BarSeries, interval_minutes: int) -> BarSeries:
     if interval_minutes == 1 or len(series) == 0:
         return series
     cal = series.calendar
-    keep: list[int] = []
-    last_key: tuple[date, int] | None = None
-    for i, ts in enumerate(series.timestamps):
-        pos = cal.minute_position(ts, int(series.session[i]))
-        bucket = -(-pos // interval_minutes)  # ceil division
-        key = (ts.date(), bucket)
-        if key == last_key:
-            keep[-1] = i
-        else:
-            keep.append(i)
-            last_key = key
-    mask = np.zeros(len(series), dtype=bool)
-    mask[keep] = True
-    return series.select(mask)
+    # bars repeat the same (session, time of day), so each position is computed once
+    keys = list(zip(series.session.tolist(), map(datetime.time, series.timestamps)))
+    position = {key: cal.minute_position(key[1], key[0]) for key in set(keys)}
+    pos = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
+    bucket = -(-pos // interval_minutes)  # ceil division
+    last = np.ones(len(series), dtype=bool)
+    last[:-1] = (series.day[1:] != series.day[:-1]) | (bucket[1:] != bucket[:-1])
+    return series.select(last)
 
 
 def pct_change(series: BarSeries) -> ReturnSeries:

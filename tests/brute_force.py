@@ -1,9 +1,11 @@
-"""Independent brute-force re-derivations of the data and labeling stages.
+"""Independent brute-force re-derivations of the data and labeling stages
+and of the tree learners.
 
 Deliberately literal: explicit loops over rows, explicit day and session
-equality checks and explicit mark counting over the lookahead rows.  The
-row-level logic shares no code with the package implementation so the two
-can check each other; only the per-group formulas the vectorized code
+equality checks and explicit mark counting over the lookahead rows; the
+trees re-sort every feature at every node and scan features one at a time.
+The row-level logic shares no code with the package implementation so the
+two can check each other; only the per-group formulas the vectorized code
 leaves untouched (skewness/kurtosis, the BV scale) and the result
 containers are imported.
 """
@@ -65,6 +67,28 @@ def brute_force_session_index(calendar, ts):
         if open_t <= t <= close_t:
             return i
     return None
+
+
+def brute_force_resample(series, interval_minutes):
+    """Rows kept by resampling: the last bar of each run of equal (date,
+    ceil(trading-minute position / interval)) keys."""
+    sessions = series.calendar.sessions
+    keep = []
+    last_key = None
+    for i, ts in enumerate(series.timestamps):
+        s = int(series.session[i])
+        offset = 0
+        for open_t, close_t in sessions[:s]:
+            offset += (close_t.hour - open_t.hour) * 60 + (close_t.minute - open_t.minute)
+        open_t = sessions[s][0]
+        position = offset + (ts.hour - open_t.hour) * 60 + (ts.minute - open_t.minute)
+        key = (ts.date(), -(-position // interval_minutes))
+        if key == last_key:
+            keep[-1] = i
+        else:
+            keep.append(i)
+            last_key = key
+    return keep
 
 
 def brute_force_changes(series):
@@ -219,3 +243,122 @@ def brute_force_write_dataset_csv(fileobj, dataset):
         row += [repr(float(x)) for x in dataset.features[i]]
         row.append(int(dataset.theta[i]))
         writer.writerow(row)
+
+
+def brute_force_gini_split(X, y, idx, features, min_leaf):
+    """Best (impurity, feature, threshold): each feature sorted and scanned alone."""
+    n = idx.size
+    best = None
+    for f in features:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        ys = y[idx][order]
+        left_ones = np.cumsum(ys)[:-1].astype(float)
+        k = np.arange(1, n, dtype=float)
+        right_ones = float(ys.sum()) - left_ones
+        rk = n - k
+        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (rk >= min_leaf)
+        if not valid.any():
+            continue
+        gini_l = 1.0 - (left_ones / k) ** 2 - ((k - left_ones) / k) ** 2
+        gini_r = 1.0 - (right_ones / rk) ** 2 - ((rk - right_ones) / rk) ** 2
+        weighted = (k * gini_l + rk * gini_r) / n
+        weighted = np.where(valid, weighted, np.inf)
+        p = int(np.argmin(weighted))
+        if best is None or weighted[p] < best[0] - 1e-12:
+            best = (float(weighted[p]), int(f), float(xs[p]))
+    return best
+
+
+def brute_force_mse_split(X, g, idx, min_leaf):
+    """Best (gain, feature, threshold) of L^2/k + R^2/(n-k), one feature at a time."""
+    n = idx.size
+    best = None
+    total = float(g[idx].sum())
+    for f in range(X.shape[1]):
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        if xs[0] == xs[-1]:
+            continue
+        gs = g[idx][order]
+        left = np.cumsum(gs)[:-1]
+        k = np.arange(1, n, dtype=float)
+        rk = n - k
+        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (rk >= min_leaf)
+        if not valid.any():
+            continue
+        gain = left**2 / k + (total - left) ** 2 / rk
+        gain = np.where(valid, gain, -np.inf)
+        p = int(np.argmax(gain))
+        if best is None or gain[p] > best[0] + 1e-12:
+            best = (float(gain[p]), int(f), float(xs[p]))
+    return best
+
+
+def brute_force_gini_tree(X, y, max_depth, min_leaf, max_features=None, rng=None):
+    """CART node dicts grown by re-sorting at every node; candidate features
+    per split drawn from ``rng`` when ``max_features`` < d."""
+    d = X.shape[1]
+
+    def candidates():
+        if max_features is None or max_features >= d:
+            return np.arange(d)
+        return np.sort(rng.choice(d, max_features, replace=False))
+
+    def grow(idx, depth):
+        ones = int(y[idx].sum())
+        n = idx.size
+        node = {"feature": -1, "threshold": 0.0, "value": 1 if 2 * ones > n else 0,
+                "score": ones / n, "left": None, "right": None}
+        if depth >= max_depth or n < 2 * min_leaf or ones == 0 or ones == n:
+            return node
+        best = brute_force_gini_split(X, y, idx, candidates(), min_leaf)
+        if best is None:
+            return node
+        _, node["feature"], node["threshold"] = best
+        mask = X[idx, node["feature"]] <= node["threshold"]
+        node["left"] = grow(idx[mask], depth + 1)
+        node["right"] = grow(idx[~mask], depth + 1)
+        return node
+
+    return grow(np.arange(len(y)), 0)
+
+
+def brute_force_regression_tree(X, g, h, max_depth, min_leaf):
+    """Squared-error node dicts with Newton leaf values, re-sorting at every node."""
+    def grow(idx, depth):
+        node = {"feature": -1, "threshold": 0.0,
+                "value": float(g[idx].sum() / (h[idx].sum() + 1e-12)),
+                "score": 0.0, "left": None, "right": None}
+        if depth >= max_depth or idx.size < 2 * min_leaf:
+            return node
+        best = brute_force_mse_split(X, g, idx, min_leaf)
+        if best is None:
+            return node
+        _, node["feature"], node["threshold"] = best
+        mask = X[idx, node["feature"]] <= node["threshold"]
+        node["left"] = grow(idx[mask], depth + 1)
+        node["right"] = grow(idx[~mask], depth + 1)
+        return node
+
+    return grow(np.arange(len(g)), 0)
+
+
+def brute_force_route(node, x):
+    """Leaf dict reached by one row under ``x[feature] <= threshold``."""
+    while node["left"] is not None:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def brute_force_knn_scores(X_train, y_train, X, k):
+    """Class-1 share among the k nearest rows, from one n_test x n_train matrix."""
+    d2 = (X**2).sum(axis=1)[:, None] + (X_train**2).sum(axis=1)[None, :] - 2.0 * X @ X_train.T
+    d2 = np.maximum(d2, 0.0)
+    k = min(k, len(y_train))
+    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    return y_train[nearest].mean(axis=1)

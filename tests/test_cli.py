@@ -125,6 +125,25 @@ class TestDataCommands:
         lines = (out / "reports.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_label_then_report_matches_pipeline(self, tmp_path, bars_csv):
+        """The test range ends past the last anchor but inside the return
+        series; both paths accept it and write the same reports."""
+        flags = ["--interval", "1", "--min-jumps", "1", "--split", "T=0:700/701:1367",
+                 "--algorithms", "knn,decision_tree,naive_bayes_gaussian"]
+        pipe, lb, rp = tmp_path / "pipe", tmp_path / "lb", tmp_path / "rp"
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(pipe)] + flags) == EXIT_OK
+        assert main(["label", "--input", str(bars_csv), "--out", str(lb),
+                     "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
+        assert main(["report", "--dataset", str(lb / "labeled.csv"), "--out", str(rp)]
+                    + flags[4:]) == EXIT_OK
+        assert (rp / "reports.csv").read_bytes() == (pipe / "reports.csv").read_bytes()
+        assert (lb / "labeled.csv").read_bytes() == (pipe / "labeled.csv").read_bytes()
+        assert main(["train", "--dataset", str(lb / "labeled.csv"), "--out", str(tmp_path / "tr"),
+                     "--algorithm", "knn", "--train", "0:700", "--test", "701:1367"]) == EXIT_OK
+        (lb / "label.json").write_text("{}")
+        assert main(["report", "--dataset", str(lb / "labeled.csv"), "--out", str(rp)]
+                    + flags[4:]) == EXIT_IO
+
 
 class TestPipeline:
     def test_end_to_end(self, tmp_path, bars_csv):

@@ -25,6 +25,7 @@ from bnsjump.market_data import (
     pct_change,
     preprocess,
     realized_measures,
+    resample,
     sigma_outlier_policy,
 )
 from bnsjump.synthetic import session_minutes, synthetic_bars
@@ -36,6 +37,7 @@ from brute_force import (
     brute_force_outlier_mask,
     brute_force_pct_change,
     brute_force_realized_measures,
+    brute_force_resample,
     brute_force_session_index,
     brute_force_session_keys,
     brute_force_write_dataset_csv,
@@ -122,6 +124,21 @@ def test_outlier_policy_and_preprocess():
             assert same(cleaned.day, BarSeries(cleaned.timestamps, cleaned.closes,
                                                cleaned.session, cleaned.calendar).day)
             assert rate == (float((~keep).sum()) / len(series) if len(series) else 0.0)
+
+
+@pytest.mark.parametrize("interval", [5, 7, 30, 50, 240, 1000])
+def test_resample(interval):
+    """Intervals that divide the sessions, that do not (7, 50), a full
+    two-session day (240) and more than a day; series include empty ones."""
+    for _, series in random_series(6, 30):
+        sampled = resample(series, interval)
+        rows = brute_force_resample(series, interval)
+        assert sampled.timestamps == tuple(series.timestamps[i] for i in rows)
+        assert same(sampled.closes, series.closes[rows])
+        assert same(sampled.session, series.session[rows])
+        assert same(sampled.day, series.day[rows])
+    empty = BarSeries.build([], [], SessionCalendar())
+    assert len(resample(empty, interval)) == 0
 
 
 def test_pct_change_and_session_keys():
