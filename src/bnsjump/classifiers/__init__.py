@@ -5,7 +5,6 @@ from .api import (
     DEFAULT_HYPERPARAMS,
     Model,
     predict,
-    predict_scores,
     resolve_hyperparams,
     train,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_HYPERPARAMS",
     "Model",
     "predict",
-    "predict_scores",
     "resolve_hyperparams",
     "train",
     "BenchmarkCell",

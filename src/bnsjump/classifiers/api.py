@@ -165,14 +165,3 @@ def predict(model: Model, features) -> np.ndarray:
     if len(X) == 0:
         return np.empty(0, dtype=int)
     return model.estimator.predict(_apply_scaler(model.scaler, X)).astype(int)
-
-
-def predict_scores(model: Model, features) -> np.ndarray | None:
-    """Class-1 scores in [0, 1] where the algorithm defines them, else None."""
-    X = _check_width(model, features)
-    est = model.estimator
-    if not hasattr(est, "predict_score"):
-        return None
-    if len(X) == 0:
-        return np.empty(0, dtype=float)
-    return est.predict_score(_apply_scaler(model.scaler, X))

@@ -1,13 +1,20 @@
 """Command-line entry point wiring the pipeline end-to-end.
 
 Subcommands: simulate, ingest, stats, label, train, report, pipeline.
-Options resolve as flags > config file > defaults, and every run echoes
-its effective configuration to ``config_used.cfg`` in the output
-directory; re-running from that file reproduces the outputs byte for
-byte, regardless of ``--threads``.
+The data subcommands run one ordered stage list (``STAGES``): load and
+clean, resample, pct_change, stats, realized_measures, index, mark, label,
+splits, benchmark.  Each names the stages it runs and the files it writes
+(``DATA_COMMANDS``); ``report`` starts from a labeled CSV instead.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 I/O or input-data
-error, 4 internal consistency failure.
+Options resolve as flags > config file > defaults.  Every run echoes the
+options it resolved to ``config_used.cfg`` in the output directory, each
+under the section it is read from; re-running from that file (with the
+same ``--input`` or ``--dataset``) reproduces the outputs byte for byte,
+regardless of ``--threads``.  ``train`` reads only its ``[hyperparams]``
+back; its ``[train]`` section records the flags it needs again.
+
+Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
+3 I/O or input-data error, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import replace
 from datetime import datetime
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,13 +43,7 @@ from .classifiers import (
 )
 from .classifiers.api import predict, resolve_hyperparams, train as train_model
 from .classifiers.metrics import evaluate
-from .errors import (
-    InvalidParameterError,
-    MissingSeriesError,
-    NumericOverflowError,
-    OrderingError,
-    ParseError,
-)
+from .errors import InvalidParameterError, NumericOverflowError, OrderingError, ParseError
 from .labeling import (
     LabeledDataset,
     LabelingConfig,
@@ -78,6 +80,15 @@ class StageError(Exception):
         self.cause = cause
 
 
+# Exception types -> exit code, first match wins.  A StageError is judged by
+# its cause, and a stage failing for any other reason is a configuration error.
+EXIT_CODES = (
+    ((ConfigError, InvalidParameterError), EXIT_CONFIG),
+    ((OSError, ParseError, OrderingError), EXIT_IO),
+    ((AssertionError, NumericOverflowError), EXIT_INTERNAL),
+)
+
+
 # ---------------------------------------------------------------------------
 # option resolution: flags > config file > defaults
 
@@ -102,14 +113,15 @@ SIMULATE_OPTIONS = {
     "threads": ("simulate", int, 1),
 }
 
-DATA_OPTIONS = {
+CLEAN_OPTIONS = {
     "calendar": ("calendar", str, SessionCalendar().to_spec()),
     "trim_minutes": ("preprocess", int, 10),
     "trim_reopen": ("preprocess", bool, False),
     "outlier_sigma": ("preprocess", float, 10.0),
     "no_outliers": ("preprocess", bool, False),
-    "interval": ("preprocess", int, 5),
 }
+
+DATA_OPTIONS = CLEAN_OPTIONS | {"interval": ("preprocess", int, 5)}
 
 LABEL_OPTIONS = {
     "window": ("labeling", int, 10),
@@ -120,12 +132,15 @@ LABEL_OPTIONS = {
     "stride": ("labeling", int, 1),
 }
 
-BENCH_OPTIONS = {
+REPORT_OPTIONS = {
     "algorithms": ("benchmark", str, ",".join(ALGORITHM_IDS)),
     "seed": ("benchmark", int, 0),
     "threads": ("benchmark", int, 1),
-    "group_by": ("benchmark", str, "month"),
 }
+
+# `stats` groups its statistics overall unless told otherwise, `pipeline` by month
+STATS_OPTIONS = {"group_by": ("benchmark", str, "overall")}
+BENCH_OPTIONS = REPORT_OPTIONS | {"group_by": ("benchmark", str, "month")}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -138,9 +153,9 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _resolve(args, cfg: configparser.ConfigParser, table: dict) -> dict:
+def _resolve(args, cfg: configparser.ConfigParser, *tables: dict) -> dict:
     out = {}
-    for name, (section, typ, default) in table.items():
+    for name, (section, typ, default) in (item for table in tables for item in table.items()):
         flag_val = getattr(args, name, None)
         if flag_val is not None:
             out[name] = flag_val
@@ -156,6 +171,19 @@ def _resolve(args, cfg: configparser.ConfigParser, table: dict) -> dict:
             continue
         out[name] = default
     return out
+
+
+def _named_items(args, cfg: configparser.ConfigParser, section: str, flag: str) -> dict[str, str]:
+    """The ``NAME = value`` pairs of a config section; each ``--flag NAME=value``
+    replaces its namesake and moves it to the end."""
+    items = dict(cfg.items(section)) if cfg.has_section(section) else {}
+    for item in getattr(args, flag, None) or []:
+        if "=" not in item:
+            raise ConfigError(f"--{flag} expects NAME=VALUE, got {item!r}")
+        name, value = item.split("=", 1)
+        items.pop(name, None)
+        items[name] = value
+    return items
 
 
 def _parse_split_token(token: str, indexed=None) -> int:
@@ -192,42 +220,10 @@ def _parse_split(name: str, text: str, indexed=None) -> SplitSpec:
 
 
 def _collect_splits(args, cfg: configparser.ConfigParser, indexed=None) -> list[SplitSpec]:
-    raw: list[tuple[str, str]] = []
-    if cfg.has_section("splits"):
-        raw.extend(cfg.items("splits"))
-    for item in getattr(args, "split", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--split expects NAME=a:b/c:d, got {item!r}")
-        name, text = item.split("=", 1)
-        raw = [(n, t) for n, t in raw if n != name]
-        raw.append((name, text))
-    return [_parse_split(name, text, indexed) for name, text in raw]
-
-
-def _collect_hyperparams(args, cfg: configparser.ConfigParser) -> dict[str, dict]:
-    bank: dict[str, dict] = {}
-
-    def add(key: str, value: str):
-        if "." not in key:
-            raise ConfigError(f"hyperparameter {key!r} must be algorithm.name")
-        algorithm, hp_name = key.split(".", 1)
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        bank.setdefault(algorithm, {})[hp_name] = parsed
-
-    if cfg.has_section("hyperparams"):
-        for key, value in cfg.items("hyperparams"):
-            add(key, value)
-    for item in getattr(args, "hp", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--hp expects algorithm.name=value, got {item!r}")
-        key, value = item.split("=", 1)
-        add(key, value)
-    for algorithm, overrides in bank.items():
-        resolve_hyperparams(algorithm, overrides)  # validates names
-    return bank
+    raw = _named_items(args, cfg, "splits", "split")
+    if not raw:
+        raise ConfigError("no splits given; use --split NAME=a:b/c:d or a [splits] config section")
+    return [_parse_split(name, text, indexed) for name, text in raw.items()]
 
 
 def _split_text(s: SplitSpec) -> str:
@@ -237,20 +233,25 @@ def _split_text(s: SplitSpec) -> str:
     return text
 
 
-def _collect_external(args, cfg: configparser.ConfigParser) -> dict[str, dict[int, int]]:
-    sources: dict[str, str] = {}
-    if cfg.has_section("external"):
-        sources.update(cfg.items("external"))
-    for item in getattr(args, "external", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--external expects NAME=path, got {item!r}")
-        name, path = item.split("=", 1)
-        sources[name] = path
-    return {name: load_external_predictions(path) for name, path in sorted(sources.items())}
+def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
+    """Parse and validate ``algorithm.name = value`` pairs (values as JSON where they parse)."""
+    bank: dict[str, dict] = {}
+    for key, value in items.items():
+        if "." not in key:
+            raise ConfigError(f"hyperparameter {key!r} must be algorithm.name")
+        algorithm, hp_name = key.split(".", 1)
+        try:
+            parsed = json.loads(value)
+        except json.JSONDecodeError:
+            parsed = value
+        bank.setdefault(algorithm, {})[hp_name] = parsed
+    for algorithm, overrides in bank.items():
+        resolve_hyperparams(algorithm, overrides)  # validates names
+    return bank
 
 
 def _out_dir(args, subcommand: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         path = Path(args.out)
     else:
         root = os.environ.get(OUTPUT_ROOT_ENV, "bnsjump_out")
@@ -259,25 +260,27 @@ def _out_dir(args, subcommand: str) -> Path:
     return path
 
 
-def _echo_config(out_dir: Path, sections: dict[str, dict]) -> None:
-    """Write the effective config; `threads` is an execution knob that does
-    not affect results and is deliberately not part of it."""
+def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
+    """Write the effective config: each option of ``tables`` under its own
+    section, plus the ``extra`` sections that are not empty.  `threads` is
+    an execution knob that does not affect results and is deliberately not
+    part of it."""
+    sections = {name: values for name, values in extra.items() if values}
+    for table in tables:
+        for name, (section, _, _) in table.items():
+            if name != "threads":
+                sections.setdefault(section, {})[name] = opts[name]
     cfg = configparser.ConfigParser()
     cfg.optionxform = str
     for section in sorted(sections):
-        cfg[section] = {}
-        for key in sorted(sections[section]):
-            if key == "threads":
-                continue
-            value = sections[section][key]
-            cfg[section][key] = str(value)
+        cfg[section] = {key: str(sections[section][key]) for key in sorted(sections[section])}
     buf = StringIO()
     cfg.write(buf)
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +306,7 @@ def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = _resolve(args, cfg, SIMULATE_OPTIONS)
+    opts = _resolve(args, _read_config(args.config), SIMULATE_OPTIONS)
     out_dir = _out_dir(args, "simulate")
     params = dynamics.ModelParams(
         mu=opts["mu"], beta=opts["beta"], rho=opts["rho"], lam=opts["lam"],
@@ -316,7 +318,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("dt and t_end must be positive")
     n_steps = max(1, int(round(opts["t_end"] / opts["dt"])))
     grid = TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
-    _echo_config(out_dir, {"simulate": opts})
+    _echo_config(out_dir, opts, (SIMULATE_OPTIONS,))
 
     n = opts["paths"]
     indices = range(n)
@@ -361,98 +363,44 @@ def cmd_simulate(args) -> int:
         },
         "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
     }
-    _write_json(out_dir / "summary.json", summary)
+    (out_dir / "summary.json").write_text(_json(summary), encoding="utf-8")
     print(f"simulate: wrote {n} paths to {paths_dir}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# data subcommands
+# data subcommands: one staged pipeline
 
-def _load_and_clean(args, opts: dict):
+def _stage(name: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _load_and_clean(run):
+    """The bars inside the calendar's sessions, cleaned; records the row
+    counts in ``run.info``."""
+    opts = run.opts
     calendar = SessionCalendar.from_spec(opts["calendar"])
-    bars, rejected = market_data.load_bars(args.input, calendar)
+    bars, rejected = market_data.load_bars(run.args.input, calendar)
     policy = None if opts["no_outliers"] else market_data.sigma_outlier_policy(opts["outlier_sigma"])
     clean, rate = market_data.preprocess(bars, trim_minutes=opts["trim_minutes"],
                                          outlier_policy=policy, trim_reopen=opts["trim_reopen"])
-    info = {
+    run.info = {
         "rows_loaded": len(bars) + rejected,
         "rows_in_sessions": len(bars),
         "rejected_outside_sessions": rejected,
         "rows_after_preprocess": len(clean),
         "preprocess_rejection_rate": rate,
     }
-    return clean, info
-
-
-def cmd_ingest(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = _resolve(args, cfg, DATA_OPTIONS)
-    out_dir = _out_dir(args, "ingest")
-    clean, info = _load_and_clean(args, opts)
-    _echo_config(out_dir, {"run": {"subcommand": "ingest", "input": args.input},
-                           "calendar": {"calendar": opts["calendar"]},
-                           "preprocess": {k: opts[k] for k in
-                                          ("trim_minutes", "trim_reopen", "outlier_sigma", "no_outliers")}})
-    with open(out_dir / "bars_clean.csv", "w", encoding="utf-8", newline="") as fh:
-        market_data.write_bars_csv(fh, clean)
-    _write_json(out_dir / "ingest.json", info)
-    print(f"ingest: {info['rows_after_preprocess']} bars retained "
-          f"(rate {info['preprocess_rejection_rate']:.4f})")
-    return EXIT_OK
-
-
-def cmd_stats(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = _resolve(args, cfg, DATA_OPTIONS)
-    group_by = args.group_by or "overall"
-    out_dir = _out_dir(args, "stats")
-    clean, info = _load_and_clean(args, opts)
-    sampled = market_data.resample(clean, opts["interval"])
-    reports = market_data.descriptive_stats(sampled, group_by=group_by)
-    _echo_config(out_dir, {"run": {"subcommand": "stats", "input": args.input},
-                           "calendar": {"calendar": opts["calendar"]},
-                           "stats": {"interval": opts["interval"], "group_by": group_by}})
-    with open(out_dir / "stats.csv", "w", encoding="utf-8", newline="") as fh:
-        market_data.write_stats_csv(fh, reports)
-    (out_dir / "stats.json").write_text(market_data.stats_to_json(reports), encoding="utf-8")
-    _write_json(out_dir / "ingest.json", info)
-    print(f"stats: {len(reports)} group(s) written to {out_dir}")
-    return EXIT_OK
+    return clean
 
 
 def _label_config(opts: dict) -> LabelingConfig:
     return LabelingConfig(window_len=opts["window"], lookahead=opts["lookahead"],
                           threshold_pct=opts["threshold_pct"], min_jumps=opts["min_jumps"],
                           direction=opts["direction"], stride=opts["stride"])
-
-
-def cmd_label(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = _resolve(args, cfg, DATA_OPTIONS) | _resolve(args, cfg, LABEL_OPTIONS)
-    out_dir = _out_dir(args, "label")
-    clean, info = _load_and_clean(args, opts)
-    sampled = market_data.resample(clean, opts["interval"])
-    returns = market_data.pct_change(sampled)
-    indexed = index_series(returns)
-    label_cfg = _label_config(opts)
-    marks = mark_big_jumps(indexed, label_cfg)
-    dataset = build_dataset(indexed, marks, label_cfg)
-    _echo_config(out_dir, {
-        "run": {"subcommand": "label", "input": args.input},
-        "calendar": {"calendar": opts["calendar"]},
-        "preprocess": {k: opts[k] for k in ("trim_minutes", "trim_reopen", "outlier_sigma",
-                                            "no_outliers", "interval")},
-        "labeling": {k: opts[k] for k in LABEL_OPTIONS},
-    })
-    with open(out_dir / "labeled.csv", "w", encoding="utf-8", newline="") as fh:
-        write_dataset_csv(fh, dataset)
-    zeros, ones = dataset.class_counts()
-    info.update({"n_returns": len(returns), "n_marks": int(marks.sum()),
-                 "n_anchors": len(dataset), "theta0": zeros, "theta1": ones})
-    _write_json(out_dir / "label.json", info)
-    print(f"label: {len(dataset)} anchors ({ones} positive) written to {out_dir}")
-    return EXIT_OK
 
 
 def _read_labeled(path: str) -> LabeledDataset:
@@ -474,14 +422,109 @@ def _read_labeled(path: str) -> LabeledDataset:
     return replace(dataset, source_length=n_returns)
 
 
+def _benchmark(run):
+    algorithms = [a.strip() for a in run.opts["algorithms"].split(",") if a.strip()]
+    external = {name: load_external_predictions(path) for name, path in sorted(run.external.items())}
+    return run_benchmark(run.dataset, run.splits, algorithms, run.bank, seed=run.opts["seed"],
+                         external=external, max_workers=run.opts["threads"])
+
+
+# stage -> (attribute of the run it sets, function of the run so far)
+STAGES = {
+    "ingest": ("clean", _load_and_clean),
+    "resample": ("sampled", lambda r: market_data.resample(r.clean, r.opts["interval"])),
+    "pct_change": ("returns", lambda r: market_data.pct_change(r.sampled)),
+    "stats": ("stats", lambda r: market_data.descriptive_stats(r.sampled, r.opts["group_by"])),
+    "realized_measures": ("rv", lambda r: market_data.realized_measures(r.returns, "day")),
+    "index": ("indexed", lambda r: index_series(r.returns)),
+    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, _label_config(r.opts))),
+    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, _label_config(r.opts))),
+    "load_labeled": ("dataset", lambda r: _read_labeled(r.args.dataset)),
+    "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
+    "benchmark": ("cells", _benchmark),
+}
+
+
+def _label_counts(run) -> dict:
+    zeros, ones = run.dataset.class_counts()
+    return run.info | {"n_returns": len(run.returns), "n_marks": int(run.marks.sum()),
+                       "n_anchors": len(run.dataset), "theta0": zeros, "theta1": ones}
+
+
+def _summary(run) -> dict:
+    supports = {}
+    for cell in run.cells:
+        supports.setdefault(cell.split_name, list(cell.report.supports()))
+    return _label_counts(run) | {"supports_per_split": supports, "n_report_cells": len(run.cells)}
+
+
+# output file -> writer(text file, run)
+OUTPUTS = {
+    "bars_clean.csv": lambda fh, r: market_data.write_bars_csv(fh, r.clean),
+    "ingest.json": lambda fh, r: fh.write(_json(r.info)),
+    "stats.csv": lambda fh, r: market_data.write_stats_csv(fh, r.stats),
+    "stats.json": lambda fh, r: fh.write(market_data.stats_to_json(r.stats)),
+    "rv_day.csv": lambda fh, r: market_data.write_rv_csv(fh, r.rv),
+    "rv_day.json": lambda fh, r: fh.write(market_data.rv_to_json(r.rv)),
+    "labeled.csv": lambda fh, r: write_dataset_csv(fh, r.dataset),
+    "label.json": lambda fh, r: fh.write(_json(_label_counts(r))),
+    "reports.csv": lambda fh, r: write_benchmark_csv(fh, r.cells),
+    "reports.txt": lambda fh, r: fh.write(format_benchmark_text(r.cells)),
+    "hyperparams_used.json": lambda fh, r: fh.write(
+        _json({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
+    "summary.json": lambda fh, r: fh.write(_json(_summary(r))),
+}
+
+LABEL_STAGES = ("ingest", "resample", "pct_change", "index", "mark", "label")
+REPORT_FILES = ("reports.csv", "reports.txt", "hyperparams_used.json")
+
+# subcommand -> (option tables, stages in order, files written besides config_used.cfg)
+DATA_COMMANDS = {
+    "ingest": ((CLEAN_OPTIONS,), ("ingest",), ("bars_clean.csv", "ingest.json")),
+    "stats": ((DATA_OPTIONS, STATS_OPTIONS), ("ingest", "resample", "stats"),
+              ("stats.csv", "stats.json", "ingest.json")),
+    "label": ((DATA_OPTIONS, LABEL_OPTIONS), LABEL_STAGES, ("labeled.csv", "label.json")),
+    "report": ((REPORT_OPTIONS,), ("load_labeled", "splits", "benchmark"), REPORT_FILES),
+    "pipeline": ((DATA_OPTIONS, LABEL_OPTIONS, BENCH_OPTIONS),
+                 ("ingest", "resample", "pct_change", "stats", "realized_measures", "index", "mark",
+                  "label", "splits", "benchmark"),
+                 ("stats.csv", "stats.json", "rv_day.csv", "rv_day.json", "labeled.csv")
+                 + REPORT_FILES + ("summary.json",)),
+}
+
+
+def run_data_command(args) -> int:
+    """Run the stages a data subcommand names, then write its files."""
+    tables, stages, files = DATA_COMMANDS[args.subcommand]
+    cfg = _read_config(args.config)
+    run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
+                          splits=(), hp={}, external={})
+    if "benchmark" in stages:
+        run.hp = _named_items(args, cfg, "hyperparams", "hp")
+        run.bank = _hyperparams(run.hp)
+        run.external = _named_items(args, cfg, "external", "external")
+    out_dir = _out_dir(args, args.subcommand)
+    for name in stages:
+        attr, fn = STAGES[name]
+        setattr(run, attr, _stage(name, fn, run))
+    _echo_config(out_dir, run.opts, tables, hyperparams=run.hp, external=run.external,
+                 run={"subcommand": args.subcommand, "input": args.input} if "ingest" in stages else {},
+                 splits={s.name: _split_text(s) for s in run.splits})
+    for name in files:
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
+            OUTPUTS[name](fh, run)
+    print(f"{args.subcommand}: wrote {', '.join(files)} to {out_dir}")
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
+    cfg = _read_config(args.config)
     out_dir = _out_dir(args, "train")
     dataset = _read_labeled(args.dataset)
     spec = _parse_split("cli", f"{args.train}/{args.test}" if args.test else args.train)
     train_set, test_set = split(dataset, spec)
-    bank = _collect_hyperparams(args, cfg)
-    model = train_model(args.algorithm, train_set, bank.get(args.algorithm), seed=args.seed or 0)
+    hp = _named_items(args, cfg, "hyperparams", "hp")
+    model = train_model(args.algorithm, train_set, _hyperparams(hp).get(args.algorithm), seed=args.seed or 0)
     payload = {"algorithm": args.algorithm, "train_rows": len(train_set),
                "hyperparams": model.metadata["hyperparams"], "degenerate": model.degenerate}
     if len(test_set):
@@ -491,114 +534,12 @@ def cmd_train(args) -> int:
             "class0": report.class0.__dict__ | {"zero_division": list(report.class0.zero_division)},
             "class1": report.class1.__dict__ | {"zero_division": list(report.class1.zero_division)},
         }
-    _echo_config(out_dir, {"train": {"algorithm": args.algorithm, "train": args.train,
-                                     "test": args.test or "", "seed": args.seed or 0}})
-    _write_json(out_dir / "train_report.json", payload)
+    _echo_config(out_dir, {}, (), hyperparams=hp,
+                 train={"algorithm": args.algorithm, "train": args.train,
+                        "test": args.test or "", "seed": args.seed or 0})
+    (out_dir / "train_report.json").write_text(_json(payload), encoding="utf-8")
     print(f"train: {args.algorithm} on {len(train_set)} rows"
           + (f", test accuracy {payload['test']['accuracy']:.3f}" if "test" in payload else ""))
-    return EXIT_OK
-
-
-def _run_reports(dataset, splits, algorithms, bank, seed, external, threads, out_dir):
-    cells = run_benchmark(dataset, splits, algorithms, bank, seed=seed,
-                          external=external, max_workers=threads)
-    with open(out_dir / "reports.csv", "w", encoding="utf-8", newline="") as fh:
-        write_benchmark_csv(fh, cells)
-    (out_dir / "reports.txt").write_text(format_benchmark_text(cells), encoding="utf-8")
-    used = {c.algorithm: c.hyperparams for c in cells if c.hyperparams}
-    _write_json(out_dir / "hyperparams_used.json", used)
-    return cells
-
-
-def cmd_report(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = _resolve(args, cfg, BENCH_OPTIONS)
-    out_dir = _out_dir(args, "report")
-    dataset = _read_labeled(args.dataset)
-    splits = _collect_splits(args, cfg)
-    if not splits:
-        raise ConfigError("no splits given; use --split NAME=a:b/c:d")
-    algorithms = [a.strip() for a in opts["algorithms"].split(",") if a.strip()]
-    bank = _collect_hyperparams(args, cfg)
-    external = _collect_external(args, cfg)
-    _echo_config(out_dir, {"benchmark": {"algorithms": opts["algorithms"], "seed": opts["seed"],
-                                         "threads": opts["threads"]},
-                           "splits": {s.name: _split_text(s) for s in splits}})
-    cells = _run_reports(dataset, splits, algorithms, bank, opts["seed"], external,
-                         opts["threads"], out_dir)
-    print(f"report: {len(cells)} report cells written to {out_dir}")
-    return EXIT_OK
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _read_config(getattr(args, "config", None))
-    opts = (_resolve(args, cfg, DATA_OPTIONS) | _resolve(args, cfg, LABEL_OPTIONS)
-            | _resolve(args, cfg, BENCH_OPTIONS))
-    out_dir = _out_dir(args, "pipeline")
-
-    def stage(name, fn, *fn_args, **kw):
-        try:
-            return fn(*fn_args, **kw)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    if not Path(args.input).exists():
-        raise FileNotFoundError(f"input file not found: {args.input}")
-
-    clean, info = stage("ingest", _load_and_clean, args, opts)
-    sampled = stage("resample", market_data.resample, clean, opts["interval"])
-    returns = stage("pct_change", market_data.pct_change, sampled)
-    stats_reports = stage("stats", market_data.descriptive_stats, sampled, opts["group_by"])
-    rv = stage("realized_measures", market_data.realized_measures, returns, "day")
-    indexed = stage("index", index_series, returns)
-    label_cfg = _label_config(opts)
-    marks = stage("mark", mark_big_jumps, indexed, label_cfg)
-    dataset = stage("label", build_dataset, indexed, marks, label_cfg)
-    splits = stage("splits", _collect_splits, args, cfg, indexed)
-    if not splits:
-        raise ConfigError("no splits given; use --split NAME=a:b/c:d or a [splits] config section")
-    algorithms = [a.strip() for a in opts["algorithms"].split(",") if a.strip()]
-    bank = stage("hyperparams", _collect_hyperparams, args, cfg)
-    external = stage("external", _collect_external, args, cfg)
-
-    _echo_config(out_dir, {
-        "run": {"subcommand": "pipeline", "input": args.input},
-        "calendar": {"calendar": opts["calendar"]},
-        "preprocess": {k: opts[k] for k in ("trim_minutes", "trim_reopen", "outlier_sigma",
-                                            "no_outliers", "interval")},
-        "labeling": {k: opts[k] for k in LABEL_OPTIONS},
-        "benchmark": {"algorithms": opts["algorithms"], "seed": opts["seed"],
-                      "group_by": opts["group_by"]},
-        "splits": {s.name: _split_text(s) for s in splits},
-    })
-
-    with open(out_dir / "stats.csv", "w", encoding="utf-8", newline="") as fh:
-        market_data.write_stats_csv(fh, stats_reports)
-    (out_dir / "stats.json").write_text(market_data.stats_to_json(stats_reports), encoding="utf-8")
-    with open(out_dir / "rv_day.csv", "w", encoding="utf-8", newline="") as fh:
-        market_data.write_rv_csv(fh, rv)
-    (out_dir / "rv_day.json").write_text(market_data.rv_to_json(rv), encoding="utf-8")
-    with open(out_dir / "labeled.csv", "w", encoding="utf-8", newline="") as fh:
-        write_dataset_csv(fh, dataset)
-
-    cells = stage("benchmark", _run_reports, dataset, splits, algorithms, bank,
-                  opts["seed"], external, opts["threads"], out_dir)
-
-    zeros, ones = dataset.class_counts()
-    supports = {}
-    for cell in cells:
-        supports.setdefault(cell.split_name, list(cell.report.supports()))
-    summary = dict(info)
-    summary.update({
-        "n_returns": len(returns), "n_marks": int(marks.sum()),
-        "n_anchors": len(dataset), "theta0": zeros, "theta1": ones,
-        "supports_per_split": supports,
-        "n_report_cells": len(cells),
-    })
-    _write_json(out_dir / "summary.json", summary)
-    print(f"pipeline: complete, outputs in {out_dir}")
     return EXIT_OK
 
 
@@ -690,39 +631,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "ingest": cmd_ingest,
-    "stats": cmd_stats,
-    "label": cmd_label,
-    "train": cmd_train,
-    "report": cmd_report,
-    "pipeline": cmd_pipeline,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"simulate": cmd_simulate, "train": cmd_train}.get(args.subcommand, run_data_command)
     try:
-        return COMMANDS[args.subcommand](args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, (OSError, ParseError, OrderingError)):
-            return EXIT_IO
-        if isinstance(cause, (AssertionError, NumericOverflowError)):
-            return EXIT_INTERNAL
-        return EXIT_CONFIG
-    except (ConfigError, InvalidParameterError, MissingSeriesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ParseError, OrderingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (AssertionError, NumericOverflowError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return command(args)
+    except Exception as exc:
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        code = next((code for types, code in EXIT_CODES if isinstance(cause, types)),
+                    EXIT_CONFIG if cause is not exc else None)
+        if code is None:
+            raise
+        print(f"{'internal error' if code == EXIT_INTERNAL else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ positive.  The log price moves as
          + rho ((1-theta) dZ_{lam t} + theta dZb_{lam t}),   rho <= 0,
 
 and the observed log price adds i.i.d. microstructure noise:
-X_obs = X + eps, with the true price recovered as s0 * exp(X_obs - eps).
+X_obs = X + eps.
 
 The variance path is evaluated from the exact solution at grid points (the
 only discretization error in the toolkit is the Euler step of the log
@@ -38,22 +38,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    InvalidParameterError,
-    MissingSeriesError,
-    NumericOverflowError,
-)
+from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError
+from .seeding import BROWNIAN_STREAM, NOISE_STREAM, substream
 from .subordinators import (
-    BROWNIAN_STREAM,
-    NOISE_STREAM,
     JumpPath,
     SubordinatorSpec,
     TimeGrid,
     combine_paths,
     realized_jump_energy,
     subordinator_moments,
-    substream,
 )
 
 
@@ -94,13 +87,10 @@ class NoiseSpec:
     """I.i.d. zero-mean Gaussian microstructure noise."""
 
     std: float = 0.0
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if self.std < 0:
             raise InvalidParameterError(f"noise std must be >= 0, got {self.std}")
-        if self.distribution != "gaussian":
-            raise InvalidParameterError(f"unsupported noise distribution {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -258,13 +248,8 @@ def apply_noise(path: LogPricePath, noise: NoiseSpec, seed) -> LogPricePath:
     return replace(path, noise=eps, x_observed=path.x_true + eps)
 
 
-def price_series(path: LogPricePath, use_observed: bool = False) -> np.ndarray:
-    """Price series s0 * exp(X); with ``use_observed`` the true price is
-    reconstructed from the observed log price by removing the noise."""
-    if use_observed:
-        if path.x_observed is None or path.noise is None:
-            raise MissingSeriesError("path has no observed series / noise attached")
-        return path.s0 * np.exp(path.x_observed - path.noise)
+def price_series(path: LogPricePath) -> np.ndarray:
+    """Price series s0 * exp(X) of the true log price."""
     return path.s0 * np.exp(path.x_true)
 
 

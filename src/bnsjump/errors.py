@@ -25,7 +25,3 @@ class ParseError(ValueError):
 
 class OrderingError(ValueError):
     """Timestamps are not strictly increasing."""
-
-
-class MissingSeriesError(ValueError):
-    """A requested series is not present on the path."""

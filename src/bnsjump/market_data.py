@@ -52,7 +52,6 @@ class SessionCalendar:
         (time(9, 30), time(11, 30)),
         (time(13, 0), time(15, 0)),
     )
-    timezone: str = "Asia/Shanghai"
 
     def __post_init__(self):
         prev_close = None
@@ -64,12 +63,12 @@ class SessionCalendar:
             prev_close = close_t
 
     @classmethod
-    def from_spec(cls, spec: str, timezone: str = "Asia/Shanghai") -> "SessionCalendar":
+    def from_spec(cls, spec: str) -> "SessionCalendar":
         """Parse a calendar from a spec like ``09:30-11:30,13:00-15:00``."""
         sessions = tuple(_parse_session(part) for part in spec.split(",") if part.strip())
         if not sessions:
             raise InvalidParameterError("calendar spec contains no sessions")
-        return cls(sessions=sessions, timezone=timezone)
+        return cls(sessions=sessions)
 
     def to_spec(self) -> str:
         return ",".join(f"{o.strftime('%H:%M')}-{c.strftime('%H:%M')}" for o, c in self.sessions)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError
-from .seeding import BROWNIAN_STREAM, JUMP_STREAM, NOISE_STREAM, substream
+from .seeding import JUMP_STREAM, substream
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ from bnsjump.classifiers import (
     ALGORITHM_IDS,
     evaluate,
     predict,
-    predict_scores,
     resolve_hyperparams,
     train,
 )
+from bnsjump.classifiers.api import _apply_scaler
 from bnsjump.classifiers.neural import NeuralNetClassifier
 from bnsjump.errors import InvalidParameterError
 
@@ -139,8 +139,8 @@ class TestAlgorithmBehavior:
         ds = as_dataset(X, y)
         for alg in ("logistic_regression", "knn", "naive_bayes_gaussian", "gradient_boost",
                     "decision_tree", "random_forest", "neural_net"):
-            scores = predict_scores(train(alg, ds, FAST_HP.get(alg), seed=2), X)
-            assert scores is not None, alg
+            model = train(alg, ds, FAST_HP.get(alg), seed=2)
+            scores = model.estimator.predict_score(_apply_scaler(model.scaler, X))
             assert np.all((scores >= 0.0) & (scores <= 1.0)), alg
 
     def test_neural_threshold_rule(self):

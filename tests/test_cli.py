@@ -32,6 +32,14 @@ PIPELINE_FLAGS = ["--interval", "1", "--window", "8", "--lookahead", "8",
                   "--split", "T1=7:700/701:900", "--split", "T2=7:900/901:1100",
                   "--seed", "3"]
 
+# the flags each data subcommand is run with where only its exit code matters
+DATA_FLAGS = {
+    "ingest": [],
+    "stats": ["--interval", "1", "--group-by", "month"],
+    "label": ["--interval", "1", "--min-jumps", "1"],
+    "pipeline": PIPELINE_FLAGS,
+}
+
 
 class TestSimulate:
     def test_runs_and_reports_floor(self, tmp_path):
@@ -91,6 +99,43 @@ class TestDataCommands:
                      "--interval", "5", "--group-by", "month"]) == EXIT_OK
         stats = json.loads((out / "stats.json").read_text())
         assert "2021-01" in stats
+        assert main(["stats", "--input", str(bars_csv), "--out", str(out)]) == EXIT_OK
+        assert list(json.loads((out / "stats.json").read_text())) == ["overall"]
+
+    def test_stats_config_roundtrip(self, tmp_path, bars_csv):
+        """`stats` reads every option it echoes, `group_by` from [benchmark]."""
+        first, second = tmp_path / "s1", tmp_path / "s2"
+        assert main(["stats", "--input", str(bars_csv), "--out", str(first), "--interval", "1",
+                     "--trim-minutes", "0", "--group-by", "month"]) == EXIT_OK
+        assert main(["stats", "--input", str(bars_csv), "--out", str(second),
+                     "--config", str(first / "config_used.cfg")]) == EXIT_OK
+        assert (first / "stats.csv").read_text().splitlines()[1].startswith("2021-01,1440,")
+        assert tree_bytes(first) == tree_bytes(second)
+
+    def test_each_subcommand_writes_its_files(self, tmp_path, bars_csv):
+        lb = tmp_path / "label"
+        runs = {
+            "ingest": ["ingest", "--input", str(bars_csv)],
+            "stats": ["stats", "--input", str(bars_csv)],
+            "label": ["label", "--input", str(bars_csv), "--interval", "1", "--min-jumps", "1"],
+            "train": ["train", "--dataset", str(lb / "labeled.csv"), "--algorithm", "knn",
+                      "--train", "7:800", "--test", "801:1000"],
+            "report": ["report", "--dataset", str(lb / "labeled.csv"), "--algorithms", "knn",
+                       "--split", "T1=7:800/801:1000"],
+            "pipeline": ["pipeline", "--input", str(bars_csv)] + PIPELINE_FLAGS,
+        }
+        expected = {
+            "ingest": {"bars_clean.csv", "ingest.json"},
+            "stats": {"stats.csv", "stats.json", "ingest.json"},
+            "label": {"labeled.csv", "label.json"},
+            "train": {"train_report.json"},
+            "report": {"reports.csv", "reports.txt", "hyperparams_used.json"},
+            "pipeline": {"stats.csv", "stats.json", "rv_day.csv", "rv_day.json", "labeled.csv",
+                         "reports.csv", "reports.txt", "hyperparams_used.json", "summary.json"},
+        }
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK, name
+            assert set(tree_bytes(tmp_path / name)) == expected[name] | {"config_used.cfg"}, name
 
     def test_label(self, tmp_path, bars_csv):
         out = tmp_path / "lb"
@@ -130,8 +175,15 @@ class TestDataCommands:
         series; both paths accept it and write the same reports."""
         flags = ["--interval", "1", "--min-jumps", "1", "--split", "T=0:700/701:1367",
                  "--algorithms", "knn,decision_tree,naive_bayes_gaussian"]
-        pipe, lb, rp = tmp_path / "pipe", tmp_path / "lb", tmp_path / "rp"
+        pipe, lb, rp, st = tmp_path / "pipe", tmp_path / "lb", tmp_path / "rp", tmp_path / "st"
         assert main(["pipeline", "--input", str(bars_csv), "--out", str(pipe)] + flags) == EXIT_OK
+        assert main(["stats", "--input", str(bars_csv), "--out", str(st),
+                     "--interval", "1", "--group-by", "month"]) == EXIT_OK
+        assert main(["stats", "--input", str(bars_csv), "--out", str(tmp_path / "st_cfg"),
+                     "--config", str(pipe / "config_used.cfg")]) == EXIT_OK
+        for name in ("stats.csv", "stats.json"):
+            assert (st / name).read_bytes() == (pipe / name).read_bytes(), name
+            assert (tmp_path / "st_cfg" / name).read_bytes() == (pipe / name).read_bytes(), name
         assert main(["label", "--input", str(bars_csv), "--out", str(lb),
                      "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
         assert main(["report", "--dataset", str(lb / "labeled.csv"), "--out", str(rp)]
@@ -168,10 +220,28 @@ class TestPipeline:
             trees[name] = tree_bytes(out)
         assert trees["p1"] == trees["p2"]
 
-    def test_missing_input_is_io_error(self, tmp_path):
-        code = main(["pipeline", "--input", str(tmp_path / "nope.csv"),
-                     "--out", str(tmp_path / "o")] + PIPELINE_FLAGS)
+    def test_config_roundtrip_keeps_hyperparams_and_external(self, tmp_path, bars_csv):
+        ext = tmp_path / "ext.csv"
+        ext.write_text("index,predicted_theta\n" + "".join(f"{i},{i % 2}\n" for i in range(1400)))
+        first, second = tmp_path / "p1", tmp_path / "p2"
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(first)] + PIPELINE_FLAGS
+                    + ["--algorithms", "knn", "--hp", "knn.k=1", "--external", f"ext={ext}"]) == EXIT_OK
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(second),
+                     "--config", str(first / "config_used.cfg")]) == EXIT_OK
+        assert "external:ext" in (first / "reports.csv").read_text()
+        assert tree_bytes(first) == tree_bytes(second)
+
+    @pytest.mark.parametrize("subcommand", list(DATA_FLAGS))
+    def test_missing_input_is_io_error(self, tmp_path, subcommand):
+        code = main([subcommand, "--input", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "o")] + DATA_FLAGS[subcommand])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("subcommand", list(DATA_FLAGS))
+    def test_bad_calendar_is_config_error(self, tmp_path, bars_csv, subcommand):
+        code = main([subcommand, "--input", str(bars_csv), "--out", str(tmp_path / "o"),
+                     "--calendar", "15:00-09:30"] + DATA_FLAGS[subcommand])
+        assert code == EXIT_CONFIG
 
     def test_overflow_inside_stage_is_internal_error(self, tmp_path, bars_csv, monkeypatch):
         def overflow(*args, **kwargs):
@@ -181,6 +251,15 @@ class TestPipeline:
         code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o")]
                     + PIPELINE_FLAGS)
         assert code == EXIT_INTERNAL
+
+    def test_other_failure_inside_stage_is_config_error(self, tmp_path, bars_csv, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("unusable labeling choice")
+
+        monkeypatch.setattr(cli, "build_dataset", fail)
+        code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o")]
+                    + PIPELINE_FLAGS)
+        assert code == EXIT_CONFIG
 
     def test_missing_config_file_is_config_error(self, tmp_path, bars_csv):
         code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o"),

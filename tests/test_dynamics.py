@@ -23,12 +23,7 @@ from bnsjump.dynamics import (
     simulate_variance_path,
     simulate_variance_path_classical,
 )
-from bnsjump.errors import (
-    GridMismatchError,
-    InvalidParameterError,
-    MissingSeriesError,
-    NumericOverflowError,
-)
+from bnsjump.errors import GridMismatchError, InvalidParameterError, NumericOverflowError
 from bnsjump.subordinators import JumpPath, SubordinatorSpec, TimeGrid, sample_subordinator_path
 
 GRID = TimeGrid(0.0, 0.01, 100)
@@ -214,16 +209,6 @@ class TestPriceSeries:
         x = np.full(GRID.n_steps + 1, math.log(2.0))
         lp = LogPricePath(grid=GRID, x_true=x, s0=100.0)
         np.testing.assert_allclose(price_series(lp), 200.0, rtol=1e-15)
-
-    def test_observed_minus_noise_identity(self):
-        lp = LogPricePath(grid=GRID, x_true=np.linspace(0, 0.1, GRID.n_steps + 1), s0=50.0)
-        noisy = apply_noise(lp, NoiseSpec(std=0.05), seed=2)
-        assert np.array_equal(price_series(noisy, use_observed=True), price_series(noisy))
-
-    def test_missing_series_error(self):
-        lp = LogPricePath(grid=GRID, x_true=np.zeros(GRID.n_steps + 1))
-        with pytest.raises(MissingSeriesError):
-            price_series(lp, use_observed=True)
 
 
 class TestInstantaneousVariance:
