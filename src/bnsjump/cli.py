@@ -144,7 +144,7 @@ BENCH_OPTIONS = REPORT_OPTIONS | {"group_by": ("benchmark", str, "month")}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)  # values are literal, '%' included
     cfg.optionxform = str  # keep split and external-prediction names case-sensitive
     if path:
         if not Path(path).exists():
@@ -270,7 +270,7 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
         for name, (section, _, _) in table.items():
             if name != "threads":
                 sections.setdefault(section, {})[name] = opts[name]
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     for section in sorted(sections):
         cfg[section] = {key: str(sections[section][key]) for key in sorted(sections[section])}
@@ -558,7 +558,6 @@ def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--trim-reopen", dest="trim_reopen", action="store_const", const=True)
     p.add_argument("--outlier-sigma", dest="outlier_sigma", type=float)
     p.add_argument("--no-outliers", dest="no_outliers", action="store_const", const=True)
-    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
 
 
 def _add_label_flags(p: argparse.ArgumentParser):
@@ -600,11 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="descriptive statistics of (resampled) closes")
     _add_common(p)
     _add_data_flags(p)
+    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
     p.add_argument("--group-by", dest="group_by", choices=["overall", "month"])
 
     p = sub.add_parser("label", help="build the windowed labeled dataset")
     _add_common(p)
     _add_data_flags(p)
+    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
     _add_label_flags(p)
 
     p = sub.add_parser("train", help="train one algorithm on an index split")
@@ -624,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="end-to-end: ingest .. benchmark")
     _add_common(p)
     _add_data_flags(p)
+    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
     _add_label_flags(p)
     _add_bench_flags(p)
     p.add_argument("--group-by", dest="group_by", choices=["overall", "month"])

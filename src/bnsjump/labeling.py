@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -60,7 +59,7 @@ class IndexedReturns:
 
     index: np.ndarray
     values: np.ndarray
-    timestamps: tuple[datetime, ...]
+    stamps: np.ndarray  # datetime64[us]
     session_key: np.ndarray  # constant within one (day, session) block
 
     def __len__(self) -> int:
@@ -73,19 +72,18 @@ def index_series(returns: ReturnSeries) -> IndexedReturns:
     return IndexedReturns(
         index=np.arange(n, dtype=int),
         values=np.asarray(returns.values, dtype=float),
-        timestamps=returns.timestamps,
+        stamps=returns.stamps,
         session_key=returns.session_keys(),
     )
 
 
 def index_for_timestamp(indexed: IndexedReturns, ts: datetime) -> int:
     """Index of the row with exactly this timestamp (for date-based splits)."""
-    stamps = indexed.timestamps
-    try:
-        i = bisect_left(stamps, ts)
-    except TypeError:  # naive against timezone-aware: no row can be equal
-        i = len(stamps)
-    if i == len(stamps) or stamps[i] != ts:
+    if ts.tzinfo is not None:
+        raise InvalidParameterError(f"no return row at {ts}: rows carry naive local time")
+    point = np.datetime64(ts, "us")
+    i = int(np.searchsorted(indexed.stamps, point))
+    if i == len(indexed.stamps) or indexed.stamps[i] != point:
         raise InvalidParameterError(f"no return row at {ts}")
     return i
 

@@ -21,8 +21,9 @@ import io
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -33,7 +34,10 @@ from .errors import InvalidParameterError, OrderingError, ParseError
 log = logging.getLogger(__name__)
 
 BV_SCALE = math.pi / 2.0  # 1 / mu_1^2 for the absolute first moment of a standard normal
-_EPOCH = date(1970, 1, 1).toordinal()  # day ordinal of the datetime64 epoch
+_EPOCH = datetime(1970, 1, 1)  # zero of datetime64
+_EPOCH_DAY = _EPOCH.toordinal()
+_MICROSECOND = timedelta(microseconds=1)
+_MINUTE = np.timedelta64(1, "m")
 
 
 def _parse_session(text: str) -> tuple[time, time]:
@@ -73,40 +77,33 @@ class SessionCalendar:
     def to_spec(self) -> str:
         return ",".join(f"{o.strftime('%H:%M')}-{c.strftime('%H:%M')}" for o, c in self.sessions)
 
-    def session_indices(self, stamps) -> np.ndarray:
-        """Index of the session containing each timestamp (inclusive ends), -1 outside all.
+    def bounds(self) -> np.ndarray:
+        """(open, close) of every session as an offset from midnight, timedelta64[us]."""
+        return np.array([[datetime.combine(date.min, t) - datetime.min for t in session]
+                         for session in self.sessions], dtype="timedelta64[us]")
 
-        Bars repeat the same times of day, so each distinct time is looked up once.
-        """
-        times = list(map(datetime.time, stamps))
-        index = {t: next((i for i, (open_t, close_t) in enumerate(self.sessions)
-                          if open_t <= t <= close_t), -1) for t in set(times)}
-        return np.fromiter(map(index.__getitem__, times), dtype=int, count=len(times))
-
-    def session_minutes(self, idx: int) -> int:
-        open_t, close_t = self.sessions[idx]
-        return (close_t.hour - open_t.hour) * 60 + (close_t.minute - open_t.minute)
-
-    def minute_position(self, ts: datetime | time, session_idx: int) -> int:
-        """Cumulative trading-minute position of ``ts`` within its day.
-
-        Minutes of earlier sessions are counted in full, so positions run
-        1..240 across the default two-session day and buckets built from
-        them never split on the lunch break when the interval divides the
-        session length.
-        """
-        open_t, _ = self.sessions[session_idx]
-        offset = sum(self.session_minutes(j) for j in range(session_idx))
-        within = (ts.hour - open_t.hour) * 60 + (ts.minute - open_t.minute)
-        return offset + within
+    def session_indices(self, stamps: np.ndarray) -> np.ndarray:
+        """Index of the session containing each datetime64 stamp (inclusive ends), -1 outside
+        all.  Sessions are ordered, so only the first one closing at or after it can hold it."""
+        opens, closes = self.bounds().T
+        time_of_day = stamps - stamps.astype("datetime64[D]")
+        i = np.searchsorted(closes, time_of_day)
+        candidate = np.minimum(i, len(closes) - 1)
+        return np.where((i < len(closes)) & (opens[candidate] <= time_of_day), i, -1)
 
 
-def _day_ordinals(stamps) -> np.ndarray:
-    return np.fromiter(map(datetime.toordinal, stamps), dtype=np.int64, count=len(stamps))
+def _minute_of_day(stamps: np.ndarray) -> np.ndarray:
+    return (stamps - stamps.astype("datetime64[D]")) // _MINUTE
 
 
-def _take(stamps: tuple, rows: np.ndarray) -> tuple:
-    return tuple(map(stamps.__getitem__, rows.tolist()))
+def _to_stamps(datetimes: Iterable[datetime]) -> np.ndarray:
+    """Naive datetimes as datetime64[us], exactly.  Aware ones are refused: numpy
+    would shift them to UTC and so move bars between sessions."""
+    try:
+        micros = np.fromiter(((ts - _EPOCH) // _MICROSECOND for ts in datetimes), dtype=np.int64)
+    except TypeError:
+        raise InvalidParameterError("timestamps must be naive local datetimes") from None
+    return micros.view("datetime64[us]")
 
 
 def _block_starts(series) -> np.ndarray:
@@ -126,67 +123,65 @@ def _groups(series, by: str) -> list[tuple[str, int, int]]:
     """(label, start, stop) per day, per month or ("overall") of the whole series."""
     if by == "overall":
         return [("overall", 0, len(series))] if len(series) else []
-    if by == "day":
-        return [(series.timestamps[lo].date().isoformat(), lo, hi) for lo, hi in _runs(series.day)]
-    month = (series.day - _EPOCH).astype("datetime64[D]").astype("datetime64[M]")
-    return [(f"{series.timestamps[lo].year:04d}-{series.timestamps[lo].month:02d}", lo, hi)
-            for lo, hi in _runs(month)]
+    period = series.stamps.astype("datetime64[D]" if by == "day" else "datetime64[M]")
+    runs = _runs(period)
+    labels = np.datetime_as_string(period[[lo for lo, _ in runs]]).tolist()
+    return [(label, lo, hi) for label, (lo, hi) in zip(labels, runs)]
+
+
+class _Stamped:
+    """Views derived from a series' ``stamps``: naive local datetime64[us] per row."""
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    @property
+    def day(self) -> np.ndarray:
+        """Proleptic day ordinal per row, as ``date.toordinal`` gives it."""
+        return self.stamps.astype("datetime64[D]").astype(np.int64) + _EPOCH_DAY
+
+    @property
+    def timestamps(self) -> tuple[datetime, ...]:
+        return tuple(self.stamps.tolist())
 
 
 @dataclass(frozen=True)
-class BarSeries:
-    """Timestamped close prices tagged with day and session."""
+class BarSeries(_Stamped):
+    """Close prices with their stamps, tagged with session."""
 
-    timestamps: tuple[datetime, ...]
+    stamps: np.ndarray
     closes: np.ndarray
     session: np.ndarray  # session index per row
     calendar: SessionCalendar
-    day: np.ndarray | None = None  # day ordinal per row; derived from timestamps when omitted
-
-    def __post_init__(self):
-        if self.day is None:
-            object.__setattr__(self, "day", _day_ordinals(self.timestamps))
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
     @classmethod
     def build(cls, timestamps: Iterable[datetime], closes: Iterable[float],
               calendar: SessionCalendar) -> "BarSeries":
-        stamps = tuple(timestamps)
+        stamps = _to_stamps(timestamps)
         values = np.asarray(list(closes), dtype=float)
         if len(stamps) != len(values):
             raise InvalidParameterError("timestamps and closes differ in length")
-        for a, b in zip(stamps, stamps[1:]):
-            if b <= a:
-                raise OrderingError(f"timestamps not strictly increasing at {b}")
+        later = np.flatnonzero(stamps[1:] <= stamps[:-1])
+        if len(later):
+            raise OrderingError(f"timestamps not strictly increasing at {stamps[later[0] + 1].item()}")
         session = calendar.session_indices(stamps)
         outside = np.flatnonzero(session < 0)
         if len(outside):
-            raise InvalidParameterError(f"bar at {stamps[outside[0]]} falls outside every session")
-        return cls(timestamps=stamps, closes=values, session=session, calendar=calendar)
+            raise InvalidParameterError(f"bar at {stamps[outside[0]].item()} falls outside every session")
+        return cls(stamps=stamps, closes=values, session=session, calendar=calendar)
 
     def select(self, mask: np.ndarray) -> "BarSeries":
-        rows = np.flatnonzero(mask)
-        return BarSeries(timestamps=_take(self.timestamps, rows), closes=self.closes[rows],
-                         session=self.session[rows], calendar=self.calendar, day=self.day[rows])
+        return BarSeries(stamps=self.stamps[mask], closes=self.closes[mask],
+                         session=self.session[mask], calendar=self.calendar)
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(_Stamped):
     """Consecutive within-session percent changes, 100 * (P_k - P_{k-1}) / P_{k-1}."""
 
-    timestamps: tuple[datetime, ...]
+    stamps: np.ndarray
     values: np.ndarray
     session: np.ndarray
-    day: np.ndarray | None = None  # day ordinal per row; derived from timestamps when omitted
-
-    def __post_init__(self):
-        if self.day is None:
-            object.__setattr__(self, "day", _day_ordinals(self.timestamps))
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
     def session_keys(self) -> np.ndarray:
         """Integer id per row, constant exactly within one (day, session) block."""
@@ -203,12 +198,23 @@ def _open_text(source) -> io.TextIOBase:
     return source
 
 
+def _parse_stamps(texts: list[str]) -> np.ndarray:
+    """datetime64[us] of texts ``datetime.fromisoformat`` read as naive.  numpy parses the
+    common ISO forms at once; it fails (or first warns of a timezone) on the rest."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.array(texts, dtype="datetime64[us]")
+    except (ValueError, Warning):
+        return _to_stamps(datetime.fromisoformat(text) for text in texts)
+
+
 def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSeries, int]:
-    """Parse a ``timestamp,close`` CSV into a BarSeries.
+    """Parse a ``timestamp,close`` CSV of naive local timestamps into a BarSeries.
 
     Rows outside the calendar sessions are rejected (their count is
-    returned); malformed rows raise ParseError with the line number and
-    non-monotone timestamps raise OrderingError.
+    returned); malformed or timezone-aware rows raise ParseError with the
+    line number and non-monotone timestamps raise OrderingError.
     """
     calendar = calendar or SessionCalendar()
     fh = _open_text(source)
@@ -221,7 +227,7 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
             raise ParseError("empty file, expected header 'timestamp,close'", 1) from None
         if [h.strip().lower() for h in header] != ["timestamp", "close"]:
             raise ParseError(f"expected header 'timestamp,close', got {','.join(header)!r}", 1)
-        stamps: list[datetime] = []
+        texts: list[str] = []
         closes: list[float] = []
         prev: datetime | None = None
         for line_no, row in enumerate(reader, start=2):
@@ -229,10 +235,13 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
                 continue
             if len(row) != 2:
                 raise ParseError(f"expected 2 fields, got {len(row)}", line_no)
+            text = row[0].strip()
             try:
-                ts = datetime.fromisoformat(row[0].strip())
+                ts = datetime.fromisoformat(text)
             except ValueError:
                 raise ParseError(f"bad timestamp {row[0]!r}", line_no) from None
+            if ts.tzinfo is not None:
+                raise ParseError(f"timezone-aware timestamp {row[0]!r}", line_no)
             try:
                 close = float(row[1])
             except ValueError:
@@ -242,16 +251,17 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
             if prev is not None and ts <= prev:
                 raise OrderingError(f"line {line_no}: timestamp {ts} not after {prev}")
             prev = ts
-            stamps.append(ts)
+            texts.append(text)
             closes.append(close)
     finally:
         if close_after:
             fh.close()
+    stamps = _parse_stamps(texts)
     session = calendar.session_indices(stamps)
-    rows = np.flatnonzero(session >= 0)
-    series = BarSeries(timestamps=_take(stamps, rows), closes=np.array(closes, dtype=float)[rows],
-                       session=session[rows], calendar=calendar)
-    return series, len(stamps) - len(rows)
+    kept = session >= 0
+    series = BarSeries(stamps=stamps[kept], closes=np.array(closes, dtype=float)[kept],
+                       session=session[kept], calendar=calendar)
+    return series, len(stamps) - len(series)
 
 
 OutlierPolicy = Callable[[BarSeries], np.ndarray]
@@ -304,9 +314,8 @@ def preprocess(series: BarSeries, trim_minutes: int = 10,
     n = len(series)
     if n == 0:
         return series, 0.0
-    open_minutes = np.array([s[0].hour * 60 + s[0].minute for s in series.calendar.sessions])
-    minute = np.fromiter((ts.hour * 60 + ts.minute for ts in series.timestamps), dtype=int, count=n)
-    drop = ((minute - open_minutes[series.session] <= trim_minutes)
+    open_minute = series.calendar.bounds()[:, 0] // _MINUTE
+    drop = ((_minute_of_day(series.stamps) - open_minute[series.session] <= trim_minutes)
             & ((series.session == 0) | trim_reopen))
     drop |= series.closes <= 0.0
     if outlier_policy is not None:
@@ -322,20 +331,20 @@ def preprocess(series: BarSeries, trim_minutes: int = 10,
 def resample(series: BarSeries, interval_minutes: int) -> BarSeries:
     """Last close per ``interval_minutes`` bucket of cumulative trading minutes.
 
-    Buckets are built per day from the calendar's minute positions, so they
-    align with sessions whenever the interval divides the session length; a
-    full-day interval yields the daily close.
+    A position counts minutes since the session's open plus every earlier
+    session's full length, so buckets align with sessions whenever the
+    interval divides the session length; a full-day interval yields the
+    daily close.
     """
     if interval_minutes <= 0:
         raise InvalidParameterError(f"interval must be positive, got {interval_minutes}")
     if interval_minutes == 1 or len(series) == 0:
         return series
-    cal = series.calendar
-    # bars repeat the same (session, time of day), so each position is computed once
-    keys = list(zip(series.session.tolist(), map(datetime.time, series.timestamps)))
-    position = {key: cal.minute_position(key[1], key[0]) for key in set(keys)}
-    pos = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
-    bucket = -(-pos // interval_minutes)  # ceil division
+    open_minute, close_minute = (series.calendar.bounds() // _MINUTE).T
+    length = close_minute - open_minute
+    offset = np.cumsum(length) - length - open_minute  # position = minute of day + offset
+    position = _minute_of_day(series.stamps) + offset[series.session]
+    bucket = -(-position // interval_minutes)  # ceil division
     last = np.ones(len(series), dtype=bool)
     last[:-1] = (series.day[1:] != series.day[:-1]) | (bucket[1:] != bucket[:-1])
     return series.select(last)
@@ -348,8 +357,7 @@ def pct_change(series: BarSeries) -> ReturnSeries:
     lunch break or an overnight gap.
     """
     rows, values = _changes(series)
-    return ReturnSeries(timestamps=_take(series.timestamps, rows), values=values,
-                        session=series.session[rows], day=series.day[rows])
+    return ReturnSeries(stamps=series.stamps[rows], values=values, session=series.session[rows])
 
 
 @dataclass(frozen=True)
@@ -426,31 +434,20 @@ def realized_measures(returns: ReturnSeries, window: str = "day") -> RVSeries:
     """
     if window not in ("day", "month"):
         raise InvalidParameterError(f"window must be 'day' or 'month', got {window!r}")
-    labels: list[str] = []
-    ends: list[datetime] = []
-    rv_out: list[float] = []
-    bv_out: list[float] = []
-    jump_out: list[float] = []
+    groups = _groups(returns, window)
     v = returns.values
     pairs = np.abs(v[:-1]) * np.abs(v[1:])  # |r_{i-1}| * |r_i| for every adjacent row pair
     paired = ~_block_starts(returns)[1:]
-    for key, lo, hi in _groups(returns, window):
-        rv = float(np.sum(v[lo:hi] ** 2))
+    rv = np.array([np.sum(v[lo:hi] ** 2) for _, lo, hi in groups], dtype=float)
+    bv = np.full(len(groups), np.nan)
+    for g, (_, lo, hi) in enumerate(groups):
         pair_terms = pairs[lo:hi - 1][paired[lo:hi - 1]]
-        if len(pair_terms) == 0:
-            bv = float("nan")
-            jump = float("nan")
-        else:
-            bv = BV_SCALE * float(np.sum(pair_terms))
-            jump = max(rv - bv, 0.0)
-        labels.append(key)
-        ends.append(returns.timestamps[hi - 1])
-        rv_out.append(rv)
-        bv_out.append(bv)
-        jump_out.append(jump)
-    return RVSeries(labels=tuple(labels), window_end=tuple(ends),
-                    realized_volatility=np.array(rv_out), bipower_variation=np.array(bv_out),
-                    jump_component=np.array(jump_out))
+        if len(pair_terms):
+            bv[g] = BV_SCALE * float(np.sum(pair_terms))
+    return RVSeries(labels=tuple(key for key, _, _ in groups),
+                    window_end=tuple(returns.stamps[[hi - 1 for _, _, hi in groups]].tolist()),
+                    realized_volatility=rv, bipower_variation=bv,
+                    jump_component=np.maximum(rv - bv, 0.0))  # NaN where bv is NaN
 
 
 STATS_CSV_HEADER = ["group", "count", "mean", "median", "minimum", "maximum",

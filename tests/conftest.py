@@ -32,8 +32,8 @@ def small_market():
 def make_returns(values, day=date(2021, 1, 4), session=0, start_minute=0):
     """ReturnSeries with the given values inside one morning session (<= 120 rows)."""
     base = datetime(day.year, day.month, day.day, 9, 31) + timedelta(minutes=start_minute)
-    stamps = tuple(base + timedelta(minutes=i) for i in range(len(values)))
-    return ReturnSeries(timestamps=stamps, values=np.asarray(values, dtype=float),
+    stamps = np.array([base + timedelta(minutes=i) for i in range(len(values))], dtype="datetime64[us]")
+    return ReturnSeries(stamps=stamps, values=np.asarray(values, dtype=float),
                         session=np.full(len(values), session, dtype=int))
 
 

@@ -237,7 +237,7 @@ def test_c07_realized_measures():
         energies.append(float(np.sum(sizes**2)))
         stamps.extend(base + timedelta(minutes=j) for j in range(n))
         values.extend(r)
-    returns = ReturnSeries(timestamps=tuple(stamps), values=np.array(values),
+    returns = ReturnSeries(stamps=np.array(stamps, dtype="datetime64[us]"), values=np.array(values),
                            session=np.zeros(len(values), dtype=int))
     rv = realized_measures(returns, window="day")
     rho, _ = spearmanr(rv.jump_component, energies)
@@ -252,9 +252,9 @@ def test_c08_labeling_oracle():
         n = int(rng.integers(5, 201))
         values = rng.normal(0.0, 0.12, n).round(4)
         keys = np.cumsum(rng.uniform(size=n) < 0.03).astype(int)
-        stamps = tuple(datetime(2021, 1, 4) for _ in range(n))
+        stamps = np.full(n, np.datetime64("2021-01-04", "us"))
         indexed = IndexedReturns(index=np.arange(n), values=values,
-                                 timestamps=stamps, session_key=keys)
+                                 stamps=stamps, session_key=keys)
         cfg = LabelingConfig(window_len=int(rng.integers(2, 12)),
                              lookahead=int(rng.integers(1, 12)),
                              threshold_pct=float(rng.uniform(0.05, 0.2)),

@@ -112,6 +112,44 @@ class TestDataCommands:
         assert (first / "stats.csv").read_text().splitlines()[1].startswith("2021-01,1440,")
         assert tree_bytes(first) == tree_bytes(second)
 
+    def test_percent_in_config_values_is_literal(self, tmp_path, bars_csv):
+        """A '%' in an echoed value or a hand-written [external] path is not
+        interpolation syntax."""
+        source = tmp_path / "bars%6.csv"
+        source.write_bytes(bars_csv.read_bytes())
+        first, second = tmp_path / "i1", tmp_path / "i2"
+        assert main(["ingest", "--input", str(source), "--out", str(first)]) == EXIT_OK
+        assert main(["ingest", "--input", str(source), "--out", str(second),
+                     "--config", str(first / "config_used.cfg")]) == EXIT_OK
+        assert (first / "bars_clean.csv").read_bytes() == (second / "bars_clean.csv").read_bytes()
+
+        ext = tmp_path / "ext%20.csv"
+        ext.write_text("index,predicted_theta\n" + "".join(f"{i},{i % 2}\n" for i in range(1400)))
+        cfg = tmp_path / "external.cfg"
+        cfg.write_text(f"[external]\next = {ext}\n", encoding="utf-8")
+        out = tmp_path / "p"
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(out), "--config", str(cfg)]
+                    + PIPELINE_FLAGS + ["--algorithms", "knn"]) == EXIT_OK
+        assert "external:ext" in (out / "reports.csv").read_text()
+        assert f"ext = {ext}" in (out / "config_used.cfg").read_text()
+
+    def test_ingest_has_no_interval_flag(self, tmp_path, bars_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", str(bars_csv), "--out", str(tmp_path / "o"),
+                  "--interval", "7"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("stamps,line", [
+        (["2021-01-04T09:45:00+08:00", "2021-01-04T09:46:00+08:00"], 2),
+        (["2021-01-04 09:45:00", "2021-01-04T09:46:00Z"], 3),
+    ], ids=["aware", "mixed"])
+    def test_timezone_aware_input_is_io_error(self, tmp_path, capsys, stamps, line):
+        """numpy would read an aware stamp in UTC and move it between sessions."""
+        source = tmp_path / "aware.csv"
+        source.write_text("timestamp,close\n" + "".join(f"{ts},5000.0\n" for ts in stamps))
+        assert main(["ingest", "--input", str(source), "--out", str(tmp_path / "o")]) == EXIT_IO
+        assert f"line {line}: timezone-aware timestamp" in capsys.readouterr().err
+
     def test_each_subcommand_writes_its_files(self, tmp_path, bars_csv):
         lb = tmp_path / "label"
         runs = {

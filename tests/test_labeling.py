@@ -27,9 +27,9 @@ from conftest import make_returns
 def indexed_from_values(values, session_keys=None):
     n = len(values)
     keys = np.zeros(n, dtype=int) if session_keys is None else np.asarray(session_keys)
-    stamps = tuple(datetime(2021, 1, 4, 9, 31) for _ in range(n))
+    stamps = np.full(n, np.datetime64("2021-01-04T09:31", "us"))
     return IndexedReturns(index=np.arange(n), values=np.asarray(values, dtype=float),
-                          timestamps=stamps, session_key=keys)
+                          stamps=stamps, session_key=keys)
 
 
 def random_indexed(rng, max_len=200):
@@ -56,9 +56,9 @@ class TestIndexSeries:
         assert np.array_equal(out.session_key, [0, 0, 0])
 
     def test_session_keys_change_on_boundaries(self):
-        stamps = (datetime(2021, 1, 4, 9, 32), datetime(2021, 1, 4, 9, 33),
-                  datetime(2021, 1, 4, 13, 2), datetime(2021, 1, 5, 9, 32))
-        rs = ReturnSeries(timestamps=stamps, values=np.zeros(4),
+        stamps = np.array(["2021-01-04T09:32", "2021-01-04T09:33", "2021-01-04T13:02",
+                           "2021-01-05T09:32"], dtype="datetime64[us]")
+        rs = ReturnSeries(stamps=stamps, values=np.zeros(4),
                           session=np.array([0, 0, 1, 0]))
         out = index_series(rs)
         assert list(out.session_key) == [0, 0, 1, 2]

@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -62,6 +62,21 @@ class TestLoadBars:
     def test_malformed_timestamp(self):
         with pytest.raises(ParseError):
             load_bars(csv_of("not-a-time,5000"))
+
+    def test_timezone_aware_row_reports_line(self):
+        with pytest.raises(ParseError) as err:
+            load_bars(csv_of("2021-01-04 09:31:00,5000", "2021-01-04 09:32:00+08:00,5001"))
+        assert err.value.line_number == 3
+
+    def test_build_rejects_timezone_aware_stamps(self):
+        aware = datetime(2021, 1, 4, 9, 31, tzinfo=timezone(timedelta(hours=8)))
+        with pytest.raises(InvalidParameterError):
+            BarSeries.build([aware], [5000.0], SessionCalendar())
+
+    def test_build_rejects_repeated_stamp(self):
+        ts = datetime(2021, 1, 4, 9, 31)
+        with pytest.raises(OrderingError):
+            BarSeries.build([ts, ts], [5000.0, 5001.0], SessionCalendar())
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
@@ -342,8 +357,8 @@ class TestRealizedMeasures:
             stamps.extend(base + timedelta(minutes=j) for j in range(100))
             values.extend(r)
         from bnsjump.market_data import ReturnSeries
-        returns = ReturnSeries(timestamps=tuple(stamps), values=np.array(values),
-                               session=np.zeros(len(values), dtype=int))
+        returns = ReturnSeries(stamps=np.array(stamps, dtype="datetime64[us]"),
+                               values=np.array(values), session=np.zeros(len(values), dtype=int))
         rv = realized_measures(returns, window="day")
         assert np.all(rv.jump_component >= 0.0)
         print(f"diffusion-only mean jump component: {rv.jump_component.mean():.6f} "

@@ -2,6 +2,7 @@
 stages against the row-by-row loops in brute_force.py."""
 
 import io
+import sys
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -18,7 +19,6 @@ from bnsjump.labeling import (
 )
 from bnsjump.market_data import (
     BarSeries,
-    ReturnSeries,
     SessionCalendar,
     descriptive_stats,
     load_bars,
@@ -93,18 +93,37 @@ def test_session_lookup_and_load_bars(calendar):
                             int(rng.choice([0, 0, 0, 59])), int(rng.choice([0, 0, 1]))))
     stamps = sorted(stamps)
     want = [brute_force_session_index(calendar, ts) for ts in stamps]
-    assert calendar.session_indices(stamps).tolist() == [-1 if i is None else i for i in want]
-    assert len(calendar.session_indices([])) == 0
+    got = calendar.session_indices(np.array(stamps, dtype="datetime64[us]"))
+    assert got.tolist() == [-1 if i is None else i for i in want]
+    assert len(calendar.session_indices(np.array([], dtype="datetime64[us]"))) == 0
 
-    text = "timestamp,close\n" + "".join(f"{ts.isoformat(sep=' ')},{k + 1}.5\n"
-                                         for k, ts in enumerate(stamps))
-    series, rejected = load_bars(io.StringIO(text), calendar)
-    kept = [k for k, i in enumerate(want) if i is not None]
-    assert rejected == len(stamps) - len(kept)
-    assert series.timestamps == tuple(stamps[k] for k in kept)
-    assert same(series.closes, np.array([k + 1.5 for k in kept]))
-    assert same(series.session, np.array([want[k] for k in kept], dtype=int))
-    assert same(series.day, np.array([ts.toordinal() for ts in series.timestamps], dtype=np.int64))
+    # 'T' and space separators, minutes only, seconds, 3- and 6-digit fractions
+    texts = [render(ts, int(rng.integers(0, 5))) for ts in stamps]
+    routes = [texts]
+    if sys.version_info >= (3, 11):  # a compact time makes numpy fail: the whole file goes row by row
+        routes.append(texts[:-1] + [stamps[-1].strftime("%Y-%m-%dT%H%M%S.%f")])
+    for rows in routes:
+        text = "timestamp,close\n" + "".join(f"{t},{k + 1}.5\n" for k, t in enumerate(rows))
+        series, rejected = load_bars(io.StringIO(text), calendar)
+        kept = [k for k, i in enumerate(want) if i is not None]
+        assert rejected == len(stamps) - len(kept)
+        assert series.stamps.dtype == np.dtype("datetime64[us]")
+        assert series.timestamps == tuple(datetime.fromisoformat(rows[k]) for k in kept)
+        assert series.timestamps == tuple(stamps[k] for k in kept)
+        assert same(series.closes, np.array([k + 1.5 for k in kept]))
+        assert same(series.session, np.array([want[k] for k in kept], dtype=int))
+        assert same(series.day, np.array([ts.toordinal() for ts in series.timestamps], dtype=np.int64))
+
+
+def render(ts: datetime, form: int) -> str:
+    """``ts`` as one of several ISO-8601 texts of the same instant."""
+    if form == 1 and ts.microsecond == 0:
+        return ts.isoformat(sep="T", timespec="seconds" if ts.second else "minutes")
+    if form == 2 and ts.microsecond % 1000 == 0:
+        return ts.isoformat(sep=" ", timespec="milliseconds")
+    if form == 3:
+        return ts.isoformat(sep="T", timespec="microseconds")
+    return ts.isoformat(sep=" ")
 
 
 def test_outlier_policy_and_preprocess():
@@ -121,8 +140,8 @@ def test_outlier_policy_and_preprocess():
             assert cleaned.timestamps == tuple(ts for ts, k in zip(series.timestamps, keep) if k)
             assert same(cleaned.closes, series.closes[keep])
             assert same(cleaned.session, series.session[keep])
-            assert same(cleaned.day, BarSeries(cleaned.timestamps, cleaned.closes,
-                                               cleaned.session, cleaned.calendar).day)
+            assert same(cleaned.stamps, series.stamps[keep])
+            assert same(cleaned.day, series.day[keep])
             assert rate == (float((~keep).sum()) / len(series) if len(series) else 0.0)
 
 
@@ -148,8 +167,7 @@ def test_pct_change_and_session_keys():
         assert returns.timestamps == stamps
         assert same(returns.values, values)
         assert same(returns.session, sessions)
-        rebuilt = ReturnSeries(timestamps=stamps, values=values, session=sessions)
-        assert same(returns.day, rebuilt.day)
+        assert same(returns.day, np.array([ts.toordinal() for ts in stamps], dtype=np.int64))
         assert same(returns.session_keys(), brute_force_session_keys(stamps, sessions))
         assert same(index_series(returns).session_key, brute_force_session_keys(stamps, sessions))
 
