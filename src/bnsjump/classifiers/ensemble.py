@@ -15,6 +15,8 @@ class RandomForestClassifier:
 
     Tree i draws its bootstrap sample and feature subsets from the stream
     (seed, i), so the forest is reproducible under any training order.
+    A tree holds its bootstrap as row draw counts over one presort of X,
+    and grows the same nodes as a tree fit on the copies ``X[boot]``.
     """
 
     def __init__(self, trees: int = 100, max_depth: int = 6, min_leaf: int = 5):
@@ -28,13 +30,14 @@ class RandomForestClassifier:
         y = np.asarray(y, dtype=int)
         n, d = X.shape
         max_features = max(1, int(round(math.sqrt(d))))
+        order = _presort(X)  # every tree grows on its drawn rows of this one presort
         self.trees = []
         for i in range(self.n_trees):
             rng = substream(seed, i)
             boot = rng.integers(0, n, n)
             tree = DecisionTreeClassifier(max_depth=self.max_depth, min_leaf=self.min_leaf,
                                           max_features=max_features, rng=rng)
-            tree.fit(X[boot], y[boot])
+            tree.fit(X, y, boot, order)
             self.trees.append(tree)
         return self
 

@@ -59,6 +59,7 @@ class LinearSVMClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVMClassifier":
         X = np.asarray(X, dtype=float)
         y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
+        y_x = y_pm[:, None] * X  # each epoch sums the rows of this inside the margin
         n, d = X.shape
         lam = 1.0 / (self.c * n)
         radius = 1.0 / math.sqrt(lam)
@@ -68,7 +69,7 @@ class LinearSVMClassifier:
             eta = 1.0 / (lam * t)
             active = y_pm * (X @ w + b) < 1.0
             if active.any():
-                push_w = (y_pm[active, None] * X[active]).sum(axis=0) / n
+                push_w = y_x[active].sum(axis=0) / n
                 push_b = float(y_pm[active].sum()) / n
             else:
                 push_w = 0.0

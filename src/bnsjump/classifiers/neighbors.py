@@ -11,9 +11,16 @@ from ..seeding import substream
 KNN_CHUNK_ROWS = 256
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, |A| x |B|."""
-    d2 = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * A @ B.T
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    return (A**2).sum(axis=1)
+
+
+def _sq_distances(a_sq: np.ndarray, twice_a: np.ndarray, B: np.ndarray,
+                  b_sq: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, |A| x |B|, from the squared row
+    norms of A and B and from ``2.0 * A``, so a caller that meets one side
+    many times computes its terms once."""
+    d2 = (a_sq[:, None] + b_sq[None, :]) - twice_a @ B.T
     return np.maximum(d2, 0.0)
 
 
@@ -24,10 +31,12 @@ class KNearestClassifier:
         self.k = k
         self.X: np.ndarray | None = None
         self.y: np.ndarray | None = None
+        self.sq_norms: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNearestClassifier":
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=int)
+        self.sq_norms = _sq_norms(self.X)
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
@@ -35,7 +44,8 @@ class KNearestClassifier:
         k = min(self.k, len(self.y))
         scores = np.empty(len(X))
         for lo in range(0, len(X), KNN_CHUNK_ROWS):
-            d2 = _sq_distances(X[lo:lo + KNN_CHUNK_ROWS], self.X)
+            A = X[lo:lo + KNN_CHUNK_ROWS]
+            d2 = _sq_distances(_sq_norms(A), 2.0 * A, self.X, self.sq_norms)
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
             scores[lo:lo + KNN_CHUNK_ROWS] = self.y[nearest].mean(axis=1)
         return scores
@@ -64,6 +74,11 @@ class KMeansLabeler:
         y = np.asarray(y, dtype=int)
         n = len(X)
         k = min(self.k, n)
+        x_sq, twice_x = _sq_norms(X), 2.0 * X
+
+        def distances(centroids):
+            return _sq_distances(x_sq, twice_x, centroids, _sq_norms(centroids))
+
         best_inertia = np.inf
         best_centroids = None
         for r in range(self.restarts):
@@ -71,7 +86,7 @@ class KMeansLabeler:
             centroids = X[rng.choice(n, k, replace=False)].copy()
             assign = None
             for _ in range(self.iterations):
-                new_assign = np.argmin(_sq_distances(X, centroids), axis=1)
+                new_assign = np.argmin(distances(centroids), axis=1)
                 if assign is not None and np.array_equal(new_assign, assign):
                     break
                 assign = new_assign
@@ -79,12 +94,12 @@ class KMeansLabeler:
                     members = X[assign == c]
                     if len(members):
                         centroids[c] = members.mean(axis=0)
-            inertia = float(_sq_distances(X, centroids).min(axis=1).sum())
+            inertia = float(distances(centroids).min(axis=1).sum())
             if inertia < best_inertia - 1e-12:
                 best_inertia = inertia
                 best_centroids = centroids.copy()
         self.centroids = best_centroids
-        assign = np.argmin(_sq_distances(X, self.centroids), axis=1)
+        assign = np.argmin(distances(self.centroids), axis=1)
         overall = 1 if 2 * int(y.sum()) > n else 0
         labels = np.empty(k, dtype=int)
         for c in range(k):
@@ -98,5 +113,7 @@ class KMeansLabeler:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        assign = np.argmin(_sq_distances(np.asarray(X, dtype=float), self.centroids), axis=1)
+        X = np.asarray(X, dtype=float)
+        assign = np.argmin(_sq_distances(_sq_norms(X), 2.0 * X, self.centroids,
+                                         _sq_norms(self.centroids)), axis=1)
         return self.cluster_labels[assign]

@@ -77,33 +77,47 @@ def _first_best(scores, valid, xs, features):
     return best
 
 
-def _valid_cuts(xs, min_leaf):
-    """Candidate cut after sorted position p: distinct neighbours, both sides >= min_leaf."""
-    n = xs.shape[1]
-    k = np.arange(1, n, dtype=float)
-    valid = (xs[:, 1:] != xs[:, :-1]) & ((k >= min_leaf) & (n - k >= min_leaf))
-    return k, n - k, valid
+def _valid_cuts(xs, k, n, min_leaf):
+    """Candidate cut after sorted position p, with ``k`` rows up to it: distinct
+    neighbours and both sides >= min_leaf.  Returns ``(n - k, valid)``."""
+    rk = n - k
+    return rk, (xs[:, 1:] != xs[:, :-1]) & ((k >= min_leaf) & (rk >= min_leaf))
 
 
-def _best_gini_split(X, y, order, features, min_leaf):
+def _best_gini_split(X, w, wy, order, n, features, min_leaf):
     """Best (impurity, feature, threshold) over candidate features, or None.
 
     Every candidate feature is scored in one 2-D pass over its presorted
-    rows.  Candidate positions are boundaries between distinct sorted
-    values; the weighted Gini depends only on the label partition, so ties
-    resolve identically under any order-preserving transform.
+    rows.  Row r stands for ``w[r]`` drawn copies and ``wy = w * y``, so
+    the running counts are the integers a pass over the drawn copies
+    gives at every cut between distinct values, and so is every score.
+    Candidate positions are boundaries between distinct sorted values; the
+    weighted Gini depends only on the label partition, so ties resolve
+    identically under any order-preserving transform.
     """
-    n = order.shape[1]
     rows = order[features]
     xs = X[rows, features[:, None]]
-    ys = y[rows]
+    ys = wy[rows]
+    k = np.cumsum(w[rows], axis=1)[:, :-1].astype(float)
     left_ones = np.cumsum(ys, axis=1)[:, :-1].astype(float)
     right_ones = float(ys[0].sum()) - left_ones
-    k, rk, valid = _valid_cuts(xs, min_leaf)
+    rk, valid = _valid_cuts(xs, k, n, min_leaf)
     gini_l = 1.0 - (left_ones / k) ** 2 - ((k - left_ones) / k) ** 2
     gini_r = 1.0 - (right_ones / rk) ** 2 - ((rk - right_ones) / rk) ** 2
     weighted = np.where(valid, (k * gini_l + rk * gini_r) / n, np.inf)
     return _first_best(weighted, valid, xs, features)
+
+
+def _last_drawn_zero(X, idx, boot, feature):
+    """``X[r, feature]`` of the zero-valued node row r drawn last in ``boot``.
+
+    A cut at 0.0 may tie -0.0 with 0.0.  Grown on the drawn copies
+    ``X[boot]``, the threshold is the tied copy drawn last, so the same
+    pick keeps the sign of a zero threshold.
+    """
+    tied = np.zeros(len(X), dtype=bool)
+    tied[idx[X[idx, feature] == 0.0]] = True
+    return float(X[boot[np.flatnonzero(tied[boot])[-1]], feature])
 
 
 class DecisionTreeClassifier:
@@ -122,11 +136,24 @@ class DecisionTreeClassifier:
         self.root: _Node | None = None
         self.n_features = 0
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray, boot: np.ndarray | None = None,
+            order: np.ndarray | None = None) -> "DecisionTreeClassifier":
+        """Grow on the drawn rows ``X[boot]`` (default: every row once).
+
+        Each drawn row is held once, with its draw count, in the order of
+        ``_presort(X)``; ``order`` is that presort, passed in when many
+        trees share one X.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
-        self.n_features = X.shape[1]
-        self.root = self._grow(X, y, np.arange(len(y)), _presort(X), depth=0)
+        n, self.n_features = X.shape
+        boot = np.arange(n) if boot is None else boot
+        order = _presort(X) if order is None else order
+        w = np.bincount(boot, minlength=n)
+        idx = np.flatnonzero(w)
+        flat = order.ravel()
+        order = flat.compress(w[flat] > 0).reshape(self.n_features, idx.size)
+        self.root = self._grow(X, w, w * y, boot, idx, order, depth=0)
         return self
 
     def _candidate_features(self) -> np.ndarray:
@@ -134,21 +161,23 @@ class DecisionTreeClassifier:
             return np.arange(self.n_features)
         return np.sort(self.rng.choice(self.n_features, self.max_features, replace=False))
 
-    def _grow(self, X, y, idx, order, depth) -> _Node:
+    def _grow(self, X, w, wy, boot, idx, order, depth) -> _Node:
         node = _Node()
-        ones = int(y[idx].sum())
-        n = idx.size
+        ones = int(wy[idx].sum())
+        n = int(w[idx].sum())
         node.score = ones / n
         node.value = 1 if 2 * ones > n else 0
         if depth >= self.max_depth or n < 2 * self.min_leaf or ones == 0 or ones == n:
             return node
-        best = _best_gini_split(X, y, order, self._candidate_features(), self.min_leaf)
+        best = _best_gini_split(X, w, wy, order, n, self._candidate_features(), self.min_leaf)
         if best is None:
             return node
         _, node.feature, node.threshold = best
+        if node.threshold == 0.0:
+            node.threshold = _last_drawn_zero(X, idx, boot, node.feature)
         left, right = _partition(X, idx, order, node.feature, node.threshold)
-        node.left = self._grow(X, y, *left, depth + 1)
-        node.right = self._grow(X, y, *right, depth + 1)
+        node.left = self._grow(X, w, wy, boot, *left, depth + 1)
+        node.right = self._grow(X, w, wy, boot, *right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -175,7 +204,8 @@ def _best_mse_split(X, g, idx, order, min_leaf):
     features = np.arange(order.shape[0])
     xs = X[order, features[:, None]]
     left = np.cumsum(g[order], axis=1)[:, :-1]
-    k, rk, valid = _valid_cuts(xs, min_leaf)
+    k = np.arange(1, idx.size, dtype=float)
+    rk, valid = _valid_cuts(xs, k, idx.size, min_leaf)
     gain = left**2 / k + (total - left) ** 2 / rk
     return _first_best(np.where(valid, -gain, np.inf), valid, xs, features)
 

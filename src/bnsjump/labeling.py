@@ -18,7 +18,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import InvalidParameterError
-from .market_data import ReturnSeries
+from .market_data import ReturnSeries, float_texts
 
 log = logging.getLogger(__name__)
 
@@ -210,20 +210,17 @@ def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
     """Serialize as ``index,f1..fW,theta`` with round-trip float formatting.
 
     No field ever needs CSV quoting, so rows are joined directly, a chunk
-    of rows at a time.  Feature windows overlap, so each distinct bit
-    pattern in a chunk is formatted once and shared by every cell holding it.
+    of rows at a time, with each chunk's features formatted by
+    ``float_texts``.
     """
     fileobj.write(",".join(["index", *(f"f{j + 1}" for j in range(dataset.window_len)), "theta"]))
     fileobj.write("\n")
     for lo in range(0, len(dataset), CSV_CHUNK_ROWS):
         chunk = slice(lo, lo + CSV_CHUNK_ROWS)
-        feats = np.asarray(dataset.features[chunk], dtype=float)
-        bits, inverse = np.unique(feats.view(np.int64), return_inverse=True)
-        text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
         fileobj.write("".join(
             ",".join([repr(i), *row, repr(t)]) + "\n"
             for i, row, t in zip(dataset.anchor_index[chunk].tolist(),
-                                 text[inverse.reshape(feats.shape)].tolist(),
+                                 float_texts(dataset.features[chunk]).tolist(),
                                  dataset.theta[chunk].tolist())))
 
 

@@ -509,8 +509,26 @@ def rv_to_json(rv: RVSeries) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def float_texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float, as an object array of the same shape.
+
+    Each distinct bit pattern is formatted once and shared by every cell
+    holding it, which pays off where values repeat (overlapping feature
+    windows, prices moving in ticks).
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)]
+
+
 def write_bars_csv(fileobj, series: BarSeries) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["timestamp", "close"])
-    for ts, close in zip(series.timestamps, series.closes):
-        writer.writerow([ts.isoformat(sep=" "), repr(float(close))])
+    """Serialize as ``timestamp,close``: stamps as ``isoformat(sep=" ")``
+    writes them, with a fraction only when it is non-zero, and closes in
+    round-trip ``repr``.  No field ever needs CSV quoting."""
+    stamps = np.datetime_as_string(series.stamps, unit="s").astype(object)
+    fraction = np.flatnonzero(series.stamps.astype(np.int64) % 1_000_000)
+    stamps[fraction] = np.datetime_as_string(series.stamps[fraction], unit="us")
+    fileobj.write("timestamp,close\n")
+    fileobj.write("".join(f"{ts.replace('T', ' ')},{close}\n" for ts, close in
+                          zip(stamps.tolist(), float_texts(series.closes).tolist())))

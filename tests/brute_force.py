@@ -1,22 +1,25 @@
-"""Independent brute-force re-derivations of the data and labeling stages
-and of the tree learners.
+"""Independent brute-force re-derivations of the data and labeling stages,
+of the CSV writers and of the learners.
 
 Deliberately literal: explicit loops over rows, explicit day and session
 equality checks and explicit mark counting over the lookahead rows; the
-trees re-sort every feature at every node and scan features one at a time.
+trees re-sort every feature at every node and scan features one at a time;
+k-means and the SVM recompute every per-fit term inside their loops.
 The row-level logic shares no code with the package implementation so the
 two can check each other; only the per-group formulas the vectorized code
-leaves untouched (skewness/kurtosis, the BV scale) and the result
-containers are imported.
+leaves untouched (skewness/kurtosis, the BV scale), the seeded streams and
+the result containers are imported.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from bnsjump.market_data import BV_SCALE, StatsReport, _skew_kurt
+from bnsjump.seeding import substream
 
 
 def brute_force_dataset(values, session_keys, marks, window_len, lookahead,
@@ -245,6 +248,14 @@ def brute_force_write_dataset_csv(fileobj, dataset):
         writer.writerow(row)
 
 
+def brute_force_write_bars_csv(fileobj, series):
+    """``timestamp,close`` through csv.writer, one ``datetime`` and one repr per row."""
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(["timestamp", "close"])
+    for ts, close in zip(series.timestamps, series.closes):
+        writer.writerow([ts.isoformat(sep=" "), repr(float(close))])
+
+
 def brute_force_gini_split(X, y, idx, features, min_leaf):
     """Best (impurity, feature, threshold): each feature sorted and scanned alone."""
     n = idx.size
@@ -362,3 +373,70 @@ def brute_force_knn_scores(X_train, y_train, X, k):
     k = min(k, len(y_train))
     nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
     return y_train[nearest].mean(axis=1)
+
+
+def brute_force_sq_distances(A, B):
+    d2 = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * A @ B.T
+    return np.maximum(d2, 0.0)
+
+
+def brute_force_kmeans(X, y, k, iterations, restarts, seed):
+    """(centroids, cluster labels) of seeded Lloyd restarts, every distance
+    matrix computed from scratch."""
+    n = len(X)
+    k = min(k, n)
+    best_inertia = np.inf
+    best_centroids = None
+    for r in range(restarts):
+        rng = substream(seed, r)
+        centroids = X[rng.choice(n, k, replace=False)].copy()
+        assign = None
+        for _ in range(iterations):
+            new_assign = np.argmin(brute_force_sq_distances(X, centroids), axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for c in range(k):
+                members = X[assign == c]
+                if len(members):
+                    centroids[c] = members.mean(axis=0)
+        inertia = float(brute_force_sq_distances(X, centroids).min(axis=1).sum())
+        if inertia < best_inertia - 1e-12:
+            best_inertia = inertia
+            best_centroids = centroids.copy()
+    assign = np.argmin(brute_force_sq_distances(X, best_centroids), axis=1)
+    overall = 1 if 2 * int(y.sum()) > n else 0
+    labels = np.empty(k, dtype=int)
+    for c in range(k):
+        members = y[assign == c]
+        if len(members) == 0:
+            labels[c] = overall
+        else:
+            labels[c] = 1 if 2 * int(members.sum()) > len(members) else 0
+    return best_centroids, labels
+
+
+def brute_force_linear_svm(X, y, c, epochs):
+    """(weights, bias) of full-batch hinge subgradient descent, each epoch
+    forming the label-signed active rows afresh."""
+    y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
+    n, d = X.shape
+    lam = 1.0 / (c * n)
+    radius = 1.0 / math.sqrt(lam)
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(1, epochs + 1):
+        eta = 1.0 / (lam * t)
+        active = y_pm * (X @ w + b) < 1.0
+        if active.any():
+            push_w = (y_pm[active, None] * X[active]).sum(axis=0) / n
+            push_b = float(y_pm[active].sum()) / n
+        else:
+            push_w = 0.0
+            push_b = 0.0
+        w = (1.0 - eta * lam) * w + eta * push_w
+        b = b + eta * push_b
+        norm = float(np.linalg.norm(w))
+        if norm > radius:
+            w *= radius / norm
+    return w, b

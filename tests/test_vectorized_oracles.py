@@ -27,6 +27,7 @@ from bnsjump.market_data import (
     realized_measures,
     resample,
     sigma_outlier_policy,
+    write_bars_csv,
 )
 from bnsjump.synthetic import session_minutes, synthetic_bars
 
@@ -40,6 +41,7 @@ from brute_force import (
     brute_force_resample,
     brute_force_session_index,
     brute_force_session_keys,
+    brute_force_write_bars_csv,
     brute_force_write_dataset_csv,
 )
 
@@ -255,4 +257,20 @@ def test_dataset_csv_special_values(monkeypatch):
         got, want = io.StringIO(), io.StringIO()
         write_dataset_csv(got, dataset)
         brute_force_write_dataset_csv(want, dataset)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_bars_csv():
+    """Whole-second and fractional stamps, repeated ticks and special closes."""
+    calendar = SessionCalendar()
+    odd = BarSeries.build(
+        [datetime(2021, 1, 4, 9, 45, 0, 5), datetime(2021, 1, 4, 9, 45, 1),
+         datetime(2021, 1, 4, 9, 46, 0, 999999), datetime(2021, 1, 4, 10, 0, 0, 500000),
+         datetime(2021, 1, 4, 13, 1), datetime(2021, 1, 4, 13, 2), datetime(2021, 1, 4, 14, 0)],
+        [0.0, -0.0, np.nan, np.inf, 5e-324, 1e16, 0.1], calendar)
+    cases = [series for _, series in random_series(8, 20)]
+    for series in [*cases, odd, BarSeries.build([], [], calendar)]:
+        got, want = io.StringIO(), io.StringIO()
+        write_bars_csv(got, series)
+        brute_force_write_bars_csv(want, series)
         assert got.getvalue() == want.getvalue()
