@@ -121,6 +121,15 @@ def _require_same_grid(*objs) -> TimeGrid:
     return grid
 
 
+def _recur(v: float, factor: float, deposits: list[float]) -> np.ndarray:
+    """Values v, then v_{k+1} = factor * v_k + deposits[k], in Python floats."""
+    values = [v]
+    for d in deposits:
+        v = factor * v + d
+        values.append(v)
+    return np.array(values)
+
+
 def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
                    times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Exact OU solution at grid points for a given weighted event list.
@@ -130,22 +139,16 @@ def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
     any lam * horizon.
     """
     n = grid.n_steps
-    decay = math.exp(-lam * grid.dt)
     grid_times = grid.times()
-    deposit = np.zeros(n)
     if len(times):
         # events land in the step whose right endpoint is the first grid time >= tau
         step = np.searchsorted(grid_times, times, side="left") - 1
-        step = np.clip(step, 0, n - 1)
+        step = np.minimum(np.maximum(step, 0), n - 1)
         contrib = sizes * np.exp(-lam * (grid_times[step + 1] - times))
-        np.add.at(deposit, step, contrib)
-    values = np.empty(n + 1)
-    values[0] = sigma0_sq
-    v = sigma0_sq
-    for k in range(n):
-        v = decay * v + deposit[k]
-        values[k + 1] = v
-    return values
+        deposit = np.bincount(step, weights=contrib, minlength=n).tolist()
+    else:
+        deposit = [0.0] * n
+    return _recur(float(sigma0_sq), math.exp(-lam * grid.dt), deposit)
 
 
 def simulate_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> VariancePath:
@@ -176,14 +179,8 @@ def euler_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> Varia
     """
     grid = _require_same_grid(z, zb)
     driving = combine_paths(z, zb, 1.0 - params.theta, params.theta)
-    dm = driving.increments()
-    values = np.empty(grid.n_steps + 1)
-    values[0] = params.sigma0_sq
-    v = params.sigma0_sq
-    shrink = 1.0 - params.lam * grid.dt
-    for k in range(grid.n_steps):
-        v = shrink * v + dm[k]
-        values[k + 1] = v
+    values = _recur(float(params.sigma0_sq), 1.0 - params.lam * grid.dt,
+                    driving.increments().tolist())
     return VariancePath(grid=grid, values=values, driving=driving)
 
 
@@ -336,46 +333,53 @@ def correlation_generalized(var_path: VariancePath, z: JumpPath, zb: JumpPath,
 
 
 PATH_CSV_HEADER = ["t", "sigma_sq", "x_true", "x_observed", "noise"]
+PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the transient row strings
 
 
 def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) -> None:
     """Write one simulated path as CSV rows t,sigma_sq,x_true,x_observed,noise.
 
-    Floats use shortest round-trip formatting, so identical paths always
-    serialize to identical bytes.
+    Floats use shortest round-trip formatting (``%r``), so identical paths
+    always serialize to identical bytes; a missing noise column is written
+    empty.  No float repr holds a comma, quote or newline, so nothing is
+    quoted.
     """
-    _require_same_grid(var_path, price_path)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(PATH_CSV_HEADER)
-    times = var_path.grid.times()
-    obs = price_path.x_observed
-    eps = price_path.noise
-    for k in range(len(times)):
-        writer.writerow([
-            repr(float(times[k])),
-            repr(float(var_path.values[k])),
-            repr(float(price_path.x_true[k])),
-            "" if obs is None else repr(float(obs[k])),
-            "" if eps is None else repr(float(eps[k])),
-        ])
+    grid = _require_same_grid(var_path, price_path)
+    arrays = (grid.times(), var_path.values, price_path.x_true,
+              price_path.x_observed, price_path.noise)
+    cols = [np.asarray(a, dtype=float) for a in arrays if a is not None]
+    row = ",".join("" if a is None else "%r" for a in arrays) + "\n"
+    fileobj.write(",".join(PATH_CSV_HEADER) + "\n")
+    for lo in range(0, grid.n_steps + 1, PATH_CSV_CHUNK_ROWS):
+        chunk = zip(*[c[lo:lo + PATH_CSV_CHUNK_ROWS].tolist() for c in cols])
+        fileobj.write("".join([row % values for values in chunk]))
 
 
 def read_path_csv(fileobj) -> dict[str, np.ndarray | None]:
-    """Read a path CSV written by `write_path_csv` back into arrays."""
+    """Read a path CSV written by `write_path_csv` back into arrays.
+
+    Blank lines are skipped; a row without exactly one field per header
+    column raises `InvalidParameterError` naming its line.
+    """
     reader = csv.reader(fileobj)
     header = next(reader)
     if header != PATH_CSV_HEADER:
         raise InvalidParameterError(f"unexpected path CSV header: {header}")
-    cols: list[list[str]] = [[], [], [], [], []]
+    rows = []
     for row in reader:
-        for i, cell in enumerate(row):
-            cols[i].append(cell)
+        if not row:
+            continue
+        if len(row) != len(PATH_CSV_HEADER):
+            raise InvalidParameterError(f"path CSV line {reader.line_num}: expected "
+                                        f"{len(PATH_CSV_HEADER)} fields, got {len(row)}")
+        rows.append(row)
+    cols = list(zip(*rows)) or [()] * len(PATH_CSV_HEADER)
     out: dict[str, np.ndarray | None] = {}
     for name, col in zip(PATH_CSV_HEADER, cols):
         if name in ("x_observed", "noise") and all(c == "" for c in col):
             out[name] = None
         else:
-            out[name] = np.array([float(c) for c in col])
+            out[name] = np.array(list(map(float, col)))
     return out
 
 

@@ -1,5 +1,5 @@
 """Independent brute-force re-derivations of the data and labeling stages,
-of the CSV writers and of the learners.
+of the CSV writers, of the variance recursions and of the learners.
 
 Deliberately literal: explicit loops over rows, explicit day and session
 equality checks and explicit mark counting over the lookahead rows; the
@@ -254,6 +254,54 @@ def brute_force_write_bars_csv(fileobj, series):
     writer.writerow(["timestamp", "close"])
     for ts, close in zip(series.timestamps, series.closes):
         writer.writerow([ts.isoformat(sep=" "), repr(float(close))])
+
+
+def brute_force_write_path_csv(fileobj, var_path, price_path):
+    """``t,sigma_sq,x_true,x_observed,noise`` through csv.writer, one repr per cell."""
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(["t", "sigma_sq", "x_true", "x_observed", "noise"])
+    times = var_path.grid.times()
+    obs = price_path.x_observed
+    eps = price_path.noise
+    for k in range(len(times)):
+        writer.writerow([
+            repr(float(times[k])),
+            repr(float(var_path.values[k])),
+            repr(float(price_path.x_true[k])),
+            "" if obs is None else repr(float(obs[k])),
+            "" if eps is None else repr(float(eps[k])),
+        ])
+
+
+def brute_force_ou_accumulate(grid, sigma0_sq, lam, times, sizes):
+    """Exact OU values at grid points: ``np.add.at`` deposits, then a numpy-scalar loop."""
+    n = grid.n_steps
+    decay = math.exp(-lam * grid.dt)
+    grid_times = grid.times()
+    deposit = np.zeros(n)
+    if len(times):
+        step = np.searchsorted(grid_times, times, side="left") - 1
+        step = np.clip(step, 0, n - 1)
+        contrib = sizes * np.exp(-lam * (grid_times[step + 1] - times))
+        np.add.at(deposit, step, contrib)
+    values = np.empty(n + 1)
+    values[0] = sigma0_sq
+    v = sigma0_sq
+    for k in range(n):
+        v = decay * v + deposit[k]
+        values[k + 1] = v
+    return values
+
+
+def brute_force_euler_variance(sigma0_sq, shrink, increments):
+    """Euler variance values ``v_{k+1} = shrink * v_k + dm_k`` on numpy scalars."""
+    values = np.empty(len(increments) + 1)
+    values[0] = sigma0_sq
+    v = sigma0_sq
+    for k in range(len(increments)):
+        v = shrink * v + increments[k]
+        values[k + 1] = v
+    return values
 
 
 def brute_force_gini_split(X, y, idx, features, min_leaf):

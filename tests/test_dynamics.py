@@ -317,3 +317,11 @@ class TestPathCsv:
         back = read_path_csv(io.StringIO(dumps_path_csv(vp, lp)))
         assert back["x_observed"] is None
         assert back["noise"] is None
+
+    @pytest.mark.parametrize("bad_row, fields", [("0.02,1.0,0.0", 3), ("0.02,1.0,0.0,,,7", 6)])
+    def test_row_with_wrong_field_count(self, bad_row, fields):
+        text = "t,sigma_sq,x_true,x_observed,noise\n0.0,1.0,0.0,,\n0.01,1.0,0.0,,\n"
+        with pytest.raises(InvalidParameterError, match=f"line 4: expected 5 fields, got {fields}"):
+            read_path_csv(io.StringIO(text + bad_row + "\n0.03,1.0,0.0,,\n"))
+        back = read_path_csv(io.StringIO(text + "\n"))
+        assert np.array_equal(back["t"], [0.0, 0.01]) and back["noise"] is None

@@ -1,5 +1,6 @@
 """Randomized exact-equality checks of the columnar data and labeling
-stages against the row-by-row loops in brute_force.py."""
+stages, the path CSV writer and the variance recursions against the
+row-by-row loops in brute_force.py."""
 
 import io
 import sys
@@ -8,7 +9,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from bnsjump import labeling
+from bnsjump import dynamics, labeling
 from bnsjump.labeling import (
     LabeledDataset,
     LabelingConfig,
@@ -29,12 +30,15 @@ from bnsjump.market_data import (
     sigma_outlier_policy,
     write_bars_csv,
 )
+from bnsjump.subordinators import JumpPath, SubordinatorSpec, TimeGrid, sample_subordinator_path
 from bnsjump.synthetic import session_minutes, synthetic_bars
 
 from brute_force import (
     brute_force_build_dataset,
     brute_force_descriptive_stats,
     brute_force_drop_mask,
+    brute_force_euler_variance,
+    brute_force_ou_accumulate,
     brute_force_outlier_mask,
     brute_force_pct_change,
     brute_force_realized_measures,
@@ -43,6 +47,7 @@ from brute_force import (
     brute_force_session_keys,
     brute_force_write_bars_csv,
     brute_force_write_dataset_csv,
+    brute_force_write_path_csv,
 )
 
 CALENDARS = (SessionCalendar(), SessionCalendar.from_spec("09:30-11:30,13:00-14:00,14:00-15:00"))
@@ -274,3 +279,99 @@ def test_bars_csv():
         write_bars_csv(got, series)
         brute_force_write_bars_csv(want, series)
         assert got.getvalue() == want.getvalue()
+
+
+def random_grid(rng) -> TimeGrid:
+    return TimeGrid(t0=float(rng.choice([0.0, rng.uniform(-5.0, 5.0)])),
+                    dt=float(rng.choice([0.01, 0.003, 0.0002, rng.uniform(1e-4, 0.5)])),
+                    n_steps=int(rng.integers(1, 400)))
+
+
+def path_pair(grid, values, x_true, x_observed=None, noise=None):
+    driving = JumpPath(grid=grid, event_times=np.empty(0), event_sizes=np.empty(0))
+    return (dynamics.VariancePath(grid=grid, values=values, driving=driving),
+            dynamics.LogPricePath(grid=grid, x_true=x_true, x_observed=x_observed, noise=noise))
+
+
+@pytest.mark.parametrize("chunk_rows", [dynamics.PATH_CSV_CHUNK_ROWS, 7])
+def test_path_csv(monkeypatch, chunk_rows):
+    """Random paths with and without noise, simulated paths and special floats."""
+    monkeypatch.setattr(dynamics, "PATH_CSV_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(30):
+        grid = random_grid(rng)
+        n = grid.n_steps + 1
+        cols = [rng.lognormal(0.0, 3.0, n), np.cumsum(rng.normal(0.0, 0.1, n))]
+        if rng.uniform() < 0.5:
+            eps = rng.normal(0.0, 0.01, n)
+            cols += [cols[1] + eps, eps]
+        cases.append(path_pair(grid, *cols))
+    special = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1e-05,
+                        9.999999999999999e-06, 0.0001, 9.9999e-05, 1e16, 9999999999999998.0,
+                        -1e16, 1.0000000000000002e16, np.inf, -np.inf, np.nan, 0.1, -123.456])
+    grid = TimeGrid(t0=-1e-05, dt=1e-05, n_steps=len(special) - 1)
+    cases.append(path_pair(grid, special, special[::-1], special, -special))
+    cases.append(path_pair(grid, special, special[::-1]))
+    cases.append(path_pair(grid, special, special[::-1], None, special))
+    params = dynamics.ModelParams(rho=-0.3, sigma0_sq=0.5, theta=0.4)
+    grid = TimeGrid(0.0, 0.003, 700)
+    z = sample_subordinator_path(SubordinatorSpec(1.0, 1.0), params.lam, grid, seed=(3, 0))
+    zb = sample_subordinator_path(SubordinatorSpec(2.0, 1.0), params.lam, grid, seed=(3, 1))
+    vp = dynamics.simulate_variance_path(params, z, zb)
+    lp = dynamics.simulate_log_price(params, vp, z, zb, seed=3)
+    cases += [(vp, lp), (vp, dynamics.apply_noise(lp, dynamics.NoiseSpec(std=0.01), seed=3))]
+    for var_path, price_path in cases:
+        got, want = io.StringIO(), io.StringIO()
+        dynamics.write_path_csv(got, var_path, price_path)
+        brute_force_write_path_csv(want, var_path, price_path)
+        assert got.getvalue() == want.getvalue()
+        assert dynamics.dumps_path_csv(var_path, price_path) == want.getvalue()
+
+
+def ou_cases(rng):
+    """(grid, sigma0_sq, lam, times, sizes) with events off and on the grid."""
+    for k in range(200):
+        grid = random_grid(rng)
+        grid_times = grid.times()
+        lam = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        if k % 10 == 0:
+            lam = 2000.0 / grid.horizon  # lam * horizon far past exp underflow
+        m = int(rng.choice([0, 1, 3, rng.integers(1, 600)]))
+        times = rng.uniform(grid.t0, grid.t_end, m)
+        pick = rng.uniform(size=m)
+        on_grid = rng.integers(0, grid.n_steps + 1, m)
+        times = np.where(pick < 0.3, grid_times[on_grid], times)
+        times = np.where(pick > 0.9, grid.t0, times)
+        times = np.where(pick > 0.95, grid.t_end, times)
+        sizes = rng.exponential(float(rng.uniform(0.1, 5.0)), m)
+        yield grid, float(rng.uniform(1e-3, 4.0)), lam, np.sort(times), sizes
+
+
+def test_ou_accumulate():
+    """Bit patterns of the bincount/Python-float recursion against the
+    ``np.add.at``/numpy-scalar loop."""
+    for grid, sigma0_sq, lam, times, sizes in ou_cases(np.random.default_rng(12)):
+        got = dynamics._ou_accumulate(grid, sigma0_sq, lam, times, sizes)
+        assert same(got, brute_force_ou_accumulate(grid, sigma0_sq, lam, times, sizes))
+    empty = np.empty(0)
+    for grid in (TimeGrid(0.0, 0.01, 1), TimeGrid(2.5, 0.01, 100)):
+        got = dynamics._ou_accumulate(grid, 1, 3.0, empty, empty)
+        assert same(got, brute_force_ou_accumulate(grid, 1, 3.0, empty, empty))
+
+
+def test_euler_variance_path():
+    """Same bits as the numpy-scalar Euler loop, including shrink factors <= 0."""
+    rng = np.random.default_rng(13)
+    for k in range(60):
+        grid = random_grid(rng)
+        lam = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0 / grid.dt))))
+        params = dynamics.ModelParams(lam=lam, theta=float(rng.uniform()),
+                                      sigma0_sq=float(rng.uniform(1e-3, 4.0)))
+        z = sample_subordinator_path(params.spec_base, lam, grid, seed=(13, k, 0))
+        zb = sample_subordinator_path(params.spec_strong, lam, grid, seed=(13, k, 1))
+        got = dynamics.euler_variance_path(params, z, zb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = brute_force_euler_variance(params.sigma0_sq, 1.0 - lam * grid.dt,
+                                              got.driving.increments())
+        assert same(got.values, want)
