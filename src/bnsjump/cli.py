@@ -4,14 +4,16 @@ Subcommands: simulate, ingest, stats, label, train, report, pipeline.
 The data subcommands run one ordered stage list (``STAGES``): load and
 clean, resample, pct_change, stats, realized_measures, index, mark, label,
 splits, benchmark.  Each names the stages it runs and the files it writes
-(``DATA_COMMANDS``); ``report`` starts from a labeled CSV instead.
+(``DATA_COMMANDS``); ``report`` and ``train`` start from a labeled CSV
+instead.
 
-Options resolve as flags > config file > defaults.  Every run echoes the
-options it resolved to ``config_used.cfg`` in the output directory, each
-under the section it is read from; re-running from that file (with the
-same ``--input`` or ``--dataset``) reproduces the outputs byte for byte,
-regardless of ``--threads``.  ``train`` reads only its ``[hyperparams]``
-back; its ``[train]`` section records the flags it needs again.
+Options resolve as flags > config file > defaults.  Each subcommand takes
+one flag per option of its option tables, plus the flags its stages read
+(``STAGE_FLAGS``).  Every run echoes the options it resolved to
+``config_used.cfg`` in the output directory, each under the section it is
+read from; re-running from that file (with the same ``--input`` or
+``--dataset``) reproduces the outputs byte for byte, regardless of
+``--threads``.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
@@ -27,6 +29,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime
+from functools import partial
 from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +48,7 @@ from .classifiers.api import predict, resolve_hyperparams, train as train_model
 from .classifiers.metrics import evaluate
 from .errors import InvalidParameterError, NumericOverflowError, OrderingError, ParseError
 from .labeling import (
+    DIRECTIONS,
     LabeledDataset,
     LabelingConfig,
     SplitSpec,
@@ -92,8 +96,18 @@ EXIT_CODES = (
 # ---------------------------------------------------------------------------
 # option resolution: flags > config file > defaults
 
+def _one_of(*values: str):
+    """Option type: a text that must be one of ``values``; it checks flags
+    and config values alike."""
+    def choice(text: str) -> str:
+        if text not in values:
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(values)}")
+        return text
+    return choice
+
+
 SIMULATE_OPTIONS = {
-    # name: (section, type, default)
+    # name: (section, type, default); the default None marks a required option
     "paths": ("simulate", int, 4),
     "seed": ("simulate", int, 0),
     "mu": ("simulate", float, 0.0),
@@ -128,7 +142,7 @@ LABEL_OPTIONS = {
     "lookahead": ("labeling", int, 10),
     "threshold_pct": ("labeling", float, 0.1),
     "min_jumps": ("labeling", int, 2),
-    "direction": ("labeling", str, "down"),
+    "direction": ("labeling", _one_of(*DIRECTIONS), "down"),
     "stride": ("labeling", int, 1),
 }
 
@@ -139,8 +153,20 @@ REPORT_OPTIONS = {
 }
 
 # `stats` groups its statistics overall unless told otherwise, `pipeline` by month
-STATS_OPTIONS = {"group_by": ("benchmark", str, "overall")}
-BENCH_OPTIONS = REPORT_OPTIONS | {"group_by": ("benchmark", str, "month")}
+_group_by = _one_of(*market_data.STATS_GROUPINGS)
+STATS_OPTIONS = {"group_by": ("benchmark", _group_by, "overall")}
+BENCH_OPTIONS = REPORT_OPTIONS | {"group_by": ("benchmark", _group_by, "month")}
+
+TRAIN_OPTIONS = {
+    "algorithm": ("train", _one_of(*ALGORITHM_IDS), None),
+    "train": ("train", str, None),  # a:b
+    "test": ("train", str, ""),  # c:d, or none
+    "seed": ("train", int, 0),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -159,17 +185,18 @@ def _resolve(args, cfg: configparser.ConfigParser, *tables: dict) -> dict:
         flag_val = getattr(args, name, None)
         if flag_val is not None:
             out[name] = flag_val
-            continue
-        if cfg.has_option(section, name):
+        elif cfg.has_option(section, name):
             try:
                 if typ is bool:
                     out[name] = cfg.getboolean(section, name)
                 else:
                     out[name] = typ(cfg.get(section, name))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"bad config value for [{section}] {name}: {exc}") from None
-            continue
-        out[name] = default
+        elif default is None:
+            raise ConfigError(f"{_flag(name)} or [{section}] {name} is required")
+        else:
+            out[name] = default
     return out
 
 
@@ -294,7 +321,7 @@ def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
     price = dynamics.simulate_log_price(params, var_path, z, zb, seed=(seed, i, 2), s0=opts["s0"])
     if opts["noise_std"] > 0:
         price = dynamics.apply_noise(price, dynamics.NoiseSpec(std=opts["noise_std"]), seed=(seed, i, 3))
-    csv_text = dynamics.dumps_path_csv(var_path, price)
+    csv_text = dynamics.dumps_path_csv(var_path, price)  # through the module: tracers patch it
     floor = np.exp(-params.lam * (grid.times() - grid.t0)) * params.sigma0_sq
     stats = {
         "z_total": z.total(),
@@ -303,6 +330,16 @@ def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
         "x_terminal": float(price.x_true[-1]),
     }
     return csv_text, stats
+
+
+def _simulate_all(opts: dict, grid: TimeGrid, params):
+    """Each path's ``(csv text, stats)`` in index order, as it is ready."""
+    one = partial(_simulate_one, opts, grid, params)
+    if opts["threads"] <= 1:
+        yield from map(one, range(opts["paths"]))
+        return
+    with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
+        yield from pool.map(one, range(opts["paths"]))
 
 
 def cmd_simulate(args) -> int:
@@ -320,22 +357,17 @@ def cmd_simulate(args) -> int:
     grid = TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
     _echo_config(out_dir, opts, (SIMULATE_OPTIONS,))
 
-    n = opts["paths"]
-    indices = range(n)
-    if opts["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-            results = list(pool.map(lambda i: _simulate_one(opts, grid, params, i), indices))
-    else:
-        results = [_simulate_one(opts, grid, params, i) for i in indices]
-
     paths_dir = out_dir / "paths"
     paths_dir.mkdir(exist_ok=True)
-    for i, (csv_text, _) in enumerate(results):
+    results = []  # each path's stats; its CSV text is written as it arrives and dropped
+    for i, (csv_text, path_stats) in enumerate(_simulate_all(opts, grid, params)):
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
+        results.append(path_stats)
 
+    n = opts["paths"]
     horizon = grid.horizon
-    z_rates = np.array([s["z_total"] for _, s in results]) / horizon
-    zb_rates = np.array([s["zb_total"] for _, s in results]) / horizon
+    z_rates = np.array([s["z_total"] for s in results]) / horizon
+    zb_rates = np.array([s["zb_total"] for s in results]) / horizon
     lam = params.lam
 
     def mc_block(samples: np.ndarray, spec: SubordinatorSpec) -> dict:
@@ -348,8 +380,8 @@ def cmd_simulate(args) -> int:
             "closed_form_var_rate": var_rate,
         }
 
-    slacks = np.array([s["floor_slack"] for _, s in results])
-    terminals = np.array([s["x_terminal"] for _, s in results])
+    slacks = np.array([s["floor_slack"] for s in results])
+    terminals = np.array([s["x_terminal"] for s in results])
     summary = {
         "subordinator_mc": {
             "base": mc_block(z_rates, params.spec_base),
@@ -429,6 +461,25 @@ def _benchmark(run):
                          external=external, max_workers=run.opts["threads"])
 
 
+def _fit(run) -> dict:
+    """One algorithm trained on the ``train`` range and scored on ``test``:
+    the payload of ``train_report.json``."""
+    opts = run.opts
+    spec = _parse_split("cli", f"{opts['train']}/{opts['test']}" if opts["test"] else opts["train"])
+    train_set, test_set = split(run.dataset, spec)
+    model = train_model(opts["algorithm"], train_set, run.bank.get(opts["algorithm"]), seed=opts["seed"])
+    payload = {"algorithm": opts["algorithm"], "train_rows": len(train_set),
+               "hyperparams": model.metadata["hyperparams"], "degenerate": model.degenerate}
+    if len(test_set):
+        report = evaluate(predict(model, test_set.features), test_set.theta)
+        payload["test"] = {
+            "n": report.n, "accuracy": report.accuracy,
+            "class0": report.class0.__dict__ | {"zero_division": list(report.class0.zero_division)},
+            "class1": report.class1.__dict__ | {"zero_division": list(report.class1.zero_division)},
+        }
+    return payload
+
+
 # stage -> (attribute of the run it sets, function of the run so far)
 STAGES = {
     "ingest": ("clean", _load_and_clean),
@@ -441,6 +492,7 @@ STAGES = {
     "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, _label_config(r.opts))),
     "load_labeled": ("dataset", lambda r: _read_labeled(r.args.dataset)),
     "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
+    "fit": ("trained", _fit),
     "benchmark": ("cells", _benchmark),
 }
 
@@ -473,6 +525,7 @@ OUTPUTS = {
     "hyperparams_used.json": lambda fh, r: fh.write(
         _json({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
     "summary.json": lambda fh, r: fh.write(_json(_summary(r))),
+    "train_report.json": lambda fh, r: fh.write(_json(r.trained)),
 }
 
 LABEL_STAGES = ("ingest", "resample", "pct_change", "index", "mark", "label")
@@ -484,6 +537,7 @@ DATA_COMMANDS = {
     "stats": ((DATA_OPTIONS, STATS_OPTIONS), ("ingest", "resample", "stats"),
               ("stats.csv", "stats.json", "ingest.json")),
     "label": ((DATA_OPTIONS, LABEL_OPTIONS), LABEL_STAGES, ("labeled.csv", "label.json")),
+    "train": ((TRAIN_OPTIONS,), ("load_labeled", "fit"), ("train_report.json",)),
     "report": ((REPORT_OPTIONS,), ("load_labeled", "splits", "benchmark"), REPORT_FILES),
     "pipeline": ((DATA_OPTIONS, LABEL_OPTIONS, BENCH_OPTIONS),
                  ("ingest", "resample", "pct_change", "stats", "realized_measures", "index", "mark",
@@ -499,9 +553,10 @@ def run_data_command(args) -> int:
     cfg = _read_config(args.config)
     run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
                           splits=(), hp={}, external={})
-    if "benchmark" in stages:
+    if hasattr(args, "hp"):  # the subcommands whose stages fit; see STAGE_FLAGS
         run.hp = _named_items(args, cfg, "hyperparams", "hp")
         run.bank = _hyperparams(run.hp)
+    if hasattr(args, "external"):
         run.external = _named_items(args, cfg, "external", "external")
     out_dir = _out_dir(args, args.subcommand)
     for name in stages:
@@ -517,125 +572,45 @@ def run_data_command(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _read_config(args.config)
-    out_dir = _out_dir(args, "train")
-    dataset = _read_labeled(args.dataset)
-    spec = _parse_split("cli", f"{args.train}/{args.test}" if args.test else args.train)
-    train_set, test_set = split(dataset, spec)
-    hp = _named_items(args, cfg, "hyperparams", "hp")
-    model = train_model(args.algorithm, train_set, _hyperparams(hp).get(args.algorithm), seed=args.seed or 0)
-    payload = {"algorithm": args.algorithm, "train_rows": len(train_set),
-               "hyperparams": model.metadata["hyperparams"], "degenerate": model.degenerate}
-    if len(test_set):
-        report = evaluate(predict(model, test_set.features), test_set.theta)
-        payload["test"] = {
-            "n": report.n, "accuracy": report.accuracy,
-            "class0": report.class0.__dict__ | {"zero_division": list(report.class0.zero_division)},
-            "class1": report.class1.__dict__ | {"zero_division": list(report.class1.zero_division)},
-        }
-    _echo_config(out_dir, {}, (), hyperparams=hp,
-                 train={"algorithm": args.algorithm, "train": args.train,
-                        "test": args.test or "", "seed": args.seed or 0})
-    (out_dir / "train_report.json").write_text(_json(payload), encoding="utf-8")
-    print(f"train: {args.algorithm} on {len(train_set)} rows"
-          + (f", test accuracy {payload['test']['accuracy']:.3f}" if "test" in payload else ""))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<subcommand>)")
-    p.add_argument("--config", help="INI config file; flags override its values")
-
-
-def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--input", required=True, help="minute-bar CSV with header 'timestamp,close'")
-    p.add_argument("--calendar", help="sessions, e.g. '09:30-11:30,13:00-15:00'")
-    p.add_argument("--trim-minutes", dest="trim_minutes", type=int)
-    p.add_argument("--trim-reopen", dest="trim_reopen", action="store_const", const=True)
-    p.add_argument("--outlier-sigma", dest="outlier_sigma", type=float)
-    p.add_argument("--no-outliers", dest="no_outliers", action="store_const", const=True)
-
-
-def _add_label_flags(p: argparse.ArgumentParser):
-    p.add_argument("--window", type=int)
-    p.add_argument("--lookahead", type=int)
-    p.add_argument("--threshold-pct", dest="threshold_pct", type=float)
-    p.add_argument("--min-jumps", dest="min_jumps", type=int)
-    p.add_argument("--direction", choices=["down", "up", "both"])
-    p.add_argument("--stride", type=int)
-
-
-def _add_bench_flags(p: argparse.ArgumentParser):
-    p.add_argument("--split", action="append", metavar="NAME=a:b/c:d",
-                   help="inclusive train/test index ranges (or ISO datetimes); repeatable")
-    p.add_argument("--algorithms", help="comma-separated algorithm ids")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--hp", action="append", metavar="ALGORITHM.NAME=VALUE",
-                   help="hyperparameter override; repeatable")
-    p.add_argument("--external", action="append", metavar="NAME=PATH",
-                   help="external predictions CSV 'index,predicted_theta'; repeatable")
+# flags that are not options -> (the stages that read them, argparse keywords)
+STAGE_FLAGS = {
+    "--input": (("ingest",), {"required": True, "help": "minute-bar CSV with header 'timestamp,close'"}),
+    "--dataset": (("load_labeled",), {"required": True, "help": "labeled CSV from the label step"}),
+    "--split": (("splits",), {"action": "append", "metavar": "NAME=a:b/c:d",
+                              "help": "inclusive train/test index ranges (or ISO datetimes); repeatable"}),
+    "--hp": (("fit", "benchmark"), {"action": "append", "metavar": "ALGORITHM.NAME=VALUE",
+                                   "help": "hyperparameter override; repeatable"}),
+    "--external": (("benchmark",), {"action": "append", "metavar": "NAME=PATH",
+                                    "help": "external predictions CSV 'index,predicted_theta'; repeatable"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand: ``--out``, ``--config``, the flags its
+    stages read and one flag per option of its tables."""
     parser = argparse.ArgumentParser(prog="bnsjump",
                                      description="BN-S simulation and jump-prediction pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="simulate model paths and write CSVs + summary")
-    _add_common(p)
-    for name in SIMULATE_OPTIONS:
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, type=float if SIMULATE_OPTIONS[name][1] is float else int)
-
-    p = sub.add_parser("ingest", help="load, filter and write clean bars")
-    _add_common(p)
-    _add_data_flags(p)
-
-    p = sub.add_parser("stats", help="descriptive statistics of (resampled) closes")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
-    p.add_argument("--group-by", dest="group_by", choices=["overall", "month"])
-
-    p = sub.add_parser("label", help="build the windowed labeled dataset")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
-    _add_label_flags(p)
-
-    p = sub.add_parser("train", help="train one algorithm on an index split")
-    _add_common(p)
-    p.add_argument("--dataset", required=True, help="labeled CSV from the label step")
-    p.add_argument("--algorithm", required=True, choices=list(ALGORITHM_IDS))
-    p.add_argument("--train", required=True, metavar="a:b")
-    p.add_argument("--test", metavar="c:d")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hp", action="append", metavar="ALGORITHM.NAME=VALUE")
-
-    p = sub.add_parser("report", help="benchmark algorithms over splits")
-    _add_common(p)
-    p.add_argument("--dataset", required=True)
-    _add_bench_flags(p)
-
-    p = sub.add_parser("pipeline", help="end-to-end: ingest .. benchmark")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--interval", type=int, help="resample interval in trading minutes")
-    _add_label_flags(p)
-    _add_bench_flags(p)
-    p.add_argument("--group-by", dest="group_by", choices=["overall", "month"])
-
+    commands = {"simulate": ((SIMULATE_OPTIONS,), ("simulate",), ("paths/path_*.csv", "summary.json"))}
+    for name, (tables, stages, files) in (commands | DATA_COMMANDS).items():
+        p = sub.add_parser(name, help=f"{' > '.join(stages)}; writes {', '.join(files)}")
+        p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<subcommand>)")
+        p.add_argument("--config", help="INI config file; flags override its values")
+        for flag, (readers, kwargs) in STAGE_FLAGS.items():
+            if set(readers) & set(stages):
+                p.add_argument(flag, **kwargs)
+        for option, (section, typ, _) in (item for table in tables for item in table.items()):
+            kwargs = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+            p.add_argument(_flag(option), dest=option, help=f"config: [{section}] {option}", **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {"simulate": cmd_simulate, "train": cmd_train}.get(args.subcommand, run_data_command)
+    command = cmd_simulate if args.subcommand == "simulate" else run_data_command
     try:
         return command(args)
     except Exception as exc:

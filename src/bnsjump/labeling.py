@@ -17,7 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ParseError
 from .market_data import ReturnSeries, float_texts
 
 log = logging.getLogger(__name__)
@@ -32,8 +32,7 @@ class LabelingConfig:
 
     threshold_pct is in the same percent units as the return series; a
     downward move of at least that magnitude is a big jump under the
-    default direction.  The comparison is inclusive (>= threshold) unless
-    ``strict`` is set.
+    default direction.  The comparison is inclusive (>= threshold).
     """
 
     window_len: int = 10
@@ -42,7 +41,6 @@ class LabelingConfig:
     min_jumps: int = 2
     direction: str = "down"
     stride: int = 1
-    strict: bool = False
 
     def __post_init__(self):
         if self.window_len < 1 or self.lookahead < 1 or self.min_jumps < 1 or self.stride < 1:
@@ -92,15 +90,15 @@ def mark_big_jumps(returns, cfg: LabelingConfig) -> np.ndarray:
     """Boolean mark per return row: does it meet the threshold move?
 
     down marks pct <= -threshold, up marks pct >= +threshold, both marks
-    |pct| >= threshold (strict comparisons when cfg.strict).
+    |pct| >= threshold.
     """
     v = np.asarray(returns.values, dtype=float)
     k = cfg.threshold_pct
     if cfg.direction == "down":
-        return (v < -k) if cfg.strict else (v <= -k)
+        return v <= -k
     if cfg.direction == "up":
-        return (v > k) if cfg.strict else (v >= k)
-    return (np.abs(v) > k) if cfg.strict else (np.abs(v) >= k)
+        return v >= k
+    return np.abs(v) >= k
 
 
 @dataclass(frozen=True)
@@ -206,6 +204,10 @@ def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Lab
     return take(spec.train), take(spec.test)
 
 
+def _dataset_header(window_len: int) -> list[str]:
+    return ["index", *(f"f{j + 1}" for j in range(window_len)), "theta"]
+
+
 def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
     """Serialize as ``index,f1..fW,theta`` with round-trip float formatting.
 
@@ -213,7 +215,7 @@ def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
     of rows at a time, with each chunk's features formatted by
     ``float_texts``.
     """
-    fileobj.write(",".join(["index", *(f"f{j + 1}" for j in range(dataset.window_len)), "theta"]))
+    fileobj.write(",".join(_dataset_header(dataset.window_len)))
     fileobj.write("\n")
     for lo in range(0, len(dataset), CSV_CHUNK_ROWS):
         chunk = slice(lo, lo + CSV_CHUNK_ROWS)
@@ -225,18 +227,27 @@ def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
 
 
 def read_dataset_csv(fileobj) -> LabeledDataset:
+    """Parse what ``write_dataset_csv`` writes; a malformed file raises
+    ParseError naming its line."""
     reader = csv.reader(fileobj)
-    header = next(reader)
-    if header[0] != "index" or header[-1] != "theta":
-        raise InvalidParameterError(f"unexpected dataset header {header!r}")
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file, expected header 'index,f1..fW,theta'", 1)
     w = len(header) - 2
+    if header != _dataset_header(w):
+        raise ParseError(f"expected header 'index,f1..fW,theta', got {','.join(header)!r}", 1)
     anchors: list[int] = []
     feats: list[list[float]] = []
     targets: list[int] = []
     for row in reader:
-        anchors.append(int(row[0]))
-        feats.append([float(x) for x in row[1:w + 1]])
-        targets.append(int(row[-1]))
+        if len(row) != w + 2:
+            raise ParseError(f"expected {w + 2} fields, got {len(row)}", reader.line_num)
+        try:
+            anchors.append(int(row[0]))
+            feats.append([float(x) for x in row[1:-1]])
+            targets.append(int(row[-1]))
+        except ValueError:
+            raise ParseError(f"non-numeric field in {','.join(row)!r}", reader.line_num) from None
     return LabeledDataset(anchor_index=np.array(anchors, dtype=int),
                           features=np.array(feats) if feats else np.empty((0, w)),
                           theta=np.array(targets, dtype=int))

@@ -38,6 +38,7 @@ _EPOCH = datetime(1970, 1, 1)  # zero of datetime64
 _EPOCH_DAY = _EPOCH.toordinal()
 _MICROSECOND = timedelta(microseconds=1)
 _MINUTE = np.timedelta64(1, "m")
+STATS_GROUPINGS = ("overall", "month")
 
 
 def _parse_session(text: str) -> tuple[time, time]:
@@ -139,10 +140,6 @@ class _Stamped:
     def day(self) -> np.ndarray:
         """Proleptic day ordinal per row, as ``date.toordinal`` gives it."""
         return self.stamps.astype("datetime64[D]").astype(np.int64) + _EPOCH_DAY
-
-    @property
-    def timestamps(self) -> tuple[datetime, ...]:
-        return tuple(self.stamps.tolist())
 
 
 @dataclass(frozen=True)
@@ -394,8 +391,8 @@ def _skew_kurt(x: np.ndarray) -> tuple[float, float]:
 def descriptive_stats(series: BarSeries, group_by: str = "overall") -> dict[str, StatsReport]:
     """Count/mean/median/min/max/skewness/excess-kurtosis of the closes,
     either for the whole series or per calendar month."""
-    if group_by not in ("overall", "month"):
-        raise InvalidParameterError(f"group_by must be 'overall' or 'month', got {group_by!r}")
+    if group_by not in STATS_GROUPINGS:
+        raise InvalidParameterError(f"group_by must be one of {STATS_GROUPINGS}, got {group_by!r}")
     reports: dict[str, StatsReport] = {}
     for key, lo, hi in _groups(series, group_by):
         x = series.closes[lo:hi]

@@ -90,10 +90,6 @@ class JumpPath:
             object.__setattr__(self, "cumulative", _cumulative_on_grid(self.grid, self.event_times, self.event_sizes))
 
     @property
-    def events(self) -> list[tuple[float, float]]:
-        return list(zip(self.event_times.tolist(), self.event_sizes.tolist()))
-
-    @property
     def n_events(self) -> int:
         return len(self.event_times)
 

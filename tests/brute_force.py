@@ -78,7 +78,7 @@ def brute_force_resample(series, interval_minutes):
     sessions = series.calendar.sessions
     keep = []
     last_key = None
-    for i, ts in enumerate(series.timestamps):
+    for i, ts in enumerate(series.stamps.tolist()):
         s = int(series.session[i])
         offset = 0
         for open_t, close_t in sessions[:s]:
@@ -97,7 +97,7 @@ def brute_force_resample(series, interval_minutes):
 def brute_force_changes(series):
     """Percent change per bar from the previous bar of its (day, session)
     block with a positive close; NaN where there is none."""
-    days = [ts.date() for ts in series.timestamps]
+    days = [ts.date() for ts in series.stamps.tolist()]
     changes = np.full(len(series), np.nan)
     for i in range(1, len(series)):
         same_block = (days[i] == days[i - 1] and series.session[i] == series.session[i - 1])
@@ -110,7 +110,7 @@ def brute_force_outlier_mask(series, threshold):
     """Bars whose change exceeds ``threshold`` x that day's std of changes."""
     mask = np.zeros(len(series), dtype=bool)
     changes = brute_force_changes(series)
-    days = [ts.date() for ts in series.timestamps]
+    days = [ts.date() for ts in series.stamps.tolist()]
     for day in sorted(set(days)):
         rows = np.array([d == day for d in days])
         day_changes = changes[rows]
@@ -128,7 +128,7 @@ def brute_force_drop_mask(series, trim_minutes, threshold, trim_reopen):
     """Rows preprocess drops: opening window, non-positive close, outlier."""
     open_minutes = [s[0].hour * 60 + s[0].minute for s in series.calendar.sessions]
     drop = np.zeros(len(series), dtype=bool)
-    for i, ts in enumerate(series.timestamps):
+    for i, ts in enumerate(series.stamps.tolist()):
         sess = int(series.session[i])
         minute = ts.hour * 60 + ts.minute
         if sess == 0 and minute - open_minutes[0] <= trim_minutes:
@@ -145,14 +145,14 @@ def brute_force_drop_mask(series, trim_minutes, threshold, trim_reopen):
 def brute_force_pct_change(series):
     """(timestamps, values, sessions) of the within-block percent changes."""
     stamps, values, sessions = [], [], []
-    days = [ts.date() for ts in series.timestamps]
+    days = [ts.date() for ts in series.stamps.tolist()]
     for i in range(1, len(series)):
         if days[i] != days[i - 1] or series.session[i] != series.session[i - 1]:
             continue
         prev_close = series.closes[i - 1]
         if prev_close <= 0:
             continue
-        stamps.append(series.timestamps[i])
+        stamps.append(series.stamps[i].item())
         values.append(100.0 * (series.closes[i] - prev_close) / prev_close)
         sessions.append(int(series.session[i]))
     return tuple(stamps), np.array(values, dtype=float), np.array(sessions, dtype=int)
@@ -172,7 +172,7 @@ def brute_force_session_keys(timestamps, session):
 def brute_force_descriptive_stats(series, group_by):
     """StatsReport per sorted group key ("overall" or YYYY-MM)."""
     groups = {}
-    for ts, close in zip(series.timestamps, series.closes):
+    for ts, close in zip(series.stamps.tolist(), series.closes):
         key = "overall" if group_by == "overall" else f"{ts.year:04d}-{ts.month:02d}"
         groups.setdefault(key, []).append(float(close))
     reports = {}
@@ -190,13 +190,13 @@ def brute_force_descriptive_stats(series, group_by):
 def brute_force_realized_measures(returns, window):
     """(labels, window ends, RV, BV, jump) per day or month, in first-seen order."""
     order, rows = [], {}
-    for i, ts in enumerate(returns.timestamps):
+    for i, ts in enumerate(returns.stamps.tolist()):
         key = ts.date().isoformat() if window == "day" else f"{ts.year:04d}-{ts.month:02d}"
         if key not in rows:
             rows[key] = []
             order.append(key)
         rows[key].append(i)
-    keys = brute_force_session_keys(returns.timestamps, returns.session)
+    keys = brute_force_session_keys(returns.stamps.tolist(), returns.session)
     labels, ends, rv_out, bv_out, jump_out = [], [], [], [], []
     for key in order:
         idx = rows[key]
@@ -212,7 +212,7 @@ def brute_force_realized_measures(returns, window):
             bv = BV_SCALE * float(np.sum(pair_terms))
             jump = max(rv - bv, 0.0)
         labels.append(key)
-        ends.append(returns.timestamps[idx[-1]])
+        ends.append(returns.stamps[idx[-1]].item())
         rv_out.append(rv)
         bv_out.append(bv)
         jump_out.append(jump)
@@ -252,7 +252,7 @@ def brute_force_write_bars_csv(fileobj, series):
     """``timestamp,close`` through csv.writer, one ``datetime`` and one repr per row."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["timestamp", "close"])
-    for ts, close in zip(series.timestamps, series.closes):
+    for ts, close in zip(series.stamps.tolist(), series.closes):
         writer.writerow([ts.isoformat(sep=" "), repr(float(close))])
 
 

@@ -85,6 +85,22 @@ class TestSimulate:
         assert t1 == t2
 
 
+    def test_each_path_is_written_before_the_next_is_simulated(self, tmp_path, monkeypatch):
+        out = tmp_path / "sim"
+        seen = []
+        sample = cli.sample_subordinator_path
+
+        def recording(spec, rate, grid, seed):
+            _, i, stream = seed
+            if stream == 0:
+                seen.append((i, (out / "paths" / f"path_{i - 1:05d}.csv").exists()))
+            return sample(spec, rate, grid, seed=seed)
+
+        monkeypatch.setattr(cli, "sample_subordinator_path", recording)
+        assert main(["simulate", "--out", str(out), "--paths", "3", "--threads", "1"]) == EXIT_OK
+        assert seen == [(0, False), (1, True), (2, True)]
+
+
 class TestDataCommands:
     def test_ingest(self, tmp_path, bars_csv):
         out = tmp_path / "ing"
@@ -233,6 +249,71 @@ class TestDataCommands:
         (lb / "label.json").write_text("{}")
         assert main(["report", "--dataset", str(lb / "labeled.csv"), "--out", str(rp)]
                     + flags[4:]) == EXIT_IO
+
+
+    def test_train_config_roundtrip(self, tmp_path, bars_csv):
+        """`train` reads back its echoed [train] and [hyperparams] sections."""
+        lb = tmp_path / "lb"
+        assert main(["label", "--input", str(bars_csv), "--out", str(lb),
+                     "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
+        dataset = str(lb / "labeled.csv")
+        for name, flags in (("test", ["--test", "801:1000"]), ("no_test", [])):
+            first, second = tmp_path / f"{name}1", tmp_path / f"{name}2"
+            assert main(["train", "--dataset", dataset, "--out", str(first), "--algorithm",
+                         "decision_tree", "--train", "7:800", "--seed", "5",
+                         "--hp", "decision_tree.max_depth=2"] + flags) == EXIT_OK
+            assert main(["train", "--dataset", dataset, "--out", str(second),
+                         "--config", str(first / "config_used.cfg")]) == EXIT_OK
+            assert tree_bytes(first) == tree_bytes(second), name
+            assert "[splits]" not in (first / "config_used.cfg").read_text()
+
+    def test_train_flags_come_from_its_option_table(self):
+        train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
+        flags = {flag for action in train._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--out", "--config", "--dataset", "--hp",
+                         "--algorithm", "--train", "--test", "--seed"}
+
+    @pytest.mark.parametrize("config", [
+        "[train]\nalgorithm = knn\n",
+        "[train]\nalgorithm = knearest\ntrain = 7:800\n",
+        "[train]\nalgorithm = knn\ntrain = 7:800\nseed = x\n",
+    ], ids=["missing-train", "unknown-algorithm", "bad-seed"])
+    def test_bad_train_options_are_config_errors(self, tmp_path, capsys, config):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        code = main(["train", "--dataset", str(tmp_path / "unread.csv"), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert "[train]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,section,option,flags", [
+        ("label", "labeling", "direction", ["--interval", "1"]),
+        ("stats", "benchmark", "group_by", []),
+    ])
+    def test_choices_checked_for_flags_and_config(self, tmp_path, bars_csv, subcommand, section,
+                                                  option, flags):
+        argv = [subcommand, "--input", str(bars_csv), "--out", str(tmp_path / "o")] + flags
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [cli._flag(option), "sideways"])
+        assert exc.value.code == EXIT_CONFIG
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{option} = sideways\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("index,f1,theta\n9,0.5,1\n10,0.5\n", 3),
+        ("index,f1,theta\n9,nope,1\n", 2),
+    ], ids=["empty", "short-row", "non-numeric"])
+    @pytest.mark.parametrize("subcommand", ["train", "report"])
+    def test_malformed_labeled_csv_is_io_error(self, tmp_path, capsys, subcommand, text, line):
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text(text, encoding="utf-8")
+        flags = {"train": ["--algorithm", "knn", "--train", "0:10"],
+                 "report": ["--split", "T=0:5/6:10"]}[subcommand]
+        code = main([subcommand, "--dataset", str(dataset), "--out", str(tmp_path / "o")] + flags)
+        assert code == EXIT_IO
+        assert f"stage 'load_labeled': line {line}: " in capsys.readouterr().err
 
 
 class TestPipeline:

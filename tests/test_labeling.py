@@ -4,7 +4,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
-from bnsjump.errors import InvalidParameterError
+from bnsjump.errors import InvalidParameterError, ParseError
 from bnsjump.labeling import (
     IndexedReturns,
     LabeledDataset,
@@ -66,11 +66,11 @@ class TestIndexSeries:
     def test_index_for_timestamp(self):
         returns = make_returns([0.1, 0.2, 0.3])
         indexed = index_series(returns)
-        assert index_for_timestamp(indexed, returns.timestamps[1]) == 1
+        assert index_for_timestamp(indexed, returns.stamps[1].item()) == 1
         with pytest.raises(InvalidParameterError):
             index_for_timestamp(indexed, datetime(1999, 1, 1))
         with pytest.raises(InvalidParameterError):
-            index_for_timestamp(indexed, returns.timestamps[1].replace(tzinfo=timezone.utc))
+            index_for_timestamp(indexed, returns.stamps[1].item().replace(tzinfo=timezone.utc))
 
 
 class TestMarks:
@@ -89,11 +89,9 @@ class TestMarks:
         marks = mark_big_jumps(indexed, LabelingConfig(threshold_pct=0.1, direction="both"))
         assert list(marks) == [True, True]
 
-    def test_strict_comparison_option(self):
+    def test_threshold_is_inclusive(self):
         indexed = indexed_from_values([-0.1])
-        inclusive = mark_big_jumps(indexed, LabelingConfig(threshold_pct=0.1))
-        strict = mark_big_jumps(indexed, LabelingConfig(threshold_pct=0.1, strict=True))
-        assert inclusive[0] and not strict[0]
+        assert mark_big_jumps(indexed, LabelingConfig(threshold_pct=0.1))[0]
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(5)
@@ -258,3 +256,16 @@ class TestDatasetCsv:
         assert np.array_equal(back.anchor_index, ds.anchor_index)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.theta, ds.theta)
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("index,f1,f2\n9,0.5,0.25\n", 1),
+        ("index,f1,f2,theta\n9,0.5,0.25,1\n10,0.5,1\n", 3),
+        ("index,f1,f2,theta\n9,0.5,x,1\n", 2),
+        ("index,f1,f2,theta\n9.5,0.5,0.25,1\n", 2),
+    ], ids=["empty", "header", "short-row", "non-numeric", "fractional-index"])
+    def test_malformed_file_names_its_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            read_dataset_csv(io.StringIO(text))
+        assert exc.value.line_number == line
+        assert str(exc.value).startswith(f"line {line}: ")

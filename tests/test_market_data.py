@@ -111,8 +111,8 @@ class TestPreprocess:
         assert len(cleaned) == 230
         assert rate == pytest.approx(10.0 / 240.0)
         # morning rows now start at 09:41; afternoon reopen untouched
-        assert cleaned.timestamps[0].strftime("%H:%M") == "09:41"
-        afternoon = [ts for ts in cleaned.timestamps if ts.hour >= 13]
+        assert cleaned.stamps[0].item().strftime("%H:%M") == "09:41"
+        afternoon = [ts for ts in cleaned.stamps.tolist() if ts.hour >= 13]
         assert afternoon[0].strftime("%H:%M") == "13:01"
 
     def test_idempotent_on_fixture(self, fixture_day):
@@ -167,21 +167,21 @@ class TestResample:
         out = resample(series, 30)
         assert len(out) == 4
         assert list(out.closes) == [30.0, 60.0, 90.0, 120.0]
-        assert [ts.strftime("%H:%M") for ts in out.timestamps] == \
+        assert [ts.strftime("%H:%M") for ts in out.stamps.tolist()] == \
             ["10:00", "10:30", "11:00", "11:30"]
 
     def test_full_day_interval_gives_daily_close(self, fixture_day):
         out = resample(fixture_day, 240)
         assert len(out) == 1
         assert out.closes[0] == fixture_day.closes[-1]
-        assert out.timestamps[0] == fixture_day.timestamps[-1]
+        assert out.stamps[0].item() == fixture_day.stamps[-1].item()
 
     def test_composition(self, small_market):
         direct = resample(small_market, 30)
         nested = resample(resample(small_market, 5), 30)
         assert len(direct) == len(nested)
         assert np.array_equal(direct.closes, nested.closes)
-        assert direct.timestamps == nested.timestamps
+        assert direct.stamps.tolist() == nested.stamps.tolist()
 
     def test_bad_interval(self, fixture_day):
         with pytest.raises(InvalidParameterError):
@@ -224,7 +224,7 @@ class TestPctChange:
         keys = out.session_keys()
         for i in range(1, len(out)):
             if keys[i] == keys[i - 1]:
-                assert out.timestamps[i].date() == out.timestamps[i - 1].date()
+                assert out.stamps[i].item().date() == out.stamps[i - 1].item().date()
                 assert out.session[i] == out.session[i - 1]
 
 

@@ -138,7 +138,8 @@ class TestCombine:
         p1 = JumpPath(grid=UNIT_GRID, event_times=np.array([0.3]), event_sizes=np.array([2.0]))
         p2 = JumpPath(grid=UNIT_GRID, event_times=np.array([0.7]), event_sizes=np.array([4.0]))
         out = combine_paths(p1, p2, 0.5, 0.5)
-        assert out.events == [(0.3, 1.0), (0.7, 2.0)]
+        assert out.event_times.tolist() == [0.3, 0.7]
+        assert out.event_sizes.tolist() == [1.0, 2.0]
         assert out.total() == pytest.approx(3.0, abs=0.0)
 
     def test_linearity(self):

@@ -115,11 +115,11 @@ def test_session_lookup_and_load_bars(calendar):
         kept = [k for k, i in enumerate(want) if i is not None]
         assert rejected == len(stamps) - len(kept)
         assert series.stamps.dtype == np.dtype("datetime64[us]")
-        assert series.timestamps == tuple(datetime.fromisoformat(rows[k]) for k in kept)
-        assert series.timestamps == tuple(stamps[k] for k in kept)
+        assert series.stamps.tolist() == [datetime.fromisoformat(rows[k]) for k in kept]
+        assert series.stamps.tolist() == [stamps[k] for k in kept]
         assert same(series.closes, np.array([k + 1.5 for k in kept]))
         assert same(series.session, np.array([want[k] for k in kept], dtype=int))
-        assert same(series.day, np.array([ts.toordinal() for ts in series.timestamps], dtype=np.int64))
+        assert same(series.day, np.array([ts.toordinal() for ts in series.stamps.tolist()], dtype=np.int64))
 
 
 def render(ts: datetime, form: int) -> str:
@@ -144,7 +144,7 @@ def test_outlier_policy_and_preprocess():
         for trim_reopen in (False, True):
             cleaned, rate = preprocess(series, trim, policy, trim_reopen)
             keep = ~brute_force_drop_mask(series, trim, threshold, trim_reopen)
-            assert cleaned.timestamps == tuple(ts for ts, k in zip(series.timestamps, keep) if k)
+            assert cleaned.stamps.tolist() == [ts for ts, k in zip(series.stamps.tolist(), keep) if k]
             assert same(cleaned.closes, series.closes[keep])
             assert same(cleaned.session, series.session[keep])
             assert same(cleaned.stamps, series.stamps[keep])
@@ -159,7 +159,7 @@ def test_resample(interval):
     for _, series in random_series(6, 30):
         sampled = resample(series, interval)
         rows = brute_force_resample(series, interval)
-        assert sampled.timestamps == tuple(series.timestamps[i] for i in rows)
+        assert sampled.stamps.tolist() == [series.stamps[i].item() for i in rows]
         assert same(sampled.closes, series.closes[rows])
         assert same(sampled.session, series.session[rows])
         assert same(sampled.day, series.day[rows])
@@ -171,7 +171,7 @@ def test_pct_change_and_session_keys():
     for _, series in random_series(3, 60):
         returns = pct_change(series)
         stamps, values, sessions = brute_force_pct_change(series)
-        assert returns.timestamps == stamps
+        assert returns.stamps.tolist() == list(stamps)
         assert same(returns.values, values)
         assert same(returns.session, sessions)
         assert same(returns.day, np.array([ts.toordinal() for ts in stamps], dtype=np.int64))
