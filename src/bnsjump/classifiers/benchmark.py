@@ -9,14 +9,13 @@ through the same evaluator under the pseudo-algorithm ``external:<name>``.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from .. import tables
+from ..errors import InvalidParameterError, ParseError
 from ..labeling import LabeledDataset, SplitSpec, split
 from .api import ALGORITHM_IDS, predict, resolve_hyperparams, train
 from .metrics import ClassReport, evaluate
@@ -34,24 +33,18 @@ class BenchmarkCell:
 
 
 def load_external_predictions(source) -> dict[int, int]:
-    """Read an ``index,predicted_theta`` CSV into an index -> label map."""
-    fh = open(source, "r", encoding="utf-8", newline="") if isinstance(source, (str, Path)) else source
-    try:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip().lower() for h in header] != ["index", "predicted_theta"]:
-            raise InvalidParameterError(f"expected header 'index,predicted_theta', got {header!r}")
-        out: dict[int, int] = {}
-        for row in reader:
-            if not row:
-                continue
-            label = int(row[1])
-            if label not in (0, 1):
-                raise InvalidParameterError(f"predicted_theta must be 0 or 1, got {label}")
-            out[int(row[0])] = label
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
+    """Read an ``index,predicted_theta`` CSV, from a path or a text file, into
+    an index -> label map; a malformed file raises ParseError naming its line."""
+    out: dict[int, int] = {}
+    with tables.csv_rows(source, ("index", "predicted_theta")) as (_, rows):
+        for row in rows:
+            try:
+                index, theta = int(row[0]), int(row[1])
+            except ValueError:
+                raise ParseError(f"non-integer field in {','.join(row)!r}") from None
+            if theta not in (0, 1):
+                raise ParseError(f"predicted_theta must be 0 or 1, got {theta}")
+            out[index] = theta
     return out
 
 
@@ -125,20 +118,13 @@ def run_benchmark(
     return cells
 
 
-def _row(cell: BenchmarkCell) -> list:
-    r0, r1 = cell.report.class0, cell.report.class1
-    return [cell.algorithm, r0.precision, r0.recall, r0.f1, r0.support,
-            r1.precision, r1.recall, r1.f1, r1.support]
-
-
 def write_benchmark_csv(fileobj, cells: list[BenchmarkCell]) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["split"] + REPORT_COLUMNS)
-    for cell in cells:
-        row = _row(cell)
-        writer.writerow([cell.split_name, row[0]]
-                        + [repr(float(x)) for x in row[1:4]] + [row[4]]
-                        + [repr(float(x)) for x in row[5:8]] + [row[8]])
+    def metrics(m) -> list:
+        return [tables.cell(m.precision), tables.cell(m.recall), tables.cell(m.f1), m.support]
+
+    tables.write_rows(fileobj, ["split"] + REPORT_COLUMNS, (
+        [cell.split_name, cell.algorithm, *metrics(cell.report.class0), *metrics(cell.report.class1)]
+        for cell in cells))
 
 
 def format_benchmark_text(cells: list[BenchmarkCell]) -> str:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..seeding import substream
+from .linear import _sigmoid
 from .tree import DecisionTreeClassifier, RegressionTree, _presort
 
 
@@ -49,10 +50,6 @@ class RandomForestClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_score(X) > 0.5).astype(int)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 class GradientBoostClassifier:

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime
 from functools import partial
 from io import StringIO
@@ -46,7 +46,7 @@ from .classifiers import (
 )
 from .classifiers.api import predict, resolve_hyperparams, train as train_model
 from .classifiers.metrics import evaluate
-from .errors import InvalidParameterError, NumericOverflowError, OrderingError, ParseError
+from .errors import InvalidParameterError, NumericOverflowError, ParseError
 from .labeling import (
     DIRECTIONS,
     LabeledDataset,
@@ -62,6 +62,7 @@ from .labeling import (
 )
 from .market_data import SessionCalendar
 from .subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path, subordinator_moments
+from .tables import dumps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,7 +89,7 @@ class StageError(Exception):
 # its cause, and a stage failing for any other reason is a configuration error.
 EXIT_CODES = (
     ((ConfigError, InvalidParameterError), EXIT_CONFIG),
-    ((OSError, ParseError, OrderingError), EXIT_IO),
+    ((OSError, ParseError), EXIT_IO),  # OrderingError is a ParseError
     ((AssertionError, NumericOverflowError), EXIT_INTERNAL),
 )
 
@@ -306,10 +307,6 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -395,7 +392,7 @@ def cmd_simulate(args) -> int:
         },
         "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
     }
-    (out_dir / "summary.json").write_text(_json(summary), encoding="utf-8")
+    (out_dir / "summary.json").write_text(dumps(summary), encoding="utf-8")
     print(f"simulate: wrote {n} paths to {paths_dir}")
     return EXIT_OK
 
@@ -442,8 +439,7 @@ def _read_labeled(path: str) -> LabeledDataset:
     the CSV does not hold; ``label`` records it as ``n_returns`` in the
     ``label.json`` it writes beside the CSV.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        dataset = read_dataset_csv(fh)
+    dataset = read_dataset_csv(path)
     info = Path(path).with_name("label.json")
     if not info.exists():
         return dataset
@@ -472,11 +468,7 @@ def _fit(run) -> dict:
                "hyperparams": model.metadata["hyperparams"], "degenerate": model.degenerate}
     if len(test_set):
         report = evaluate(predict(model, test_set.features), test_set.theta)
-        payload["test"] = {
-            "n": report.n, "accuracy": report.accuracy,
-            "class0": report.class0.__dict__ | {"zero_division": list(report.class0.zero_division)},
-            "class1": report.class1.__dict__ | {"zero_division": list(report.class1.zero_division)},
-        }
+        payload["test"] = asdict(report)
     return payload
 
 
@@ -513,19 +505,19 @@ def _summary(run) -> dict:
 # output file -> writer(text file, run)
 OUTPUTS = {
     "bars_clean.csv": lambda fh, r: market_data.write_bars_csv(fh, r.clean),
-    "ingest.json": lambda fh, r: fh.write(_json(r.info)),
+    "ingest.json": lambda fh, r: fh.write(dumps(r.info)),
     "stats.csv": lambda fh, r: market_data.write_stats_csv(fh, r.stats),
     "stats.json": lambda fh, r: fh.write(market_data.stats_to_json(r.stats)),
     "rv_day.csv": lambda fh, r: market_data.write_rv_csv(fh, r.rv),
     "rv_day.json": lambda fh, r: fh.write(market_data.rv_to_json(r.rv)),
     "labeled.csv": lambda fh, r: write_dataset_csv(fh, r.dataset),
-    "label.json": lambda fh, r: fh.write(_json(_label_counts(r))),
+    "label.json": lambda fh, r: fh.write(dumps(_label_counts(r))),
     "reports.csv": lambda fh, r: write_benchmark_csv(fh, r.cells),
     "reports.txt": lambda fh, r: fh.write(format_benchmark_text(r.cells)),
     "hyperparams_used.json": lambda fh, r: fh.write(
-        _json({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
-    "summary.json": lambda fh, r: fh.write(_json(_summary(r))),
-    "train_report.json": lambda fh, r: fh.write(_json(r.trained)),
+        dumps({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
+    "summary.json": lambda fh, r: fh.write(dumps(_summary(r))),
+    "train_report.json": lambda fh, r: fh.write(dumps(r.trained)),
 }
 
 LABEL_STAGES = ("ingest", "resample", "pct_change", "index", "mark", "label")

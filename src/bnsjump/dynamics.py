@@ -31,13 +31,13 @@ single-subordinator model that the theta=0 case must reproduce exactly.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tables
 from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError
 from .seeding import BROWNIAN_STREAM, NOISE_STREAM, substream
 from .subordinators import (
@@ -355,25 +355,15 @@ def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) ->
         fileobj.write("".join([row % values for values in chunk]))
 
 
-def read_path_csv(fileobj) -> dict[str, np.ndarray | None]:
+def read_path_csv(source) -> dict[str, np.ndarray | None]:
     """Read a path CSV written by `write_path_csv` back into arrays.
 
-    Blank lines are skipped; a row without exactly one field per header
-    column raises `InvalidParameterError` naming its line.
+    The file follows the `tables` dialect: blank lines are skipped, and a
+    row without exactly one field per header column raises `ParseError`
+    naming its line.
     """
-    reader = csv.reader(fileobj)
-    header = next(reader)
-    if header != PATH_CSV_HEADER:
-        raise InvalidParameterError(f"unexpected path CSV header: {header}")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(PATH_CSV_HEADER):
-            raise InvalidParameterError(f"path CSV line {reader.line_num}: expected "
-                                        f"{len(PATH_CSV_HEADER)} fields, got {len(row)}")
-        rows.append(row)
-    cols = list(zip(*rows)) or [()] * len(PATH_CSV_HEADER)
+    with tables.csv_rows(source, PATH_CSV_HEADER) as (_, rows):
+        cols = list(zip(*rows)) or [()] * len(PATH_CSV_HEADER)
     out: dict[str, np.ndarray | None] = {}
     for name, col in zip(PATH_CSV_HEADER, cols):
         if name in ("x_observed", "noise") and all(c == "" for c in col):

@@ -23,5 +23,5 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-class OrderingError(ValueError):
-    """Timestamps are not strictly increasing."""
+class OrderingError(ParseError):
+    """Timestamps are not strictly increasing; malformed input like any other."""

@@ -10,15 +10,15 @@ anchors that would are dropped rather than padded.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
 
+from . import tables
 from .errors import InvalidParameterError, ParseError
-from .market_data import ReturnSeries, float_texts
+from .market_data import ReturnSeries
 
 log = logging.getLogger(__name__)
 
@@ -222,32 +222,24 @@ def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
         fileobj.write("".join(
             ",".join([repr(i), *row, repr(t)]) + "\n"
             for i, row, t in zip(dataset.anchor_index[chunk].tolist(),
-                                 float_texts(dataset.features[chunk]).tolist(),
+                                 tables.float_texts(dataset.features[chunk]).tolist(),
                                  dataset.theta[chunk].tolist())))
 
 
-def read_dataset_csv(fileobj) -> LabeledDataset:
-    """Parse what ``write_dataset_csv`` writes; a malformed file raises
-    ParseError naming its line."""
-    reader = csv.reader(fileobj)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty file, expected header 'index,f1..fW,theta'", 1)
-    w = len(header) - 2
-    if header != _dataset_header(w):
-        raise ParseError(f"expected header 'index,f1..fW,theta', got {','.join(header)!r}", 1)
+def read_dataset_csv(source) -> LabeledDataset:
+    """Parse what ``write_dataset_csv`` writes, from a path or a text file; a
+    malformed file raises ParseError naming its line."""
     anchors: list[int] = []
     feats: list[list[float]] = []
     targets: list[int] = []
-    for row in reader:
-        if len(row) != w + 2:
-            raise ParseError(f"expected {w + 2} fields, got {len(row)}", reader.line_num)
-        try:
-            anchors.append(int(row[0]))
-            feats.append([float(x) for x in row[1:-1]])
-            targets.append(int(row[-1]))
-        except ValueError:
-            raise ParseError(f"non-numeric field in {','.join(row)!r}", reader.line_num) from None
+    with tables.csv_rows(source, lambda n: _dataset_header(n - 2), "index,f1..fW,theta") as (header, rows):
+        for row in rows:
+            try:
+                anchors.append(int(row[0]))
+                feats.append([float(x) for x in row[1:-1]])
+                targets.append(int(row[-1]))
+            except ValueError:
+                raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
     return LabeledDataset(anchor_index=np.array(anchors, dtype=int),
-                          features=np.array(feats) if feats else np.empty((0, w)),
+                          features=np.array(feats) if feats else np.empty((0, len(header) - 2)),
                           theta=np.array(targets, dtype=int))

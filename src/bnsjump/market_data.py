@@ -16,19 +16,16 @@ Realized measures per window:
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, datetime, time, timedelta
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import tables
 from .errors import InvalidParameterError, OrderingError, ParseError
 
 log = logging.getLogger(__name__)
@@ -185,16 +182,6 @@ class ReturnSeries(_Stamped):
         return np.cumsum(_block_starts(self)) - 1
 
 
-def _open_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.BytesIO) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    return source
-
-
 def _parse_stamps(texts: list[str]) -> np.ndarray:
     """datetime64[us] of texts ``datetime.fromisoformat`` read as naive.  numpy parses the
     common ISO forms at once; it fails (or first warns of a timezone) on the rest."""
@@ -214,45 +201,29 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
     line number and non-monotone timestamps raise OrderingError.
     """
     calendar = calendar or SessionCalendar()
-    fh = _open_text(source)
-    close_after = isinstance(source, (str, Path))
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected header 'timestamp,close'", 1) from None
-        if [h.strip().lower() for h in header] != ["timestamp", "close"]:
-            raise ParseError(f"expected header 'timestamp,close', got {','.join(header)!r}", 1)
-        texts: list[str] = []
-        closes: list[float] = []
-        prev: datetime | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line_no)
-            text = row[0].strip()
+    texts: list[str] = []
+    closes: list[float] = []
+    prev: datetime | None = None
+    with tables.csv_rows(source, ("timestamp", "close")) as (_, rows):
+        for stamp, close_text in rows:
+            text = stamp.strip()
             try:
                 ts = datetime.fromisoformat(text)
             except ValueError:
-                raise ParseError(f"bad timestamp {row[0]!r}", line_no) from None
+                raise ParseError(f"bad timestamp {stamp!r}") from None
             if ts.tzinfo is not None:
-                raise ParseError(f"timezone-aware timestamp {row[0]!r}", line_no)
+                raise ParseError(f"timezone-aware timestamp {stamp!r}")
             try:
-                close = float(row[1])
+                close = float(close_text)
             except ValueError:
-                raise ParseError(f"bad close {row[1]!r}", line_no) from None
+                raise ParseError(f"bad close {close_text!r}") from None
             if not math.isfinite(close):
-                raise ParseError(f"non-finite close {row[1]!r}", line_no)
+                raise ParseError(f"non-finite close {close_text!r}")
             if prev is not None and ts <= prev:
-                raise OrderingError(f"line {line_no}: timestamp {ts} not after {prev}")
+                raise OrderingError(f"timestamp {ts} not after {prev}")
             prev = ts
             texts.append(text)
             closes.append(close)
-    finally:
-        if close_after:
-            fh.close()
     stamps = _parse_stamps(texts)
     session = calendar.session_indices(stamps)
     kept = session >= 0
@@ -453,79 +424,44 @@ RV_CSV_HEADER = ["window", "window_end", "realized_volatility", "bipower_variati
                  "jump_component"]
 
 
-def _fmt(x: float) -> str:
-    return "" if isinstance(x, float) and math.isnan(x) else repr(float(x))
-
-
 def write_stats_csv(fileobj, reports: dict[str, StatsReport]) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(STATS_CSV_HEADER)
-    for key in sorted(reports):
-        r = reports[key]
-        writer.writerow([key, r.count, _fmt(r.mean), _fmt(r.median), _fmt(r.minimum),
-                         _fmt(r.maximum), _fmt(r.skewness), _fmt(r.excess_kurtosis)])
+    tables.write_rows(fileobj, STATS_CSV_HEADER, (
+        [key, r.count, *map(tables.cell, (r.mean, r.median, r.minimum, r.maximum,
+                                          r.skewness, r.excess_kurtosis))]
+        for key, r in sorted(reports.items())))
 
 
 def stats_to_json(reports: dict[str, StatsReport]) -> str:
-    payload = {
-        key: {
-            "count": r.count, "mean": r.mean, "median": r.median,
-            "minimum": r.minimum, "maximum": r.maximum,
-            "skewness": r.skewness,
-            "excess_kurtosis": None if math.isnan(r.excess_kurtosis) else r.excess_kurtosis,
-        }
-        for key, r in reports.items()
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return tables.dumps({key: asdict(r) for key, r in reports.items()})
 
 
 def write_rv_csv(fileobj, rv: RVSeries) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(RV_CSV_HEADER)
-    for i in range(len(rv)):
-        writer.writerow([
-            rv.labels[i], rv.window_end[i].isoformat(sep=" "),
-            _fmt(rv.realized_volatility[i]), _fmt(rv.bipower_variation[i]),
-            _fmt(rv.jump_component[i]),
-        ])
+    tables.write_rows(fileobj, RV_CSV_HEADER, (
+        [rv.labels[i], rv.window_end[i].isoformat(sep=" "), tables.cell(rv.realized_volatility[i]),
+         tables.cell(rv.bipower_variation[i]), tables.cell(rv.jump_component[i])]
+        for i in range(len(rv))))
 
 
 def rv_to_json(rv: RVSeries) -> str:
-    def opt(x: float):
-        return None if math.isnan(x) else float(x)
-
-    payload = {
+    return tables.dumps({
         rv.labels[i]: {
             "window_end": rv.window_end[i].isoformat(sep=" "),
             "realized_volatility": float(rv.realized_volatility[i]),
-            "bipower_variation": opt(rv.bipower_variation[i]),
-            "jump_component": opt(rv.jump_component[i]),
+            "bipower_variation": float(rv.bipower_variation[i]),
+            "jump_component": float(rv.jump_component[i]),
         }
         for i in range(len(rv))
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def float_texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every float, as an object array of the same shape.
-
-    Each distinct bit pattern is formatted once and shared by every cell
-    holding it, which pays off where values repeat (overlapping feature
-    windows, prices moving in ticks).
-    """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    return text[inverse.reshape(values.shape)]
+    })
 
 
 def write_bars_csv(fileobj, series: BarSeries) -> None:
     """Serialize as ``timestamp,close``: stamps as ``isoformat(sep=" ")``
     writes them, with a fraction only when it is non-zero, and closes in
-    round-trip ``repr``.  No field ever needs CSV quoting."""
+    round-trip ``repr``.  No field ever needs CSV quoting, so rows are
+    joined directly, in a third of the time ``tables.write_rows`` takes."""
     stamps = np.datetime_as_string(series.stamps, unit="s").astype(object)
     fraction = np.flatnonzero(series.stamps.astype(np.int64) % 1_000_000)
     stamps[fraction] = np.datetime_as_string(series.stamps[fraction], unit="us")
     fileobj.write("timestamp,close\n")
     fileobj.write("".join(f"{ts.replace('T', ' ')},{close}\n" for ts, close in
-                          zip(stamps.tolist(), float_texts(series.closes).tolist())))
+                          zip(stamps.tolist(), tables.float_texts(series.closes).tolist())))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnsjump import cli
+from bnsjump import cli, synthetic
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
 from bnsjump.market_data import write_bars_csv
@@ -314,6 +314,42 @@ class TestDataCommands:
         code = main([subcommand, "--dataset", str(dataset), "--out", str(tmp_path / "o")] + flags)
         assert code == EXIT_IO
         assert f"stage 'load_labeled': line {line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("index,predicted_theta\n5\n", 2),
+        ("index,predicted_theta\n5,x\n", 2),
+        ("index,predicted_theta\n4,1\n5,2\n", 3),
+        ("index,theta\n5,1\n", 1),
+    ], ids=["empty", "one-field", "non-integer", "label-2", "header"])
+    @pytest.mark.parametrize("subcommand", ["report", "pipeline"])
+    def test_malformed_external_predictions_is_io_error(self, tmp_path, capsys, bars_csv,
+                                                         subcommand, text, line):
+        external = tmp_path / "ext.csv"
+        external.write_text(text, encoding="utf-8")
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
+                           encoding="utf-8")
+        argv = {"report": ["--dataset", str(dataset), "--split", "T=0:5/6:10"],
+                "pipeline": ["--input", str(bars_csv)] + PIPELINE_FLAGS}[subcommand]
+        code = main([subcommand, "--out", str(tmp_path / "o"), "--algorithms", "knn",
+                     "--external", f"ext={external}"] + argv)
+        assert code == EXIT_IO
+        assert f"stage 'benchmark': line {line}: " in capsys.readouterr().err
+
+    def test_stats_json_is_strict(self, tmp_path):
+        """A month of two daily closes has no skewness or kurtosis; both are written as null."""
+        bars = tmp_path / "edge.csv"
+        assert synthetic.main(["--out", str(bars), "--days", "4", "--start", "2021-01-30"]) == 0
+        out = tmp_path / "st"
+        assert main(["stats", "--input", str(bars), "--out", str(out), "--interval", "240",
+                     "--group-by", "month"]) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        stats = json.loads((out / "stats.json").read_text(), parse_constant=refuse)
+        assert {month: stats[month]["skewness"] for month in stats} == {"2021-01": None, "2021-02": None}
 
 
 class TestPipeline:

@@ -23,7 +23,7 @@ from bnsjump.dynamics import (
     simulate_variance_path,
     simulate_variance_path_classical,
 )
-from bnsjump.errors import GridMismatchError, InvalidParameterError, NumericOverflowError
+from bnsjump.errors import GridMismatchError, InvalidParameterError, NumericOverflowError, ParseError
 from bnsjump.subordinators import JumpPath, SubordinatorSpec, TimeGrid, sample_subordinator_path
 
 GRID = TimeGrid(0.0, 0.01, 100)
@@ -321,7 +321,7 @@ class TestPathCsv:
     @pytest.mark.parametrize("bad_row, fields", [("0.02,1.0,0.0", 3), ("0.02,1.0,0.0,,,7", 6)])
     def test_row_with_wrong_field_count(self, bad_row, fields):
         text = "t,sigma_sq,x_true,x_observed,noise\n0.0,1.0,0.0,,\n0.01,1.0,0.0,,\n"
-        with pytest.raises(InvalidParameterError, match=f"line 4: expected 5 fields, got {fields}"):
+        with pytest.raises(ParseError, match=f"line 4: expected 5 fields, got {fields}"):
             read_path_csv(io.StringIO(text + bad_row + "\n0.03,1.0,0.0,,\n"))
         back = read_path_csv(io.StringIO(text + "\n"))
         assert np.array_equal(back["t"], [0.0, 0.01]) and back["noise"] is None
