@@ -34,7 +34,8 @@ class BenchmarkCell:
 
 def load_external_predictions(source) -> dict[int, int]:
     """Read an ``index,predicted_theta`` CSV, from a path or a text file, into
-    an index -> label map; a malformed file raises ParseError naming its line."""
+    an index -> label map; a malformed file or a repeated index raises
+    ParseError naming its line."""
     out: dict[int, int] = {}
     with tables.csv_rows(source, ("index", "predicted_theta")) as (_, rows):
         for row in rows:
@@ -44,6 +45,8 @@ def load_external_predictions(source) -> dict[int, int]:
                 raise ParseError(f"non-integer field in {','.join(row)!r}") from None
             if theta not in (0, 1):
                 raise ParseError(f"predicted_theta must be 0 or 1, got {theta}")
+            if index in out:
+                raise ParseError(f"index {index} repeated")
             out[index] = theta
     return out
 

@@ -452,7 +452,12 @@ def _read_labeled(path: str) -> LabeledDataset:
 
 def _benchmark(run):
     algorithms = [a.strip() for a in run.opts["algorithms"].split(",") if a.strip()]
-    external = {name: load_external_predictions(path) for name, path in sorted(run.external.items())}
+    external = {}
+    for name, path in sorted(run.external.items()):
+        try:
+            external[name] = load_external_predictions(path)
+        except ParseError as exc:  # name the file among several --external
+            raise ParseError(f"{name}={path}: {exc}") from None
     return run_benchmark(run.dataset, run.splits, algorithms, run.bank, seed=run.opts["seed"],
                          external=external, max_workers=run.opts["threads"])
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tables
-from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError
+from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError, ParseError
 from .seeding import BROWNIAN_STREAM, NOISE_STREAM, substream
 from .subordinators import (
     JumpPath,
@@ -116,7 +116,7 @@ class LogPricePath:
 def _require_same_grid(*objs) -> TimeGrid:
     grid = objs[0].grid
     for o in objs[1:]:
-        if o.grid != grid:
+        if o.grid is not grid and o.grid != grid:
             raise GridMismatchError("inputs must share the same time grid")
     return grid
 
@@ -124,9 +124,10 @@ def _require_same_grid(*objs) -> TimeGrid:
 def _recur(v: float, factor: float, deposits: list[float]) -> np.ndarray:
     """Values v, then v_{k+1} = factor * v_k + deposits[k], in Python floats."""
     values = [v]
+    append = values.append
     for d in deposits:
         v = factor * v + d
-        values.append(v)
+        append(v)
     return np.array(values)
 
 
@@ -202,10 +203,11 @@ def _euler_log_price(grid: TimeGrid, params: ModelParams, sigma_sq: np.ndarray,
         brownian = sigma * dw
     else:
         brownian = 0.0
+    x = np.zeros(grid.n_steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         increments = drift + brownian + params.rho * jump_increments
-        x = np.concatenate([[0.0], np.cumsum(increments)])
-    if not np.all(np.isfinite(x)):
+        np.cumsum(increments, out=x[1:])
+    if not np.isfinite(x).all():
         raise NumericOverflowError("log price accumulated a non-finite value")
     return x
 
@@ -333,6 +335,7 @@ def correlation_generalized(var_path: VariancePath, z: JumpPath, zb: JumpPath,
 
 
 PATH_CSV_HEADER = ["t", "sigma_sq", "x_true", "x_observed", "noise"]
+PATH_CSV_OPTIONAL = ("x_observed", "noise")  # written empty when the path has no noise
 PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the transient row strings
 
 
@@ -359,18 +362,29 @@ def read_path_csv(source) -> dict[str, np.ndarray | None]:
     """Read a path CSV written by `write_path_csv` back into arrays.
 
     The file follows the `tables` dialect: blank lines are skipped, and a
-    row without exactly one field per header column raises `ParseError`
-    naming its line.
+    row without exactly one field per header column, or with a field that
+    is not a float, raises `ParseError` naming its line.  x_observed and
+    noise are each empty in every row (read as None) or in none.
     """
+    cols: list[list[float] | None] | None = None
     with tables.csv_rows(source, PATH_CSV_HEADER) as (_, rows):
-        cols = list(zip(*rows)) or [()] * len(PATH_CSV_HEADER)
-    out: dict[str, np.ndarray | None] = {}
-    for name, col in zip(PATH_CSV_HEADER, cols):
-        if name in ("x_observed", "noise") and all(c == "" for c in col):
-            out[name] = None
-        else:
-            out[name] = np.array(list(map(float, col)))
-    return out
+        for row in rows:
+            try:
+                cells = [None if name in PATH_CSV_OPTIONAL and not f else float(f)
+                         for name, f in zip(PATH_CSV_HEADER, row)]
+            except ValueError:
+                raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
+            if cols is None:
+                cols = [None if c is None else [] for c in cells]
+            elif any((c is None) != (col is None) for c, col in zip(cells, cols)):
+                raise ParseError("x_observed and noise must be empty in every row or in none")
+            for c, col in zip(cells, cols):
+                if col is not None:
+                    col.append(c)
+    if cols is None:
+        cols = [None if name in PATH_CSV_OPTIONAL else [] for name in PATH_CSV_HEADER]
+    return {name: None if col is None else np.array(col, dtype=float)
+            for name, col in zip(PATH_CSV_HEADER, cols)}
 
 
 def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:

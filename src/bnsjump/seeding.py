@@ -23,5 +23,5 @@ def substream(seed, *key: int) -> np.random.Generator:
         entropy = [int(seed)]
     else:
         entropy = [int(s) for s in seed]
-    entropy.extend(int(k) for k in key)
+    entropy += map(int, key)
     return np.random.default_rng(entropy)

@@ -50,7 +50,14 @@ class TimeGrid:
         return self.t0 + self.n_steps * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        """The n_steps + 1 grid times.  Computed on the first call and
+        returned as the same read-only array on every later one."""
+        times = self.__dict__.get("_times")
+        if times is None:
+            times = self.t0 + self.dt * np.arange(self.n_steps + 1)
+            times.flags.writeable = False
+            object.__setattr__(self, "_times", times)
+        return times
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,9 @@ class SubordinatorSpec:
 class JumpPath:
     """A sampled subordinator path: events plus the running sum on a grid.
 
-    ``cumulative[k]`` is the sum of sizes of all events with time <= t_k,
-    so it is a nondecreasing step function starting at 0.
+    ``event_times`` are ascending (the samplers and `combine_paths` sort
+    them), and ``cumulative[k]`` is the sum of sizes of all events with
+    time <= t_k, so it is a nondecreasing step function starting at 0.
     """
 
     grid: TimeGrid
@@ -95,7 +103,8 @@ class JumpPath:
 
     def increments(self) -> np.ndarray:
         """Per-step increments of the cumulative sum (length n_steps)."""
-        return np.diff(self.cumulative)
+        c = self.cumulative
+        return c[1:] - c[:-1]
 
     def total(self) -> float:
         """Value at the end of the horizon."""
@@ -103,9 +112,9 @@ class JumpPath:
 
 
 def _cumulative_on_grid(grid: TimeGrid, times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    running = np.concatenate([[0.0], np.cumsum(sizes)])
-    idx = np.searchsorted(times, grid.times(), side="right")
-    return running[idx]
+    running = np.zeros(len(sizes) + 1)
+    np.cumsum(sizes, out=running[1:])
+    return running[np.searchsorted(times, grid.times(), side="right")]
 
 
 def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: TimeGrid, seed) -> JumpPath:
@@ -123,7 +132,8 @@ def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: Ti
         times = np.empty(0)
         sizes = np.empty(0)
     else:
-        times = np.sort(rng.uniform(grid.t0, grid.t_end, n))
+        times = rng.uniform(grid.t0, grid.t_end, n)
+        times.sort()
         sizes = rng.exponential(1.0 / spec.jump_rate, n)
     return JumpPath(grid=grid, event_times=times, event_sizes=sizes)
 
@@ -197,7 +207,7 @@ def combine_paths(p1: JumpPath, p2: JumpPath, w1: float, w2: float) -> JumpPath:
     if times:
         times = np.concatenate(times)
         sizes = np.concatenate(sizes)
-        order = np.argsort(times, kind="stable")
+        order = times.argsort(kind="stable")
         times = times[order]
         sizes = sizes[order]
     else:
@@ -214,5 +224,6 @@ def realized_jump_energy(path: JumpPath, upto: float) -> float:
     quantity whose expectation over a unit of scaled time is Var[Z_1]; the
     correlation functionals consume it.
     """
-    mask = path.event_times <= upto
-    return float(np.sum(path.event_sizes[mask] ** 2))
+    # event times ascend, so the events up to ``upto`` are a prefix
+    k = path.event_times.searchsorted(upto, "right")
+    return float((path.event_sizes[:k] ** 2).sum())

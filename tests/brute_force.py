@@ -1,10 +1,13 @@
 """Independent brute-force re-derivations of the data and labeling stages,
-of the CSV writers, of the variance recursions and of the learners.
+of the CSV writers, of the variance recursions, of the path kernels and of
+the learners.
 
 Deliberately literal: explicit loops over rows, explicit day and session
 equality checks and explicit mark counting over the lookahead rows; the
 trees re-sort every feature at every node and scan features one at a time;
-k-means and the SVM recompute every per-fit term inside their loops.
+k-means and the SVM recompute every per-fit term inside their loops; the
+path kernels keep the concatenate, ``np.diff`` and boolean-mask forms and
+recompute the grid times on every call.
 The row-level logic shares no code with the package implementation so the
 two can check each other; only the per-group formulas the vectorized code
 leaves untouched (skewness/kurtosis, the BV scale), the seeded streams and
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from bnsjump.market_data import BV_SCALE, StatsReport, _skew_kurt
-from bnsjump.seeding import substream
+from bnsjump.seeding import BROWNIAN_STREAM, substream
 
 
 def brute_force_dataset(values, session_keys, marks, window_len, lookahead,
@@ -302,6 +305,33 @@ def brute_force_euler_variance(sigma0_sq, shrink, increments):
         v = shrink * v + increments[k]
         values[k + 1] = v
     return values
+
+
+def brute_force_grid_times(grid):
+    return grid.t0 + grid.dt * np.arange(grid.n_steps + 1)
+
+
+def brute_force_cumulative_on_grid(grid, times, sizes):
+    """Running event sum at each grid time: a zero concatenated before ``np.cumsum``."""
+    running = np.concatenate([[0.0], np.cumsum(sizes)])
+    return running[np.searchsorted(times, brute_force_grid_times(grid), side="right")]
+
+
+def brute_force_jump_energy(times, sizes, upto):
+    """Sum of squared sizes of the events at or before ``upto``, by a boolean mask."""
+    return float(np.sum(sizes[times <= upto] ** 2))
+
+
+def brute_force_euler_log_price(grid, params, sigma_sq, jump_increments, seed, diffusion):
+    """Euler log price with the running sum concatenated after a zero."""
+    dt = grid.dt
+    drift = (params.mu + params.beta * sigma_sq[:-1]) * dt
+    brownian = 0.0
+    if diffusion:
+        dw = math.sqrt(dt) * substream(seed, BROWNIAN_STREAM).standard_normal(grid.n_steps)
+        brownian = np.sqrt(sigma_sq[:-1]) * dw
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([[0.0], np.cumsum(drift + brownian + params.rho * jump_increments)])
 
 
 def brute_force_gini_split(X, y, idx, features, min_leaf):

@@ -10,7 +10,7 @@ from bnsjump.classifiers import (
     run_benchmark,
     write_benchmark_csv,
 )
-from bnsjump.errors import InvalidParameterError
+from bnsjump.errors import InvalidParameterError, ParseError
 from bnsjump.labeling import LabeledDataset, SplitSpec
 
 FAST_ALGS = ["knn", "naive_bayes_gaussian", "decision_tree"]
@@ -78,6 +78,12 @@ class TestRunBenchmark:
             run_benchmark(ds, [SplitSpec(train=(0, 299), test=(300, 399), name="T")],
                           algorithms=["knn"],
                           external={"x": load_external_predictions(path)})
+
+    def test_external_repeated_index_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("index,predicted_theta\n5,1\n5,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 3: index 5 repeated$"):
+            load_external_predictions(path)
 
     def test_empty_split_rejected(self):
         ds = noisy_dataset()

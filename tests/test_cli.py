@@ -321,7 +321,8 @@ class TestDataCommands:
         ("index,predicted_theta\n5,x\n", 2),
         ("index,predicted_theta\n4,1\n5,2\n", 3),
         ("index,theta\n5,1\n", 1),
-    ], ids=["empty", "one-field", "non-integer", "label-2", "header"])
+        ("index,predicted_theta\n5,1\n5,0\n", 3),
+    ], ids=["empty", "one-field", "non-integer", "label-2", "header", "repeated-index"])
     @pytest.mark.parametrize("subcommand", ["report", "pipeline"])
     def test_malformed_external_predictions_is_io_error(self, tmp_path, capsys, bars_csv,
                                                          subcommand, text, line):
@@ -335,7 +336,26 @@ class TestDataCommands:
         code = main([subcommand, "--out", str(tmp_path / "o"), "--algorithms", "knn",
                      "--external", f"ext={external}"] + argv)
         assert code == EXIT_IO
-        assert f"stage 'benchmark': line {line}: " in capsys.readouterr().err
+        assert f"stage 'benchmark': ext={external}: line {line}: " in capsys.readouterr().err
+
+    def test_bad_external_among_several_is_named(self, tmp_path, capsys):
+        """With several --external files, the error names the bad one, which
+        is read after a good one."""
+        good = tmp_path / "good.csv"
+        good.write_text("index,predicted_theta\n" + "".join(f"{i},1\n" for i in range(11)),
+                        encoding="utf-8")
+        bad = tmp_path / "one_field.csv"
+        bad.write_text("index,predicted_theta\n5\n", encoding="utf-8")
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
+                           encoding="utf-8")
+        code = main(["report", "--dataset", str(dataset), "--out", str(tmp_path / "o"),
+                     "--split", "T=0:5/6:10", "--algorithms", "knn",
+                     "--external", f"second={bad}", "--external", f"first={good}"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"stage 'benchmark': second={bad}: line 2: expected 2 fields, got 1" in err
+        assert "first=" not in err
 
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""

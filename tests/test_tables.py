@@ -1,8 +1,9 @@
 """The file dialect that every CSV reader shares (``bnsjump.tables``).
 
 Each reader is given the same malformed and well-formed files: an empty
-file and a wrong header fail at line 1, a short row fails at its own line,
-blank lines are skipped and the header is matched case-insensitively.
+file and a wrong header fail at line 1, a short row or a non-numeric field
+fails at its own line, blank lines are skipped and the header is matched
+case-insensitively.
 """
 
 import json
@@ -17,18 +18,19 @@ from bnsjump.errors import ParseError
 from bnsjump.labeling import read_dataset_csv
 from bnsjump.market_data import load_bars
 
-# reader -> (function of a path, header, two good rows, a short row, rows read from its result)
+# reader -> (function of a path, header, two good rows, a short row, a row with a
+# non-numeric field, rows read from its result)
 READERS = {
     "load_bars": (load_bars, "timestamp,close",
                   ["2021-01-04 09:31:00,5000", "2021-01-04 09:32:00,5001"], "2021-01-04 09:33:00",
-                  lambda result: len(result[0])),
+                  "2021-01-04 09:33:00,x", lambda result: len(result[0])),
     "read_dataset_csv": (read_dataset_csv, "index,f1,theta", ["9,0.5,1", "10,0.25,0"], "11,0.5",
-                         len),
+                         "11,x,0", len),
     "read_path_csv": (read_path_csv, "t,sigma_sq,x_true,x_observed,noise",
-                      ["0.0,1.0,0.0,,", "0.01,1.0,0.5,,"], "0.02,1.0,0.0",
+                      ["0.0,1.0,0.0,,", "0.01,1.0,0.5,,"], "0.02,1.0,0.0", "0.01,x,0.0,,",
                       lambda result: len(result["t"])),
     "load_external_predictions": (load_external_predictions, "index,predicted_theta",
-                                  ["9,1", "10,0"], "11", len),
+                                  ["9,1", "10,0"], "11", "11,x", len),
 }
 
 
@@ -40,23 +42,24 @@ def read(tmp_path, reader: str, *lines: str):
 
 @pytest.mark.parametrize("reader", list(READERS))
 class TestDialect:
-    @pytest.mark.parametrize("case", ["empty", "header", "short-row"])
+    @pytest.mark.parametrize("case", ["empty", "header", "short-row", "non-numeric"])
     def test_malformed_file_names_its_line(self, tmp_path, reader, case):
-        _, header, good, short, _ = READERS[reader]
+        _, header, good, short, non_numeric, _ = READERS[reader]
         lines, line = {"empty": ((), 1),
                        "header": (("a,b", *good), 1),
-                       "short-row": ((header, good[0], short, good[1]), 3)}[case]
+                       "short-row": ((header, good[0], short, good[1]), 3),
+                       "non-numeric": ((header, good[0], non_numeric, good[1]), 3)}[case]
         with pytest.raises(ParseError) as exc:
             read(tmp_path, reader, *lines)
         assert exc.value.line_number == line
         assert str(exc.value).startswith(f"line {line}: ")
 
     def test_blank_lines_are_skipped(self, tmp_path, reader):
-        _, header, good, _, count = READERS[reader]
+        _, header, good, _, _, count = READERS[reader]
         assert count(read(tmp_path, reader, header, "", good[0], "  ", good[1], "")) == 2
 
     def test_header_is_case_insensitive(self, tmp_path, reader):
-        _, header, good, _, count = READERS[reader]
+        _, header, good, _, _, count = READERS[reader]
         shouted = ",".join(f" {name.upper()} " for name in header.split(","))
         assert count(read(tmp_path, reader, shouted, *good)) == 2
 

@@ -1,6 +1,6 @@
 """Randomized exact-equality checks of the columnar data and labeling
-stages, the path CSV writer and the variance recursions against the
-row-by-row loops in brute_force.py."""
+stages, the path CSV writer, the variance recursions and the path kernels
+against the row-by-row loops and older forms in brute_force.py."""
 
 import io
 import sys
@@ -30,14 +30,24 @@ from bnsjump.market_data import (
     sigma_outlier_policy,
     write_bars_csv,
 )
-from bnsjump.subordinators import JumpPath, SubordinatorSpec, TimeGrid, sample_subordinator_path
+from bnsjump.subordinators import (
+    JumpPath,
+    SubordinatorSpec,
+    TimeGrid,
+    realized_jump_energy,
+    sample_subordinator_path,
+)
 from bnsjump.synthetic import session_minutes, synthetic_bars
 
 from brute_force import (
     brute_force_build_dataset,
+    brute_force_cumulative_on_grid,
     brute_force_descriptive_stats,
     brute_force_drop_mask,
+    brute_force_euler_log_price,
     brute_force_euler_variance,
+    brute_force_grid_times,
+    brute_force_jump_energy,
     brute_force_ou_accumulate,
     brute_force_outlier_mask,
     brute_force_pct_change,
@@ -375,3 +385,68 @@ def test_euler_variance_path():
             want = brute_force_euler_variance(params.sigma0_sq, 1.0 - lam * grid.dt,
                                               got.driving.increments())
         assert same(got.values, want)
+
+
+def test_grid_times_are_cached_and_read_only():
+    grid = TimeGrid(0.5, 0.003, 700)
+    times = grid.times()
+    assert grid.times() is times
+    assert same(times, brute_force_grid_times(grid))
+    with pytest.raises(ValueError):
+        times[0] = 1.0
+    assert grid == TimeGrid(0.5, 0.003, 700) and hash(grid) == hash(TimeGrid(0.5, 0.003, 700))
+
+
+def check_path_kernels(path, rng, sampled=True):
+    """Cumulative, increments and jump energy of one path, bit for bit.  A
+    combined path's cumulative is the weighted sum of its parts', not the
+    running sum of its events, so only a sampled one is checked for that."""
+    grid, times, sizes = path.grid, path.event_times, path.event_sizes
+    if sampled:
+        assert same(path.cumulative, brute_force_cumulative_on_grid(grid, times, sizes))
+    assert same(path.increments(), np.diff(path.cumulative))
+    uptos = [grid.t0 - 1.0, grid.t0, grid.t_end, grid.t_end + 1.0,
+             *rng.uniform(grid.t0, grid.t_end, 3)]
+    if len(times):  # on an event, just before the first and just after the last
+        uptos += [times[0], times[-1], times[len(times) // 2],
+                  np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf)]
+    for upto in uptos:
+        assert same(realized_jump_energy(path, upto), brute_force_jump_energy(times, sizes, upto))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_path_kernels(theta):
+    """Sampled paths, with no events on one grid in five, and the Euler log
+    price driven by them, against the concatenate/diff/mask forms."""
+    rng = np.random.default_rng(14)
+    for k in range(40):
+        grid = random_grid(rng)
+        intensity = 0.0 if k % 5 == 0 else float(rng.uniform(0.5, 30.0))
+        params = dynamics.ModelParams(
+            mu=float(rng.normal()), beta=float(rng.normal()), rho=-float(rng.uniform(0.0, 1.0)),
+            lam=float(rng.uniform(0.1, 5.0)), theta=theta, sigma0_sq=float(rng.uniform(1e-3, 4.0)),
+            spec_base=SubordinatorSpec(intensity, float(rng.uniform(0.5, 8.0))),
+            spec_strong=SubordinatorSpec(intensity * 2.0, float(rng.uniform(0.5, 8.0))))
+        z = sample_subordinator_path(params.spec_base, params.lam, grid, seed=(14, k, 0))
+        zb = sample_subordinator_path(params.spec_strong, params.lam, grid, seed=(14, k, 1))
+        if intensity == 0.0:
+            assert z.n_events == zb.n_events == 0
+        vp = dynamics.simulate_variance_path(params, z, zb)
+        check_path_kernels(z, rng)
+        check_path_kernels(zb, rng)
+        check_path_kernels(vp.driving, rng, sampled=False)
+        dm = ((1.0 - theta) * np.diff(brute_force_cumulative_on_grid(grid, z.event_times, z.event_sizes))
+              + theta * np.diff(brute_force_cumulative_on_grid(grid, zb.event_times, zb.event_sizes)))
+        for diffusion in (True, False):
+            got = dynamics.simulate_log_price(params, vp, z, zb, seed=(14, k, 2), diffusion=diffusion)
+            want = brute_force_euler_log_price(grid, params, vp.values, dm, (14, k, 2), diffusion)
+            assert same(got.x_true, want)
+
+
+def test_path_kernels_tied_events():
+    """Events sharing a time, one of them on a grid point, and an empty path."""
+    grid = TimeGrid(0.0, 0.1, 10)
+    rng = np.random.default_rng(15)
+    check_path_kernels(JumpPath(grid=grid, event_times=np.array([0.2, 0.5, 0.5, 0.55, 0.9]),
+                                event_sizes=np.array([1.0, 2.0, 3.0, 0.5, 4.0])), rng)
+    check_path_kernels(JumpPath(grid=grid, event_times=np.empty(0), event_sizes=np.empty(0)), rng)
