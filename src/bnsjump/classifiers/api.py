@@ -23,17 +23,20 @@ from .neighbors import KMeansLabeler, KNearestClassifier
 from .neural import NeuralNetClassifier
 from .tree import DecisionTreeClassifier
 
-ALGORITHM_IDS = (
-    "logistic_regression",
-    "svm_linear",
-    "knn",
-    "kmeans",
-    "naive_bayes_gaussian",
-    "gradient_boost",
-    "decision_tree",
-    "random_forest",
-    "neural_net",
-)
+# algorithm -> (estimator class, whether its fit takes the seed); each
+# constructor takes the algorithm's hyperparameters but `standardize` by name
+LEARNERS = {
+    "logistic_regression": (LogisticRegressionGD, False),
+    "svm_linear": (LinearSVMClassifier, False),
+    "knn": (KNearestClassifier, False),
+    "kmeans": (KMeansLabeler, True),
+    "naive_bayes_gaussian": (GaussianNaiveBayes, False),
+    "gradient_boost": (GradientBoostClassifier, False),
+    "decision_tree": (DecisionTreeClassifier, False),
+    "random_forest": (RandomForestClassifier, True),
+    "neural_net": (NeuralNetClassifier, True),
+}
+ALGORITHM_IDS = tuple(LEARNERS)
 
 DEFAULT_HYPERPARAMS: dict[str, dict] = {
     "logistic_regression": {"learning_rate": 0.1, "epochs": 500, "l2": 1e-4, "standardize": True},
@@ -128,26 +131,9 @@ def train(algorithm: str, train_set, hyperparams: dict | None = None, seed=0) ->
     scaler = _fit_scaler(X) if hp["standardize"] else None
     Xs = _apply_scaler(scaler, X)
 
-    if algorithm == "logistic_regression":
-        est = LogisticRegressionGD(hp["learning_rate"], hp["epochs"], hp["l2"]).fit(Xs, y)
-    elif algorithm == "svm_linear":
-        est = LinearSVMClassifier(hp["c"], hp["epochs"]).fit(Xs, y)
-    elif algorithm == "knn":
-        est = KNearestClassifier(hp["k"]).fit(Xs, y)
-    elif algorithm == "kmeans":
-        est = KMeansLabeler(hp["k"], hp["iterations"], hp["restarts"]).fit(Xs, y, seed=seed)
-    elif algorithm == "naive_bayes_gaussian":
-        est = GaussianNaiveBayes(hp["variance_floor"]).fit(Xs, y)
-    elif algorithm == "gradient_boost":
-        est = GradientBoostClassifier(hp["rounds"], hp["max_depth"], hp["learning_rate"],
-                                      hp["min_leaf"]).fit(Xs, y)
-    elif algorithm == "decision_tree":
-        est = DecisionTreeClassifier(hp["max_depth"], hp["min_leaf"]).fit(Xs, y)
-    elif algorithm == "random_forest":
-        est = RandomForestClassifier(hp["trees"], hp["max_depth"], hp["min_leaf"]).fit(Xs, y, seed=seed)
-    else:
-        est = NeuralNetClassifier(hp["hidden_width"], hp["epochs"], hp["learning_rate"],
-                                  hp["threshold"]).fit(Xs, y, seed=seed)
+    cls, takes_seed = LEARNERS[algorithm]
+    est = cls(**{name: value for name, value in hp.items() if name != "standardize"})
+    est = est.fit(Xs, y, seed=seed) if takes_seed else est.fit(Xs, y)
     return Model(algorithm=algorithm, estimator=est, scaler=scaler, metadata=metadata)
 
 

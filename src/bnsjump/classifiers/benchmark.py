@@ -9,7 +9,6 @@ through the same evaluator under the pseudo-algorithm ``external:<name>``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .. import tables
 from ..errors import InvalidParameterError, ParseError
 from ..labeling import LabeledDataset, SplitSpec, split
+from ..seeding import ordered_map
 from .api import ALGORITHM_IDS, predict, resolve_hyperparams, train
 from .metrics import ClassReport, evaluate
 
@@ -67,7 +67,7 @@ def run_benchmark(
     hyperparams_bank: dict[str, dict] | None = None,
     seed: int = 0,
     external: dict[str, dict[int, int]] | None = None,
-    max_workers: int | None = None,
+    max_workers: int = 1,
 ) -> list[BenchmarkCell]:
     """One ClassReport per (split, algorithm), in deterministic order.
 
@@ -98,11 +98,7 @@ def run_benchmark(
     jobs = [(si, name, train_set, test_set, ai, alg)
             for si, name, train_set, test_set in prepared
             for ai, alg in enumerate(algorithms)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    else:
-        cells = [run_cell(job) for job in jobs]
+    cells = list(ordered_map(run_cell, jobs, max_workers))
 
     for si, name, train_set, test_set in prepared:
         for ext_name in sorted(external):

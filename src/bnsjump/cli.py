@@ -1,11 +1,12 @@
 """Command-line entry point wiring the pipeline end-to-end.
 
 Subcommands: simulate, ingest, stats, label, train, report, pipeline.
-The data subcommands run one ordered stage list (``STAGES``): load and
-clean, resample, pct_change, stats, realized_measures, index, mark, label,
-splits, benchmark.  Each names the stages it runs and the files it writes
-(``DATA_COMMANDS``); ``report`` and ``train`` start from a labeled CSV
-instead.
+All seven run through one runner and one ordered stage list (``STAGES``):
+load and clean, resample, pct_change, stats, realized_measures, index,
+mark, label, splits, benchmark, summarize.  Each names the stages it runs
+and the files it writes (``DATA_COMMANDS``); ``report`` and ``train``
+start from a labeled CSV instead, and ``simulate`` runs its own one stage,
+which writes the path CSVs as they are ready.
 
 Options resolve as flags > config file > defaults.  Each subcommand takes
 one flag per option of its option tables, plus the flags its stages read
@@ -13,7 +14,9 @@ one flag per option of its option tables, plus the flags its stages read
 ``config_used.cfg`` in the output directory, each under the section it is
 read from; re-running from that file (with the same ``--input`` or
 ``--dataset``) reproduces the outputs byte for byte, regardless of
-``--threads``.
+``--threads``: the number of threads that run a command's independent
+seeded units (simulated paths, benchmark cells) through
+``seeding.ordered_map``.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
@@ -26,7 +29,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from datetime import datetime
 from functools import partial
@@ -61,6 +63,7 @@ from .labeling import (
     write_dataset_csv,
 )
 from .market_data import SessionCalendar
+from .seeding import ordered_map
 from .subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path, subordinator_moments
 from .tables import dumps
 
@@ -329,35 +332,30 @@ def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
     return csv_text, stats
 
 
-def _simulate_all(opts: dict, grid: TimeGrid, params):
-    """Each path's ``(csv text, stats)`` in index order, as it is ready."""
-    one = partial(_simulate_one, opts, grid, params)
-    if opts["threads"] <= 1:
-        yield from map(one, range(opts["paths"]))
-        return
-    with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-        yield from pool.map(one, range(opts["paths"]))
-
-
-def cmd_simulate(args) -> int:
-    opts = _resolve(args, _read_config(args.config), SIMULATE_OPTIONS)
-    out_dir = _out_dir(args, "simulate")
+def _simulate(run) -> dict:
+    """Simulate the paths, writing each one's CSV under ``paths/`` as it is
+    ready; returns the payload of ``summary.json``."""
+    opts = run.opts
+    if opts["paths"] < 1:
+        raise ConfigError("paths must be at least 1")
+    if opts["dt"] <= 0 or opts["t_end"] <= 0:
+        raise ConfigError("dt and t_end must be positive")
+    n_steps = round(opts["t_end"] / opts["dt"])
+    if abs(n_steps * opts["dt"] - opts["t_end"]) > 1e-9 * opts["t_end"]:
+        raise ConfigError(f"t_end {opts['t_end']} is not a whole number of dt {opts['dt']} steps")
     params = dynamics.ModelParams(
         mu=opts["mu"], beta=opts["beta"], rho=opts["rho"], lam=opts["lam"],
         theta=opts["theta"], sigma0_sq=opts["sigma0_sq"],
         spec_base=SubordinatorSpec(opts["nu_base"], opts["a_base"]),
         spec_strong=SubordinatorSpec(opts["nu_strong"], opts["a_strong"]),
     )
-    if opts["dt"] <= 0 or opts["t_end"] <= 0:
-        raise ConfigError("dt and t_end must be positive")
-    n_steps = max(1, int(round(opts["t_end"] / opts["dt"])))
     grid = TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
-    _echo_config(out_dir, opts, (SIMULATE_OPTIONS,))
 
-    paths_dir = out_dir / "paths"
+    paths_dir = run.out_dir / "paths"
     paths_dir.mkdir(exist_ok=True)
     results = []  # each path's stats; its CSV text is written as it arrives and dropped
-    for i, (csv_text, path_stats) in enumerate(_simulate_all(opts, grid, params)):
+    one = partial(_simulate_one, opts, grid, params)
+    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), opts["threads"])):
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
         results.append(path_stats)
 
@@ -392,13 +390,11 @@ def cmd_simulate(args) -> int:
         },
         "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
     }
-    (out_dir / "summary.json").write_text(dumps(summary), encoding="utf-8")
-    print(f"simulate: wrote {n} paths to {paths_dir}")
-    return EXIT_OK
+    return summary
 
 
 # ---------------------------------------------------------------------------
-# data subcommands: one staged pipeline
+# data stages, and the runner that every subcommand goes through
 
 def _stage(name: str, fn, *args):
     try:
@@ -477,6 +473,19 @@ def _fit(run) -> dict:
     return payload
 
 
+def _label_counts(run) -> dict:
+    zeros, ones = run.dataset.class_counts()
+    return run.info | {"n_returns": len(run.returns), "n_marks": int(run.marks.sum()),
+                       "n_anchors": len(run.dataset), "theta0": zeros, "theta1": ones}
+
+
+def _summary(run) -> dict:
+    supports = {}
+    for cell in run.cells:
+        supports.setdefault(cell.split_name, list(cell.report.supports()))
+    return _label_counts(run) | {"supports_per_split": supports, "n_report_cells": len(run.cells)}
+
+
 # stage -> (attribute of the run it sets, function of the run so far)
 STAGES = {
     "ingest": ("clean", _load_and_clean),
@@ -491,20 +500,9 @@ STAGES = {
     "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
     "fit": ("trained", _fit),
     "benchmark": ("cells", _benchmark),
+    "summarize": ("summary", _summary),
+    "simulate": ("summary", _simulate),
 }
-
-
-def _label_counts(run) -> dict:
-    zeros, ones = run.dataset.class_counts()
-    return run.info | {"n_returns": len(run.returns), "n_marks": int(run.marks.sum()),
-                       "n_anchors": len(run.dataset), "theta0": zeros, "theta1": ones}
-
-
-def _summary(run) -> dict:
-    supports = {}
-    for cell in run.cells:
-        supports.setdefault(cell.split_name, list(cell.report.supports()))
-    return _label_counts(run) | {"supports_per_split": supports, "n_report_cells": len(run.cells)}
 
 
 # output file -> writer(text file, run)
@@ -521,7 +519,7 @@ OUTPUTS = {
     "reports.txt": lambda fh, r: fh.write(format_benchmark_text(r.cells)),
     "hyperparams_used.json": lambda fh, r: fh.write(
         dumps({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
-    "summary.json": lambda fh, r: fh.write(dumps(_summary(r))),
+    "summary.json": lambda fh, r: fh.write(dumps(r.summary)),
     "train_report.json": lambda fh, r: fh.write(dumps(r.trained)),
 }
 
@@ -530,6 +528,7 @@ REPORT_FILES = ("reports.csv", "reports.txt", "hyperparams_used.json")
 
 # subcommand -> (option tables, stages in order, files written besides config_used.cfg)
 DATA_COMMANDS = {
+    "simulate": ((SIMULATE_OPTIONS,), ("simulate",), ("summary.json",)),
     "ingest": ((CLEAN_OPTIONS,), ("ingest",), ("bars_clean.csv", "ingest.json")),
     "stats": ((DATA_OPTIONS, STATS_OPTIONS), ("ingest", "resample", "stats"),
               ("stats.csv", "stats.json", "ingest.json")),
@@ -538,14 +537,14 @@ DATA_COMMANDS = {
     "report": ((REPORT_OPTIONS,), ("load_labeled", "splits", "benchmark"), REPORT_FILES),
     "pipeline": ((DATA_OPTIONS, LABEL_OPTIONS, BENCH_OPTIONS),
                  ("ingest", "resample", "pct_change", "stats", "realized_measures", "index", "mark",
-                  "label", "splits", "benchmark"),
+                  "label", "splits", "benchmark", "summarize"),
                  ("stats.csv", "stats.json", "rv_day.csv", "rv_day.json", "labeled.csv")
                  + REPORT_FILES + ("summary.json",)),
 }
 
 
 def run_data_command(args) -> int:
-    """Run the stages a data subcommand names, then write its files."""
+    """Run the stages a subcommand names, then write its files."""
     tables, stages, files = DATA_COMMANDS[args.subcommand]
     cfg = _read_config(args.config)
     run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
@@ -555,7 +554,7 @@ def run_data_command(args) -> int:
         run.bank = _hyperparams(run.hp)
     if hasattr(args, "external"):
         run.external = _named_items(args, cfg, "external", "external")
-    out_dir = _out_dir(args, args.subcommand)
+    out_dir = run.out_dir = _out_dir(args, args.subcommand)
     for name in stages:
         attr, fn = STAGES[name]
         setattr(run, attr, _stage(name, fn, run))
@@ -591,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bnsjump",
                                      description="BN-S simulation and jump-prediction pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    commands = {"simulate": ((SIMULATE_OPTIONS,), ("simulate",), ("paths/path_*.csv", "summary.json"))}
-    for name, (tables, stages, files) in (commands | DATA_COMMANDS).items():
+    for name, (tables, stages, files) in DATA_COMMANDS.items():
         p = sub.add_parser(name, help=f"{' > '.join(stages)}; writes {', '.join(files)}")
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<subcommand>)")
         p.add_argument("--config", help="INI config file; flags override its values")
@@ -607,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = cmd_simulate if args.subcommand == "simulate" else run_data_command
     try:
-        return command(args)
+        return run_data_command(args)
     except Exception as exc:
         cause = exc.cause if isinstance(exc, StageError) else exc
         code = next((code for types, code in EXIT_CODES if isinstance(cause, types)),

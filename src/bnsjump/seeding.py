@@ -5,9 +5,15 @@ Every stochastic routine in the package derives its generator from
 and independent streams (jumps vs. Brownian vs. measurement noise, path i
 vs. path j, tree i vs. tree j) never collide even under a shared master
 seed.
+
+``ordered_map`` is the one place such independent seeded units fan out
+over threads; each unit owns its stream, so results never depend on the
+worker count.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,3 +31,17 @@ def substream(seed, *key: int) -> np.random.Generator:
         entropy = [int(s) for s in seed]
     entropy += map(int, key)
     return np.random.default_rng(entropy)
+
+
+def ordered_map(fn, items, workers: int):
+    """``fn`` over ``items``, yielding results in item order as they are ready.
+
+    With ``workers`` <= 1 this is the lazy builtin ``map``: nothing runs
+    before the first ``next``, and each call runs when its result is asked
+    for.  Otherwise the calls run on a pool of ``workers`` threads.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)

@@ -10,13 +10,11 @@ sizes (mean size ``1/jump_rate``).  Closed-form moments per unit time:
 Sampling is exact (Poisson event count, then uniform order statistics for
 event times), so the law does not depend on the grid resolution.  Every
 sampler is a pure function of (spec, seed); ensembles derive one stream per
-path from (master_seed, path_index) so results never depend on how work is
-partitioned across threads.
+path from (master_seed, path_index), so any path can be drawn on its own.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,20 +142,10 @@ def sample_ensemble(
     grid: TimeGrid,
     n_paths: int,
     master_seed: int,
-    max_workers: int | None = None,
 ) -> list[JumpPath]:
-    """Sample ``n_paths`` independent paths, one derived stream per path.
-
-    Path ``i`` uses the stream (master_seed, i), so the ensemble is
-    reproducible regardless of ``max_workers`` or scheduling.
-    """
-    def one(i: int) -> JumpPath:
-        return sample_subordinator_path(spec, rate_scale, grid, seed=(master_seed, i))
-
-    if max_workers is None or max_workers <= 1 or n_paths <= 1:
-        return [one(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, range(n_paths)))
+    """Sample ``n_paths`` independent paths; path ``i`` uses the stream (master_seed, i)."""
+    return [sample_subordinator_path(spec, rate_scale, grid, seed=(master_seed, i))
+            for i in range(n_paths)]
 
 
 def terminal_samples(spec: SubordinatorSpec, rate_scale: float, horizon: float, n_samples: int, seed) -> np.ndarray:

@@ -100,6 +100,28 @@ class TestSimulate:
         assert main(["simulate", "--out", str(out), "--paths", "3", "--threads", "1"]) == EXIT_OK
         assert seen == [(0, False), (1, True), (2, True)]
 
+    @pytest.mark.parametrize("flags", [
+        ["--paths", "0"],
+        ["--paths", "-1"],
+        ["--t-end", "1", "--dt", "0.3"],
+        ["--t-end", "0.001", "--dt", "0.01"],
+    ], ids=["no-paths", "negative-paths", "partial-last-step", "shorter-than-one-step"])
+    def test_bad_sizes_are_config_errors(self, tmp_path, capsys, flags):
+        code = main(["simulate", "--out", str(tmp_path / "sim")] + flags)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'simulate': ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dt,n_steps", [("0.0002", 5000), ("0.005", 200), ("0.001", 1000),
+                                            ("0.01", 100)])
+    def test_whole_step_grids_are_accepted(self, tmp_path, dt, n_steps):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--paths", "1", "--t-end", "1",
+                     "--dt", dt]) == EXIT_OK
+        grid = json.loads((out / "summary.json").read_text())["grid"]
+        assert grid == {"dt": float(dt), "n_steps": n_steps, "t_end": 1.0}
+
 
 class TestDataCommands:
     def test_ingest(self, tmp_path, bars_csv):
@@ -266,6 +288,12 @@ class TestDataCommands:
                          "--config", str(first / "config_used.cfg")]) == EXIT_OK
             assert tree_bytes(first) == tree_bytes(second), name
             assert "[splits]" not in (first / "config_used.cfg").read_text()
+
+    def test_every_subcommand_runs_through_the_stage_table(self):
+        choices = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(choices) == set(cli.DATA_COMMANDS)
+        assert all(stage in cli.STAGES for _, stages, _ in cli.DATA_COMMANDS.values()
+                   for stage in stages)
 
     def test_train_flags_come_from_its_option_table(self):
         train = cli.build_parser()._subparsers._group_actions[0].choices["train"]

@@ -112,12 +112,14 @@ class TestMoments:
 
 class TestEnsemble:
     def test_partition_independence(self):
+        """Path i of an ensemble is the path drawn alone from the stream (master_seed, i)."""
         spec = SubordinatorSpec(1.5, 1.0)
-        serial = sample_ensemble(spec, 1.0, UNIT_GRID, 40, master_seed=31, max_workers=1)
-        threaded = sample_ensemble(spec, 1.0, UNIT_GRID, 40, master_seed=31, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.event_times, b.event_times)
-            assert np.array_equal(a.event_sizes, b.event_sizes)
+        ensemble = sample_ensemble(spec, 1.0, UNIT_GRID, 40, master_seed=31)
+        assert len(ensemble) == 40
+        for i, path in enumerate(ensemble):
+            alone = sample_subordinator_path(spec, 1.0, UNIT_GRID, seed=(31, i))
+            assert path.event_times.tobytes() == alone.event_times.tobytes()
+            assert path.event_sizes.tobytes() == alone.event_sizes.tobytes()
 
     def test_paths_differ_across_indices(self):
         paths = sample_ensemble(SubordinatorSpec(5.0, 1.0), 1.0, UNIT_GRID, 10, master_seed=1)
