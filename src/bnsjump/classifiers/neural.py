@@ -3,6 +3,18 @@
 The decision rule labels a row 1 when the class-1 softmax probability
 exceeds the configured threshold (default 0.3), which deliberately trades
 precision for recall on rare jump windows.
+
+A fit allocates its workspace once.  The six parameters, their six
+gradients and the Adam moments ``m`` and ``v`` are each one flat float64
+vector with per-layer views, so an Adam step is fourteen whole-vector
+operations; the passes write into preallocated activation buffers.  Every
+operation is the one the textbook epoch loop (kept as the test oracle)
+performs, in the same order and on operands of the same shape and layout,
+so the fitted parameters are bit-identical to it.  The trap is layout:
+keep every GEMM's operand shapes and layouts.  The same product through
+other layouts, such as ``(w1.T @ X.T).T`` for ``X @ w1``, may run another
+BLAS kernel that sums in another order; on single-threaded OpenBLAS it
+changes the bits at 28.5k rows.
 """
 
 from __future__ import annotations
@@ -16,6 +28,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
 class NeuralNetClassifier:
@@ -32,37 +54,67 @@ class NeuralNetClassifier:
         y = np.asarray(y, dtype=int)
         n, d = X.shape
         h = self.hidden_width
+        lr = self.learning_rate
+        shapes = ((d, h), (h,), (h, h), (h,), (h, 2), (2,))
+        size = (d + 1) * h + (h + 1) * h + (h + 1) * 2
+        theta = np.zeros(size)  # the fitted model keeps only this vector
+        grad, m, v, step, denom = np.zeros((5, size))
+        params = _layers(theta, shapes)
+        w1, c1, w2, c2, w3, c3 = params
+        g1, g2, g3, g4, g5, g6 = _layers(grad, shapes)
         rng = substream(seed)
         # He-normal initialization for the ReLU layers
-        params = [
-            rng.normal(0.0, np.sqrt(2.0 / d), (d, h)), np.zeros(h),
-            rng.normal(0.0, np.sqrt(2.0 / h), (h, h)), np.zeros(h),
-            rng.normal(0.0, np.sqrt(2.0 / h), (h, 2)), np.zeros(2),
-        ]
+        w1[...] = rng.normal(0.0, np.sqrt(2.0 / d), (d, h))
+        w2[...] = rng.normal(0.0, np.sqrt(2.0 / h), (h, h))
+        w3[...] = rng.normal(0.0, np.sqrt(2.0 / h), (h, 2))
         onehot = np.zeros((n, 2))
         onehot[np.arange(n), y] = 1.0
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
+        a1, a2, dz2, dz1 = np.empty((4, n, h))
+        alive = np.empty((n, h), dtype=bool)
+        z3, row = np.empty((n, 2)), np.empty((n, 1))
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, self.epochs + 1):
-            w1, c1, w2, c2, w3, c3 = params
-            a1 = np.maximum(X @ w1 + c1, 0.0)
-            a2 = np.maximum(a1 @ w2 + c2, 0.0)
-            probs = _softmax(a2 @ w3 + c3)
-            # cross-entropy gradient back through the two ReLU layers
-            dz3 = (probs - onehot) / n
-            g5, g6 = a2.T @ dz3, dz3.sum(axis=0)
-            dz2 = (dz3 @ w3.T) * (a2 > 0)
-            g3, g4 = a1.T @ dz2, dz2.sum(axis=0)
-            dz1 = (dz2 @ w2.T) * (a1 > 0)
-            g1, g2 = X.T @ dz1, dz1.sum(axis=0)
-            grads = [g1, g2, g3, g4, g5, g6]
-            for j, g in enumerate(grads):
-                m[j] = b1 * m[j] + (1 - b1) * g
-                v[j] = b2 * v[j] + (1 - b2) * g**2
-                m_hat = m[j] / (1 - b1**t)
-                v_hat = v[j] / (1 - b2**t)
-                params[j] = params[j] - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            np.matmul(X, w1, out=a1)
+            a1 += c1
+            np.maximum(a1, 0.0, out=a1)
+            np.matmul(a1, w2, out=a2)
+            a2 += c2
+            np.maximum(a2, 0.0, out=a2)
+            np.matmul(a2, w3, out=z3)
+            z3 += c3
+            # softmax, then the cross-entropy gradient dz3 = (probs - onehot) / n.
+            # The row max and sum over the two columns are one elementwise op
+            # each; exp never returns -0.0, so the sum equals np.sum's.
+            z3 -= np.maximum(z3[:, :1], z3[:, 1:], out=row)
+            np.exp(z3, out=z3)
+            z3 /= np.add(z3[:, :1], z3[:, 1:], out=row)
+            z3 -= onehot
+            z3 /= n
+            # back through the two ReLU layers
+            np.matmul(a2.T, z3, out=g5)
+            np.sum(z3, axis=0, out=g6)
+            np.matmul(z3, w3.T, out=dz2)
+            dz2 *= np.greater(a2, 0, out=alive)
+            np.matmul(a1.T, dz2, out=g3)
+            np.sum(dz2, axis=0, out=g4)
+            np.matmul(dz2, w2.T, out=dz1)
+            dz1 *= np.greater(a1, 0, out=alive)
+            np.matmul(X.T, dz1, out=g1)
+            np.sum(dz1, axis=0, out=g2)
+            # Adam: m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+            # theta -= (lr m_hat) / (sqrt(v_hat) + eps)
+            m *= b1
+            m += np.multiply(grad, 1 - b1, out=step)
+            v *= b2
+            np.multiply(grad, grad, out=step)
+            v += np.multiply(step, 1 - b2, out=step)
+            np.divide(m, 1 - b1**t, out=step)
+            step *= lr
+            np.divide(v, 1 - b2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            theta -= step
         self.params = params
         return self
 

@@ -63,18 +63,19 @@ def _first_best(scores, valid, xs, features):
     """(score, feature, threshold) of the lowest valid score over all features, or None.
 
     Features are visited in order and a later one must beat the incumbent
-    by more than 1e-12, so near-ties resolve to the lowest feature.
+    by more than 1e-12, so near-ties resolve to the lowest feature.  Each
+    feature's lowest score and its threshold are taken in one fancy index,
+    and the pick walks them as Python floats (``tolist`` keeps -0.0).
     """
     if scores.shape[1] == 0:  # a single-row node has no cut
         return None
-    pick = np.argmin(scores, axis=1)
+    rows = valid.any(axis=1).nonzero()[0]
+    pick = scores.argmin(axis=1)[rows]
     best = None
-    for r in np.flatnonzero(valid.any(axis=1)):
-        p = pick[r]
-        score = float(scores[r, p])
+    for score, r, x in zip(scores[rows, pick].tolist(), rows.tolist(), xs[rows, pick].tolist()):
         if best is None or score < best[0] - 1e-12:
-            best = (score, int(features[r]), float(xs[r, p]))
-    return best
+            best = (score, r, x)
+    return None if best is None else (best[0], int(features[best[1]]), best[2])
 
 
 def _valid_cuts(xs, k, n, min_leaf):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -310,6 +311,13 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
 
 
+def _threads(opts: dict) -> int:
+    """The resolved ``threads`` option, which must be at least 1."""
+    if opts["threads"] < 1:
+        raise ConfigError(f"threads must be at least 1, got {opts['threads']}")
+    return opts["threads"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -338,8 +346,14 @@ def _simulate(run) -> dict:
     opts = run.opts
     if opts["paths"] < 1:
         raise ConfigError("paths must be at least 1")
+    threads = _threads(opts)
+    for name in ("dt", "t_end", "noise_std"):
+        if not math.isfinite(opts[name]):
+            raise ConfigError(f"{name} must be finite, got {opts[name]}")
     if opts["dt"] <= 0 or opts["t_end"] <= 0:
         raise ConfigError("dt and t_end must be positive")
+    if opts["noise_std"] < 0:
+        raise ConfigError(f"noise_std must be at least 0, got {opts['noise_std']}")
     n_steps = round(opts["t_end"] / opts["dt"])
     if abs(n_steps * opts["dt"] - opts["t_end"]) > 1e-9 * opts["t_end"]:
         raise ConfigError(f"t_end {opts['t_end']} is not a whole number of dt {opts['dt']} steps")
@@ -355,7 +369,7 @@ def _simulate(run) -> dict:
     paths_dir.mkdir(exist_ok=True)
     results = []  # each path's stats; its CSV text is written as it arrives and dropped
     one = partial(_simulate_one, opts, grid, params)
-    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), opts["threads"])):
+    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), threads)):
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
         results.append(path_stats)
 
@@ -447,6 +461,7 @@ def _read_labeled(path: str) -> LabeledDataset:
 
 
 def _benchmark(run):
+    threads = _threads(run.opts)
     algorithms = [a.strip() for a in run.opts["algorithms"].split(",") if a.strip()]
     external = {}
     for name, path in sorted(run.external.items()):
@@ -455,7 +470,7 @@ def _benchmark(run):
         except ParseError as exc:  # name the file among several --external
             raise ParseError(f"{name}={path}: {exc}") from None
     return run_benchmark(run.dataset, run.splits, algorithms, run.bank, seed=run.opts["seed"],
-                         external=external, max_workers=run.opts["threads"])
+                         external=external, max_workers=threads)
 
 
 def _fit(run) -> dict:

@@ -6,6 +6,8 @@ Deliberately literal: explicit loops over rows, explicit day and session
 equality checks and explicit mark counting over the lookahead rows; the
 trees re-sort every feature at every node and scan features one at a time;
 k-means and the SVM recompute every per-fit term inside their loops; the
+split pick indexes numpy scalars row by row; the neural net allocates
+every activation, gradient and Adam moment afresh per layer and epoch; the
 path kernels keep the concatenate, ``np.diff`` and boolean-mask forms and
 recompute the grid times on every call.
 The row-level logic shares no code with the package implementation so the
@@ -518,3 +520,59 @@ def brute_force_linear_svm(X, y, c, epochs):
         if norm > radius:
             w *= radius / norm
     return w, b
+
+
+def brute_force_first_best(scores, valid, xs, features):
+    """(score, feature, threshold) of the lowest valid score, one feature at a
+    time: a later feature must beat the incumbent by more than 1e-12."""
+    if scores.shape[1] == 0:
+        return None
+    pick = np.argmin(scores, axis=1)
+    best = None
+    for r in np.flatnonzero(valid.any(axis=1)):
+        p = pick[r]
+        score = float(scores[r, p])
+        if best is None or score < best[0] - 1e-12:
+            best = (score, int(features[r]), float(xs[r, p]))
+    return best
+
+
+def brute_force_neural_net_fit(X, y, hidden_width, epochs, learning_rate, seed):
+    """Parameters ``[w1, c1, w2, c2, w3, c3]`` of the full-batch Adam epochs,
+    every activation, gradient and moment a fresh array per layer."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n, d = X.shape
+    h = hidden_width
+    rng = substream(seed)
+    params = [
+        rng.normal(0.0, np.sqrt(2.0 / d), (d, h)), np.zeros(h),
+        rng.normal(0.0, np.sqrt(2.0 / h), (h, h)), np.zeros(h),
+        rng.normal(0.0, np.sqrt(2.0 / h), (h, 2)), np.zeros(2),
+    ]
+    onehot = np.zeros((n, 2))
+    onehot[np.arange(n), y] = 1.0
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, epochs + 1):
+        w1, c1, w2, c2, w3, c3 = params
+        a1 = np.maximum(X @ w1 + c1, 0.0)
+        a2 = np.maximum(a1 @ w2 + c2, 0.0)
+        z = a2 @ w3 + c3
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        dz3 = (probs - onehot) / n
+        g5, g6 = a2.T @ dz3, dz3.sum(axis=0)
+        dz2 = (dz3 @ w3.T) * (a2 > 0)
+        g3, g4 = a1.T @ dz2, dz2.sum(axis=0)
+        dz1 = (dz2 @ w2.T) * (a1 > 0)
+        g1, g2 = X.T @ dz1, dz1.sum(axis=0)
+        grads = [g1, g2, g3, g4, g5, g6]
+        for j, g in enumerate(grads):
+            m[j] = b1 * m[j] + (1 - b1) * g
+            v[j] = b2 * v[j] + (1 - b2) * g**2
+            m_hat = m[j] / (1 - b1**t)
+            v_hat = v[j] / (1 - b2**t)
+            params[j] = params[j] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params

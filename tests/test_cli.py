@@ -122,6 +122,23 @@ class TestSimulate:
         grid = json.loads((out / "summary.json").read_text())["grid"]
         assert grid == {"dt": float(dt), "n_steps": n_steps, "t_end": 1.0}
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--noise-std", "-1"], "noise_std must be at least 0, got -1.0"),
+        (["--noise-std", "nan"], "noise_std must be finite, got nan"),
+        (["--noise-std", "inf"], "noise_std must be finite, got inf"),
+        (["--dt", "nan"], "dt must be finite, got nan"),
+        (["--t-end", "inf"], "t_end must be finite, got inf"),
+        (["--threads", "-2"], "threads must be at least 1, got -2"),
+        (["--threads", "0"], "threads must be at least 1, got 0"),
+    ], ids=["negative-noise", "nan-noise", "inf-noise", "nan-dt", "inf-t-end",
+            "negative-threads", "zero-threads"])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--paths", "1"] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: stage 'simulate': {message}\n"
+        assert not (out / "paths").exists()
+
 
 class TestDataCommands:
     def test_ingest(self, tmp_path, bars_csv):
@@ -384,6 +401,19 @@ class TestDataCommands:
         err = capsys.readouterr().err
         assert f"stage 'benchmark': second={bad}: line 2: expected 2 fields, got 1" in err
         assert "first=" not in err
+
+    @pytest.mark.parametrize("subcommand", ["report", "pipeline"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, bars_csv, subcommand):
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
+                           encoding="utf-8")
+        argv = {"report": ["--dataset", str(dataset), "--split", "T=0:5/6:10", "--algorithms", "knn"],
+                "pipeline": ["--input", str(bars_csv)] + PIPELINE_FLAGS}[subcommand]
+        out = tmp_path / "o"
+        assert main([subcommand, "--out", str(out), "--threads", "-2"] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: stage 'benchmark': threads must be at least 1, got -2\n"
+        assert not (out / "reports.csv").exists()
 
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""
