@@ -128,7 +128,6 @@ SIMULATE_OPTIONS = {
     "t_end": ("simulate", float, 1.0),
     "dt": ("simulate", float, 0.01),
     "noise_std": ("simulate", float, 0.0),
-    "s0": ("simulate", float, 100.0),
     "threads": ("simulate", int, 1),
 }
 
@@ -311,11 +310,13 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _threads(opts: dict) -> int:
-    """The resolved ``threads`` option, which must be at least 1."""
+# the stages that run their seeded units on ``threads`` threads
+THREADED_STAGES = ("simulate", "benchmark")
+
+
+def _check_threads(opts: dict) -> None:
     if opts["threads"] < 1:
         raise ConfigError(f"threads must be at least 1, got {opts['threads']}")
-    return opts["threads"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
     z = sample_subordinator_path(params.spec_base, params.lam, grid, seed=(seed, i, 0))
     zb = sample_subordinator_path(params.spec_strong, params.lam, grid, seed=(seed, i, 1))
     var_path = dynamics.simulate_variance_path(params, z, zb)
-    price = dynamics.simulate_log_price(params, var_path, z, zb, seed=(seed, i, 2), s0=opts["s0"])
+    price = dynamics.simulate_log_price(params, var_path, z, zb, seed=(seed, i, 2))
     if opts["noise_std"] > 0:
         price = dynamics.apply_noise(price, dynamics.NoiseSpec(std=opts["noise_std"]), seed=(seed, i, 3))
     csv_text = dynamics.dumps_path_csv(var_path, price)  # through the module: tracers patch it
@@ -346,7 +347,6 @@ def _simulate(run) -> dict:
     opts = run.opts
     if opts["paths"] < 1:
         raise ConfigError("paths must be at least 1")
-    threads = _threads(opts)
     for name in ("dt", "t_end", "noise_std"):
         if not math.isfinite(opts[name]):
             raise ConfigError(f"{name} must be finite, got {opts[name]}")
@@ -369,7 +369,7 @@ def _simulate(run) -> dict:
     paths_dir.mkdir(exist_ok=True)
     results = []  # each path's stats; its CSV text is written as it arrives and dropped
     one = partial(_simulate_one, opts, grid, params)
-    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), threads)):
+    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), opts["threads"])):
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
         results.append(path_stats)
 
@@ -461,7 +461,6 @@ def _read_labeled(path: str) -> LabeledDataset:
 
 
 def _benchmark(run):
-    threads = _threads(run.opts)
     algorithms = [a.strip() for a in run.opts["algorithms"].split(",") if a.strip()]
     external = {}
     for name, path in sorted(run.external.items()):
@@ -470,7 +469,7 @@ def _benchmark(run):
         except ParseError as exc:  # name the file among several --external
             raise ParseError(f"{name}={path}: {exc}") from None
     return run_benchmark(run.dataset, run.splits, algorithms, run.bank, seed=run.opts["seed"],
-                         external=external, max_workers=threads)
+                         external=external, max_workers=run.opts["threads"])
 
 
 def _fit(run) -> dict:
@@ -564,6 +563,9 @@ def run_data_command(args) -> int:
     cfg = _read_config(args.config)
     run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
                           splits=(), hp={}, external={})
+    for name in THREADED_STAGES:  # before any stage runs, named as the stage that reads it
+        if name in stages:
+            _stage(name, _check_threads, run.opts)
     if hasattr(args, "hp"):  # the subcommands whose stages fit; see STAGE_FLAGS
         run.hp = _named_items(args, cfg, "hyperparams", "hp")
         run.bank = _hyperparams(run.hp)

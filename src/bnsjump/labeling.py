@@ -226,20 +226,33 @@ def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
                                  dataset.theta[chunk].tolist())))
 
 
-def read_dataset_csv(source) -> LabeledDataset:
-    """Parse what ``write_dataset_csv`` writes, from a path or a text file; a
-    malformed file raises ParseError naming its line."""
+def _dataset_row(width: int) -> np.dtype:
+    return np.dtype([("index", int), ("features", float, (width - 2,)), ("theta", int)])
+
+
+def _dataset_in_bulk(table: np.ndarray) -> LabeledDataset:
+    return LabeledDataset(anchor_index=table["index"].copy(), features=table["features"].copy(),
+                          theta=table["theta"].copy())
+
+
+def _dataset_by_row(header: list[str], rows) -> LabeledDataset:
     anchors: list[int] = []
     feats: list[list[float]] = []
     targets: list[int] = []
-    with tables.csv_rows(source, lambda n: _dataset_header(n - 2), "index,f1..fW,theta") as (header, rows):
-        for row in rows:
-            try:
-                anchors.append(int(row[0]))
-                feats.append([float(x) for x in row[1:-1]])
-                targets.append(int(row[-1]))
-            except ValueError:
-                raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
+    for row in rows:
+        try:
+            anchors.append(int(row[0]))
+            feats.append([float(x) for x in row[1:-1]])
+            targets.append(int(row[-1]))
+        except ValueError:
+            raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
     return LabeledDataset(anchor_index=np.array(anchors, dtype=int),
                           features=np.array(feats) if feats else np.empty((0, len(header) - 2)),
                           theta=np.array(targets, dtype=int))
+
+
+def read_dataset_csv(source) -> LabeledDataset:
+    """Parse what ``write_dataset_csv`` writes, from a path or a text file; a
+    malformed file raises ParseError naming its line."""
+    return tables.read_table(source, lambda n: _dataset_header(n - 2), _dataset_row,
+                             _dataset_in_bulk, _dataset_by_row, "index,f1..fW,theta")

@@ -193,6 +193,53 @@ def _parse_stamps(texts: list[str]) -> np.ndarray:
         return _to_stamps(datetime.fromisoformat(text) for text in texts)
 
 
+# loadtxt cuts a longer text short without a word, so a stamp that fills the
+# field goes to the row loop (fromisoformat reads any number of fraction digits)
+_STAMP_CHARS = 30
+_BAR_ROW = np.dtype([("timestamp", f"U{_STAMP_CHARS}"), ("close", float)])
+
+
+def _bars_in_bulk(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stamps and closes of a loadtxt table, or ValueError where the row
+    loop would fail or might read them differently."""
+    texts = table["timestamp"].tolist()
+    if max(map(len, texts)) >= _STAMP_CHARS:
+        raise ValueError("a timestamp may be cut short")
+    # fromisoformat is the gate: numpy also reads 'NaT' and 'today'
+    if any(ts.tzinfo is not None for ts in map(datetime.fromisoformat, texts)):
+        raise ValueError("timezone-aware timestamp")
+    stamps, closes = _parse_stamps(texts), table["close"]
+    if not np.isfinite(closes).all() or (stamps[1:] <= stamps[:-1]).any():
+        raise ValueError("non-finite close or out-of-order timestamp")
+    return stamps, closes
+
+
+def _bars_by_row(_, rows) -> tuple[np.ndarray, np.ndarray]:
+    texts: list[str] = []
+    closes: list[float] = []
+    prev: datetime | None = None
+    for stamp, close_text in rows:
+        text = stamp.strip()
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            raise ParseError(f"bad timestamp {stamp!r}") from None
+        if ts.tzinfo is not None:
+            raise ParseError(f"timezone-aware timestamp {stamp!r}")
+        try:
+            close = float(close_text)
+        except ValueError:
+            raise ParseError(f"bad close {close_text!r}") from None
+        if not math.isfinite(close):
+            raise ParseError(f"non-finite close {close_text!r}")
+        if prev is not None and ts <= prev:
+            raise OrderingError(f"timestamp {ts} not after {prev}")
+        prev = ts
+        texts.append(text)
+        closes.append(close)
+    return _parse_stamps(texts), np.array(closes, dtype=float)
+
+
 def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSeries, int]:
     """Parse a ``timestamp,close`` CSV of naive local timestamps into a BarSeries.
 
@@ -201,34 +248,12 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
     line number and non-monotone timestamps raise OrderingError.
     """
     calendar = calendar or SessionCalendar()
-    texts: list[str] = []
-    closes: list[float] = []
-    prev: datetime | None = None
-    with tables.csv_rows(source, ("timestamp", "close")) as (_, rows):
-        for stamp, close_text in rows:
-            text = stamp.strip()
-            try:
-                ts = datetime.fromisoformat(text)
-            except ValueError:
-                raise ParseError(f"bad timestamp {stamp!r}") from None
-            if ts.tzinfo is not None:
-                raise ParseError(f"timezone-aware timestamp {stamp!r}")
-            try:
-                close = float(close_text)
-            except ValueError:
-                raise ParseError(f"bad close {close_text!r}") from None
-            if not math.isfinite(close):
-                raise ParseError(f"non-finite close {close_text!r}")
-            if prev is not None and ts <= prev:
-                raise OrderingError(f"timestamp {ts} not after {prev}")
-            prev = ts
-            texts.append(text)
-            closes.append(close)
-    stamps = _parse_stamps(texts)
+    stamps, closes = tables.read_table(source, ("timestamp", "close"), _BAR_ROW,
+                                       _bars_in_bulk, _bars_by_row)
     session = calendar.session_indices(stamps)
     kept = session >= 0
-    series = BarSeries(stamps=stamps[kept], closes=np.array(closes, dtype=float)[kept],
-                       session=session[kept], calendar=calendar)
+    series = BarSeries(stamps=stamps[kept], closes=closes[kept], session=session[kept],
+                       calendar=calendar)
     return series, len(stamps) - len(series)
 
 

@@ -30,6 +30,10 @@ def substream(seed, *key: int) -> np.random.Generator:
     else:
         entropy = [int(s) for s in seed]
     entropy += map(int, key)
+    if min(entropy, default=0) >= 0 and max(entropy, default=0) < 2**32:
+        # the same words SeedSequence makes of the list, without its per-int coercion;
+        # other values keep the list and its errors
+        entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(entropy)
 
 

@@ -5,6 +5,17 @@ lines are skipped and every other row has one field per header column, or
 ParseError names its line.  Floats are written as round-trip ``repr``, NaN
 as an empty cell.  JSON has sorted keys, indent 2, a final newline, and
 NaN as ``null``, so every file is strict JSON.
+
+``csv_rows`` reads a file row by row.  ``read_table`` reads its text once
+and parses every row at once with ``np.loadtxt``; it re-reads the file row
+by row only when the bulk parse refuses it, so every error, and the line
+it names, is the row loop's.  The bulk parse takes only text that it reads
+exactly as the row loop does: ASCII without a double quote (csv quoting),
+a carriage return (so that only csv decides where a line ends; a CRLF file
+is read row by row), a NUL (numpy drops it from the end of a text) or
+\\x1c-\\x1f (numpy strips them around a number; ``float`` and ``int`` refuse
+them).  Non-ASCII text is refused because ``float`` reads non-ASCII digits
+and numpy's integer parse misreads some letters as digits.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,6 +75,81 @@ def csv_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]], spe
     finally:
         if isinstance(source, (str, Path)):
             fh.close()
+
+
+def _read_text(source) -> tuple[str | None, object]:
+    """The text of ``source`` (None where it does not decode), and a source
+    that ``csv_rows`` reads as it would have read ``source`` itself."""
+    if isinstance(source, (str, Path, bytes)):
+        try:
+            if isinstance(source, bytes):
+                return source.decode("utf-8"), source
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return fh.read(), source
+        except UnicodeDecodeError:  # csv_rows raises it after the rows before it
+            return None, source
+    lines: list[str] = []  # a file is read through its own line splitting
+    try:
+        lines.extend(_open_text(source))
+    except UnicodeDecodeError as exc:
+        return None, _lines_then(lines, exc)
+    return "".join(lines), lines
+
+
+def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
+    yield from lines
+    raise exc
+
+
+_NOT_BULK = '"\r\x00\x1c\x1d\x1e\x1f'  # see the module docstring
+
+
+def _lines(text: str, start: int) -> Iterator[str]:
+    """The lines of ``text[start:]``, split 64 KiB at a time, so that loadtxt
+    reads them without a second copy of the whole text (a StringIO of it
+    would take four bytes a character)."""
+    while start < len(text):
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        yield from text[start:end].split("\n")
+        start = end
+
+
+def _loadtxt(text: str | None, header, dtype) -> np.ndarray:
+    """The rows under the header, as one structured array; ValueError where
+    the parse might differ from the row loop's."""
+    if text is None or not text.isascii() or any(c in text for c in _NOT_BULK):
+        raise ValueError("not bulk-readable text")
+    head = text.find("\n")
+    if head < 0:
+        raise ValueError("no rows")
+    names = [name.strip().lower() for name in text[:head].split(",")]
+    if names != list(header(len(names)) if callable(header) else header):
+        raise ValueError("header mismatch")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        return np.loadtxt(_lines(text, head + 1), delimiter=",", comments=None, ndmin=1,
+                          dtype=dtype(len(names)) if callable(dtype) else dtype)
+
+
+def read_table(source, header, dtype, bulk: Callable, by_row: Callable, spec: str = ""):
+    """Read ``source`` as ``csv_rows`` would, parsing its rows in bulk.
+
+    ``np.loadtxt`` parses the rows under the header as ``dtype`` (a
+    structured dtype, or a function from the header's width to one), and
+    ``bulk`` makes the result from that array, raising ValueError for any
+    row it would not accept.  Where either refuses, the file is read again
+    through ``csv_rows`` and ``by_row(names, rows)`` makes the same result,
+    or raises the error the row loop finds first, naming its line.
+    """
+    text, again = _read_text(source)
+    try:
+        table = _loadtxt(text, header, dtype)
+        del text  # freed while bulk runs: a refused file is re-read from ``again``
+        return bulk(table)
+    except (ValueError, Warning):
+        pass
+    with csv_rows(again, header, spec) as (names, rows):
+        return by_row(names, rows)
 
 
 def cell(x: float) -> str:

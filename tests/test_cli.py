@@ -140,6 +140,14 @@ class TestSimulate:
         assert not (out / "paths").exists()
 
 
+    def test_s0_is_not_an_option(self, tmp_path):
+        """Paths hold log prices from 0 and the summary has no price, so there is no s0."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(tmp_path / "sim"), "--paths", "1", "--s0", "5"])
+        assert exc.value.code == 2
+        assert "s0" not in cli.SIMULATE_OPTIONS
+
+
 class TestDataCommands:
     def test_ingest(self, tmp_path, bars_csv):
         out = tmp_path / "ing"
@@ -414,6 +422,15 @@ class TestDataCommands:
         err = capsys.readouterr().err
         assert err == "error: stage 'benchmark': threads must be at least 1, got -2\n"
         assert not (out / "reports.csv").exists()
+
+    def test_threads_checked_before_any_stage(self, tmp_path, capsys):
+        """A bad --threads fails before ingest would fail on the missing input."""
+        out = tmp_path / "o"
+        assert main(["pipeline", "--input", str(tmp_path / "missing.csv"), "--out", str(out),
+                     "--threads", "0"] + PIPELINE_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: stage 'benchmark': threads must be at least 1, got 0\n"
+        assert not out.exists()
 
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""
