@@ -179,7 +179,14 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        cfg.read(path, encoding="utf-8")
+        if not Path(path).is_file():
+            raise ConfigError(f"config file is not a file: {path}")
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                cfg.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            reason = " ".join(str(exc).split())  # configparser's messages span lines
+            raise ConfigError(f"bad config file {path}: {reason}") from None
     return cfg
 
 

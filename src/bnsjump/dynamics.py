@@ -336,26 +336,27 @@ def correlation_generalized(var_path: VariancePath, z: JumpPath, zb: JumpPath,
 
 PATH_CSV_HEADER = ["t", "sigma_sq", "x_true", "x_observed", "noise"]
 PATH_CSV_OPTIONAL = ("x_observed", "noise")  # written empty when the path has no noise
-PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the transient row strings
+PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the kernel's temporary arrays
 
 
 def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) -> None:
     """Write one simulated path as CSV rows t,sigma_sq,x_true,x_observed,noise.
 
-    Floats use shortest round-trip formatting (``%r``), so identical paths
-    always serialize to identical bytes; a missing noise column is written
-    empty.  No float repr holds a comma, quote or newline, so nothing is
-    quoted.
+    Each float is written as its ``repr``, the shortest text that reads
+    back to the same float, so identical paths always serialize to
+    identical bytes; a missing noise column is written empty.  No float
+    repr holds a comma, quote or newline, so nothing is quoted.  The rows
+    are formatted `PATH_CSV_CHUNK_ROWS` at a time by `tables.float_rows`,
+    which bounds its temporary arrays whatever the path's length.
     """
     grid = _require_same_grid(var_path, price_path)
-    arrays = (grid.times(), var_path.values, price_path.x_true,
-              price_path.x_observed, price_path.noise)
-    cols = [np.asarray(a, dtype=float) for a in arrays if a is not None]
-    row = ",".join("" if a is None else "%r" for a in arrays) + "\n"
+    cols = [None if a is None else np.asarray(a, dtype=float)
+            for a in (grid.times(), var_path.values, price_path.x_true,
+                      price_path.x_observed, price_path.noise)]
     fileobj.write(",".join(PATH_CSV_HEADER) + "\n")
     for lo in range(0, grid.n_steps + 1, PATH_CSV_CHUNK_ROWS):
-        chunk = zip(*[c[lo:lo + PATH_CSV_CHUNK_ROWS].tolist() for c in cols])
-        fileobj.write("".join([row % values for values in chunk]))
+        chunk = [None if c is None else c[lo:lo + PATH_CSV_CHUNK_ROWS] for c in cols]
+        fileobj.write(tables.float_rows(chunk).decode("ascii"))
 
 
 def read_path_csv(source) -> dict[str, np.ndarray | None]:

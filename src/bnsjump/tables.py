@@ -15,7 +15,25 @@ a carriage return (so that only csv decides where a line ends; a CRLF file
 is read row by row), a NUL (numpy drops it from the end of a text) or
 \\x1c-\\x1f (numpy strips them around a number; ``float`` and ``int`` refuse
 them).  Non-ASCII text is refused because ``float`` reads non-ASCII digits
-and numpy's integer parse misreads some letters as digits.
+and numpy's integer parse misreads some letters as digits.  Paths, bytes
+and binary files are decoded as UTF-8 after an optional byte-order mark.
+
+``float_rows`` writes float64 columns as CSV rows whose fields are exactly
+``repr(float(v))``, whole columns at a time.  ``repr`` is CPython's
+correctly rounded shortest conversion (Gay's dtoa, mode 0): the fewest
+significant digits that read back to the same float, and of those the
+nearest to it.  Ryu (Adams, PLDI 2018) finds the same digits with
+fixed-width integers: the value's rounding interval is scaled by an entry
+of a 5^i table (a 64x128-bit product, summed here from 32-bit halves in
+uint64 columns), then digits are cut while the interval still holds a
+number with fewer of them, rounding the last cut up from 5.  That common
+path is exact for every double except the ones it leaves to Ryu's general
+path, and those go to ``repr`` one at a time: +-0, subnormals, inf, nan,
+|x| >= 2^54 (e2 >= 0), q <= 1 and a scaled value that is itself a whole
+number (mv a multiple of 2^q), where a tie or an interval end may be
+exact.  The layout is repr's: exponent notation below 1e-4 and from 1e16
+up, with a sign and at least two exponent digits, and ``.0`` after a
+whole number.
 """
 
 from __future__ import annotations
@@ -36,11 +54,11 @@ from .errors import ParseError
 
 def _open_text(source) -> io.TextIOBase:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        return open(source, "r", encoding="utf-8-sig", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, io.BytesIO) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        return io.TextIOWrapper(source, encoding="utf-8")
+        return io.TextIOWrapper(source, encoding="utf-8-sig")
     return source
 
 
@@ -83,8 +101,8 @@ def _read_text(source) -> tuple[str | None, object]:
     if isinstance(source, (str, Path, bytes)):
         try:
             if isinstance(source, bytes):
-                return source.decode("utf-8"), source
-            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return source.decode("utf-8-sig"), source
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
                 return fh.read(), source
         except UnicodeDecodeError:  # csv_rows raises it after the rows before it
             return None, source
@@ -168,6 +186,229 @@ def float_texts(values: np.ndarray) -> np.ndarray:
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
     return text[inverse.reshape(values.shape)]
+
+
+# ---------------------------------------------------------------------------
+# float64 columns -> CSV rows whose fields are repr's text, a column at a time
+
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_HALF = np.array([1] + [5 * 10**(r - 1) for r in range(1, 20)], dtype=np.uint64)  # 10^r / 2; 1 cuts none
+_W = 24  # the longest repr, -2.2250738585072014e-308
+
+
+def _pow5_limbs() -> np.ndarray:
+    """5^i for i < 326 scaled to exactly 125 bits, truncated (Ryu's
+    DOUBLE_POW5_SPLIT), as four 32-bit limbs, the lowest first: shape (4, 326)."""
+    rows = []
+    for i in range(326):
+        shift = (5**i).bit_length() - 125
+        p = 5**i >> shift if shift >= 0 else 5**i << -shift
+        rows.append([p >> (32 * k) & 0xFFFFFFFF for k in range(4)])
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+_POW5 = _pow5_limbs()
+
+
+def _split(bits: np.ndarray):
+    """Biased exponent, mantissa field, -e2 (clipped to the normal range) and
+    q = floor(log10 5^-e2) - (-e2 > 1) of float64 bit patterns."""
+    exps = bits >> _U(52) & _U(0x7FF)
+    mant = bits & _U((1 << 52) - 1)
+    e2neg = np.clip(1077 - exps.astype(np.int64), 2, 1076)
+    q = (e2neg * 732923 >> 20) - (e2neg > 1)
+    return exps, mant, e2neg, q
+
+
+# computed in place of a value left to repr: Ryu's common path takes it, and
+# its text is no longer than any repr, so it stays inside the field it fills
+_SUBSTITUTE = _split(np.array([0.1]).view(np.uint64))
+
+
+def _mul_shift(m, limbs, j):
+    """floor(m * 5^i-table / 2^j), exactly, for m < 2^56 and 118 <= j <= 121,
+    summing the eight 32x32-bit partial products column by column."""
+    m0 = m & _M32
+    m1 = m >> _U(32)
+    t0, t1, t2, t3 = limbs
+    c1 = m0 * t0 >> _U(32)
+    p = m0 * t1
+    c2 = p >> _U(32)
+    c1 += p & _M32
+    p = m1 * t0
+    c2 += p >> _U(32)
+    c1 += p & _M32
+    c2 += c1 >> _U(32)
+    p = m0 * t2
+    c3 = p >> _U(32)
+    c2 += p & _M32
+    p = m1 * t1
+    c3 += p >> _U(32)
+    c2 += p & _M32
+    c3 += c2 >> _U(32)
+    p = m0 * t3
+    c4 = p >> _U(32)
+    c3 += p & _M32
+    p = m1 * t2
+    c4 += p >> _U(32)
+    c3 += p & _M32
+    c4 += c3 >> _U(32)
+    p = m1 * t3
+    c5 = p >> _U(32)
+    c4 += p & _M32
+    c5 += c4 >> _U(32)
+    return (c3 & _M32) >> (j - _U(96)) | (c4 & _M32) << (_U(128) - j) | c5 << (_U(160) - j)
+
+
+def _shortest(bits: np.ndarray):
+    """Ryu's shortest digits of float64 bit patterns: ``(out, e, odd)`` with
+    each value equal to ``out * 10^e`` when printed, and ``odd`` the indices
+    of the values outside Ryu's common path (see the module docstring); their
+    ``out`` and ``e`` are those of 0.1."""
+    exps, mant, e2neg, q = _split(bits)
+    mv = (mant | _U(1 << 52)) << _U(2)
+    trailing = mv & ((_U(1) << np.minimum(q, 63).astype(np.uint64)) - _U(1)) == 0
+    odd = np.flatnonzero((exps == 0) | (exps >= 1077) | (q <= 1) | trailing)
+    if odd.size:
+        for part, sub in zip((exps, mant, e2neg, q), _SUBSTITUTE):
+            part[odd] = sub[0]
+        mv = (mant | _U(1 << 52)) << _U(2)
+    i = e2neg - q  # 5^i scales the interval to q decimal digits, e10 = -i
+    j = (q - (i * 1217359 >> 19) + 124).astype(np.uint64)
+    limbs = _POW5.take(i, axis=1)
+    vr = _mul_shift(mv, limbs, j)
+    vp = _mul_shift(mv + _U(2), limbs, j)
+    vm = _mul_shift(mv - _U(1) - ((mant != 0) | (exps == 1)).astype(np.uint64), limbs, j)
+    width = vp - vm
+    lo = np.zeros(vr.shape, dtype=np.intp)
+    hi = np.full(vr.shape, 20, dtype=np.intp)
+    for _ in range(5):  # r digits go while a multiple of 10^r lies in (vm, vp]; vr has at most 20
+        mid = (lo + hi) >> 1
+        ok = vp % _POW10.take(mid) < width
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    d = _POW10.take(lo)
+    out = vr // d
+    low = out * d
+    # round up from a cut 5, or off vm, which the interval leaves out on this path
+    out += ((vr - low >= _HALF.take(lo)) | (vm >= low)).astype(np.uint64)
+    return out, lo - i, odd
+
+
+def _ascii8(x):
+    """Each x < 10^8 as eight zero-padded ASCII digits, the first in the
+    lowest byte of a uint64 (SWAR: two 4-digit lanes, then four 2-digit ones)."""
+    hi = x // _U(10000)
+    merged = hi | (x - hi * _U(10000)) << _U(32)
+    top = (merged * _U(10486)) >> _U(20) & _U(0x0000007F0000007F)
+    pairs = (merged - _U(100) * top) << _U(16) | top
+    tens = (pairs * _U(103)) >> _U(10) & _U(0x000F000F000F000F)
+    return tens | (pairs - _U(10) * tens) << _U(8) | _U(0x3030303030303030)
+
+
+def _masks() -> tuple[np.ndarray, ...]:
+    """Byte masks over a 24-byte text as three little-endian words: for each
+    count f of digits after the point (0: no point), the bytes taken as they
+    are, the bytes taken from the text shifted left one byte, and the point;
+    and for each column, the XOR that turns its '0' into '-'."""
+    def words(chars):
+        return np.frombuffer(bytes(chars), dtype="<u8").astype(np.uint64)
+    cols = range(_W)
+    as_is = [words([255] * _W)] + [words([255 * (c >= _W - f) for c in cols]) for f in range(1, 22)]
+    shifted = [words([0] * _W)] + [words([255 * (c < _W - 1 - f) for c in cols]) for f in range(1, 22)]
+    point = [words([0] * _W)] + [words([ord(".") * (c == _W - 1 - f) for c in cols]) for f in range(1, 22)]
+    minus = [words([(ord("0") ^ ord("-")) * (c == at) for c in cols]) for at in range(_W + 1)]
+    return tuple(np.array(table) for table in (as_is, shifted, point, minus))
+
+
+_AS_IS, _SHIFTED, _POINT, _MINUS = _masks()
+
+
+def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each float, right-aligned in 24 bytes (three little-endian
+    uint64 words a value), and its length."""
+    bits = values.view(np.uint64)
+    out, e, odd = _shortest(bits)
+    neg = bits >= _U(1 << 63)
+    neg[odd] = False
+    ndig = np.searchsorted(_POW10[1:18], out, side="right") + 1
+    point = ndig + e  # the value is 0.DIGITS * 10^point
+    sci = (point > 16) | (point < -3)  # repr's switch to exponent notation
+    whole = ~sci & (e >= 0)
+    # print the integer ``digits`` with ``frac`` of them after the point: an
+    # integral value gets one more zero, and exponent notation one digit before
+    digits = np.where(whole, out * _POW10.take(np.where(whole, e + 1, 0)), out)
+    frac = np.where(sci, ndig - 1, np.where(e < 0, -e, 1))
+    length = frac + (frac > 0) + np.maximum(1, np.where(whole, point + 1, ndig) - frac) + neg
+    groups = np.empty((len(values), 3), dtype=np.uint64)
+    rest = digits // _U(10**8)
+    groups[:, 2] = digits - rest * _U(10**8)
+    groups[:, 0] = rest // _U(10**8)
+    groups[:, 1] = rest - groups[:, 0] * _U(10**8)
+    text = _ascii8(groups)
+    left = text >> _U(8)
+    left[:, 0] |= text[:, 1] << _U(56)
+    left[:, 1] |= text[:, 2] << _U(56)
+    img = text & _AS_IS.take(frac, axis=0) | left & _SHIFTED.take(frac, axis=0) | _POINT.take(frac, axis=0)
+    x = np.flatnonzero(sci)
+    if x.size:  # shift left by the 4 or 5 bytes of e+XX or e-XXX, and write them
+        power = point[x] - 1
+        mag = np.abs(power).astype(np.uint64)
+        big = mag >= _U(100)
+        tail = 4 + big
+        length[x] += tail
+        shift = (8 * tail).astype(np.uint64)
+        words = img[x]
+        moved = words >> shift[:, None]
+        moved[:, :2] |= words[:, 1:] << (_U(64) - shift)[:, None]
+        ten = mag // _U(10) % _U(10)
+        unit = mag % _U(10)
+        exponent = np.where(big, (mag // _U(100) | ten << _U(8) | unit << _U(16)) + _U(0x303030),
+                            (ten | unit << _U(8)) + _U(0x3030))
+        sign = np.where(power < 0, _U(ord("-")), _U(ord("+")))
+        moved[:, 2] |= (_U(ord("e")) | sign << _U(8) | exponent << _U(16)) << (_U(64) - shift)
+        img[x] = moved
+    minus = np.flatnonzero(neg)
+    img[minus] ^= _MINUS.take(_W - length[minus], axis=0)
+    img = img.astype("<u8", copy=False)
+    if odd.size:
+        texts = [repr(v) for v in values[odd].tolist()]  # a negative value's '-' is in its text
+        length[odd] = sizes = np.array([len(t) for t in texts])
+        ends = np.cumsum(sizes)
+        at = np.arange(ends[-1]) - np.repeat(ends - _W, sizes)  # each byte's column
+        img.view(np.uint8)[np.repeat(odd, sizes), at] = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
+    return img, length
+
+
+def float_rows(columns: Sequence[np.ndarray | None]) -> bytes:
+    """The rows of equal-length float columns as ``\\n``-terminated CSV
+    bytes: each field is ``repr(float(v))``, and a ``None`` column an empty
+    field.  At least one column must be given."""
+    present = [k for k, c in enumerate(columns) if c is not None]
+    values = np.column_stack([np.asarray(columns[k], dtype=float) for k in present])
+    n, m = values.shape
+    if n == 0:
+        return b""
+    img, length = _texts(values.ravel())
+    # a field is its text, then the separators up to the next field's text;
+    # the last field's run goes into the next row, so leading empty fields
+    # start the first row and are cut from after the last
+    width = len(columns)
+    seps = ["," * (b - a) for a, b in zip(present, present[1:])]
+    seps.append("," * (width - 1 - present[-1]) + "\n" + "," * present[0])
+    sizes = np.array([len(s) for s in seps])
+    words = -(-sizes.max() // 8)
+    fields = np.empty((n, m, 3 + words), dtype="<u8")
+    fields[:, :, :3] = img.reshape(n, m, 3)
+    fields[:, :, 3:] = np.frombuffer(b"".join(s.encode().ljust(8 * words, b"\0") for s in seps),
+                                     dtype="<u8").reshape(m, words)
+    cols = np.arange(_W + 8 * words)
+    keep = (cols >= _W - np.arange(_W + 1)[:, None, None]) & (cols < _W + sizes[:, None])  # [length, column]
+    keep = keep.reshape(-1, len(cols)).take(length.reshape(n, m) * m + np.arange(m), axis=0)
+    body = fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
+    return b"," * present[0] + body[:len(body) - present[0]]
 
 
 def write_rows(fileobj, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -84,6 +84,31 @@ class TestSimulate:
         t1, t2 = tree_bytes(out1), tree_bytes(out2)
         assert t1 == t2
 
+    def test_config_with_byte_order_mark_reruns_identically(self, tmp_path):
+        out1 = tmp_path / "r1"
+        assert main(["simulate", "--out", str(out1), "--paths", "2", "--seed", "11",
+                     "--noise-std", "0.01"]) == EXIT_OK
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + (out1 / "config_used.cfg").read_bytes())
+        out2 = tmp_path / "r2"
+        assert main(["simulate", "--out", str(out2), "--config", str(cfg)]) == EXIT_OK
+        assert tree_bytes(out1) == tree_bytes(out2)
+
+    @pytest.mark.parametrize("text", [None, b"paths = 2\n", b"[simulate]\npaths = 2\npaths = 3\n",
+                                      b"[simulate]\npaths = \xff2\n"],
+                             ids=["directory", "no-section", "duplicate-key", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(text)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_each_path_is_written_before_the_next_is_simulated(self, tmp_path, monkeypatch):
         out = tmp_path / "sim"

@@ -1,4 +1,5 @@
-"""The file dialect that every CSV reader shares (``bnsjump.tables``).
+"""The file dialect that every CSV reader shares (``bnsjump.tables``), and
+the kernel that writes float columns as ``repr``'s text.
 
 Each reader is given the same malformed and well-formed files: an empty
 file and a wrong header fail at line 1, a short row or a non-numeric field
@@ -6,17 +7,23 @@ fails at its own line, blank lines are skipped and the header is matched
 case-insensitively.
 """
 
+import codecs
+import dataclasses
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from bnsjump import tables
+from bnsjump import dynamics, tables
 from bnsjump.classifiers import load_external_predictions
 from bnsjump.dynamics import read_path_csv
 from bnsjump.errors import ParseError
 from bnsjump.labeling import read_dataset_csv
 from bnsjump.market_data import load_bars
+from bnsjump.subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path
+from brute_force import brute_force_write_path_csv
 
 # reader -> (function of a path, header, two good rows, a short row, a row with a
 # non-numeric field, rows read from its result)
@@ -68,3 +75,101 @@ def test_float_cell_and_json_nan():
     assert [tables.cell(x) for x in (0.1, 3, math.nan, -0.0)] == ["0.1", "3.0", "", "-0.0"]
     text = tables.dumps({"b": [math.nan, 1.5], "a": {"x": (math.nan,)}})
     assert text == json.dumps({"a": {"x": [None]}, "b": [None, 1.5]}, indent=2) + "\n"
+
+
+
+def _same(a, b) -> bool:
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b if a is not None else b is None
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_utf8_byte_order_mark_is_skipped(tmp_path, reader):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet "CSV
+    UTF-8" exports write it, reads as the same file without one: as a path,
+    bytes and a binary file."""
+    fn, header, good, _, _, _ = READERS[reader]
+    text = "".join(line + "\n" for line in (header, *good)).encode("utf-8")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    want = fn(str(plain))
+    for source in (str(marked), marked, marked.read_bytes(), io.BytesIO(marked.read_bytes())):
+        assert _same(fn(source), want)
+
+
+def _expect_rows(columns) -> str:
+    n = len(next(c for c in columns if c is not None))
+    return "".join(",".join("" if c is None else repr(float(c[k])) for c in columns) + "\n"
+                   for k in range(n))
+
+
+def test_float_rows_match_repr():
+    """The kernel's fields are ``repr``'s, byte for byte, on each side of
+    every branch: random bit patterns, magnitudes over 50 decades, grid
+    times, powers of two and ten and their neighbours, the notation switches
+    at 1e-4 and 1e16, integers, subnormals, zeros, infinities and nan."""
+    rng = np.random.default_rng(14)
+    p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([p2, p10])
+    switches = np.concatenate([np.linspace(9.99e-5, 1.001e-4, 5000), np.linspace(9.99e15, 1.001e16, 5000),
+                               [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0)]])
+    special = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.0, np.inf, np.nan])
+    values = np.concatenate([
+        rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+        (rng.standard_normal((51, 600)) * 10.0 ** np.arange(-30, 21)[:, None]).ravel(),
+        *(TimeGrid(0.0, dt, round(1 / dt)).times() for dt in (0.0002, 0.001, 0.005, 0.01)),
+        powers, -np.nextafter(powers, np.inf), np.nextafter(powers, 0.0), switches, -switches,
+        np.arange(5000.0), rng.integers(0, 2**53, 5000).astype(float), [2.0**53], special, -special,
+    ])
+    got = tables.float_rows([values]).decode().split("\n")
+    want = [repr(v) for v in values.tolist()] + [""]
+    assert len(got) == len(want)
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not wrong, f"{len(wrong)} fields differ from repr, the first ones (got, repr): {wrong[:5]}"
+    cols = [None, values[:999], None, values[999:1998][::-1], None]
+    assert tables.float_rows(cols).decode() == _expect_rows(cols)
+    assert tables.float_rows([values[:1], None]).decode() == _expect_rows([values[:1], None])
+    assert tables.float_rows([values[:0]]) == b""
+
+
+def _simulated(n_steps: int, noise: bool):
+    params = dynamics.ModelParams(rho=-0.3, sigma0_sq=0.5, theta=0.4)
+    grid = TimeGrid(0.0, 0.0002, n_steps)
+    z = sample_subordinator_path(SubordinatorSpec(1.0, 1.0), params.lam, grid, seed=(5, 0))
+    zb = sample_subordinator_path(SubordinatorSpec(2.0, 1.0), params.lam, grid, seed=(5, 1))
+    var_path = dynamics.simulate_variance_path(params, z, zb)
+    price = dynamics.simulate_log_price(params, var_path, z, zb, seed=5)
+    if noise:
+        price = dynamics.apply_noise(price, dynamics.NoiseSpec(std=0.01), seed=5)
+    return var_path, price
+
+
+def test_kernel_certifies_nearly_every_path_value():
+    var_path, price = _simulated(5000, noise=True)
+    values = np.concatenate([var_path.grid.times(), var_path.values, price.x_true, price.x_observed,
+                             price.noise])
+    _, _, odd = tables._shortest(values.view(np.uint64))
+    assert odd.size < 0.01 * values.size
+
+
+@pytest.mark.parametrize("rows", [2, 1023, 1024, 1025])
+@pytest.mark.parametrize("noise", [False, True])
+def test_path_csv_at_chunk_edges(rows, noise):
+    """Whole path CSVs one row short of, at and one past a chunk, against
+    the one-repr-a-cell writer (a grid has at least two rows)."""
+    var_path, price = _simulated(rows - 1, noise)
+    got, want = io.StringIO(), io.StringIO()
+    dynamics.write_path_csv(got, var_path, price)
+    brute_force_write_path_csv(want, var_path, price)
+    assert got.getvalue() == want.getvalue()
+    assert dynamics.dumps_path_csv(var_path, price) == want.getvalue()
