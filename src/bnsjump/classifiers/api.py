@@ -54,13 +54,18 @@ DEFAULT_HYPERPARAMS: dict[str, dict] = {
 
 
 def resolve_hyperparams(algorithm: str, overrides: dict | None = None) -> dict:
-    """Merge overrides into the documented defaults; unknown keys are rejected."""
+    """Merge overrides into the documented defaults.  Unknown keys are
+    rejected, and so are a ``knn`` ``k`` and a ``random_forest`` ``trees``
+    (the counts each score averages over) that are not integers >= 1."""
     if algorithm not in DEFAULT_HYPERPARAMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_IDS}")
     merged = dict(DEFAULT_HYPERPARAMS[algorithm])
     for key, value in (overrides or {}).items():
         if key not in merged:
             raise InvalidParameterError(f"unknown hyperparameter {key!r} for {algorithm}")
+        if (algorithm, key) in (("knn", "k"), ("random_forest", "trees")) and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1):
+            raise InvalidParameterError(f"{algorithm}.{key} must be an integer >= 1, got {value!r}")
         merged[key] = value
     return merged
 
@@ -73,9 +78,6 @@ class _ConstantPredictor:
 
     def predict(self, X) -> np.ndarray:
         return np.full(len(X), self.label, dtype=int)
-
-    def predict_score(self, X) -> np.ndarray:
-        return np.full(len(X), float(self.label))
 
 
 @dataclass

@@ -109,18 +109,6 @@ def _best_gini_split(X, w, wy, order, n, features, min_leaf):
     return _first_best(weighted, valid, xs, features)
 
 
-def _last_drawn_zero(X, idx, boot, feature):
-    """``X[r, feature]`` of the zero-valued node row r drawn last in ``boot``.
-
-    A cut at 0.0 may tie -0.0 with 0.0.  Grown on the drawn copies
-    ``X[boot]``, the threshold is the tied copy drawn last, so the same
-    pick keeps the sign of a zero threshold.
-    """
-    tied = np.zeros(len(X), dtype=bool)
-    tied[idx[X[idx, feature] == 0.0]] = True
-    return float(X[boot[np.flatnonzero(tied[boot])[-1]], feature])
-
-
 class DecisionTreeClassifier:
     """Binary CART with Gini impurity.
 
@@ -143,7 +131,9 @@ class DecisionTreeClassifier:
 
         Each drawn row is held once, with its draw count, in the order of
         ``_presort(X)``; ``order`` is that presort, passed in when many
-        trees share one X.
+        trees share one X.  ``boot`` only sets the draw counts, so a zero
+        threshold may carry the other sign than on ``X[boot]``, which
+        ``x <= threshold`` does not tell apart.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
@@ -154,7 +144,7 @@ class DecisionTreeClassifier:
         idx = np.flatnonzero(w)
         flat = order.ravel()
         order = flat.compress(w[flat] > 0).reshape(self.n_features, idx.size)
-        self.root = self._grow(X, w, w * y, boot, idx, order, depth=0)
+        self.root = self._grow(X, w, w * y, idx, order, depth=0)
         return self
 
     def _candidate_features(self) -> np.ndarray:
@@ -162,7 +152,7 @@ class DecisionTreeClassifier:
             return np.arange(self.n_features)
         return np.sort(self.rng.choice(self.n_features, self.max_features, replace=False))
 
-    def _grow(self, X, w, wy, boot, idx, order, depth) -> _Node:
+    def _grow(self, X, w, wy, idx, order, depth) -> _Node:
         node = _Node()
         ones = int(wy[idx].sum())
         n = int(w[idx].sum())
@@ -174,11 +164,9 @@ class DecisionTreeClassifier:
         if best is None:
             return node
         _, node.feature, node.threshold = best
-        if node.threshold == 0.0:
-            node.threshold = _last_drawn_zero(X, idx, boot, node.feature)
         left, right = _partition(X, idx, order, node.feature, node.threshold)
-        node.left = self._grow(X, w, wy, boot, *left, depth + 1)
-        node.right = self._grow(X, w, wy, boot, *right, depth + 1)
+        node.left = self._grow(X, w, wy, *left, depth + 1)
+        node.right = self._grow(X, w, wy, *right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

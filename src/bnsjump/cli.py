@@ -429,8 +429,8 @@ def _load_and_clean(run):
     counts in ``run.info``."""
     opts = run.opts
     calendar = SessionCalendar.from_spec(opts["calendar"])
-    bars, rejected = market_data.load_bars(run.args.input, calendar)
     policy = None if opts["no_outliers"] else market_data.sigma_outlier_policy(opts["outlier_sigma"])
+    bars, rejected = market_data.load_bars(run.args.input, calendar)
     clean, rate = market_data.preprocess(bars, trim_minutes=opts["trim_minutes"],
                                          outlier_policy=policy, trim_reopen=opts["trim_reopen"])
     run.info = {
@@ -515,8 +515,8 @@ STAGES = {
     "stats": ("stats", lambda r: market_data.descriptive_stats(r.sampled, r.opts["group_by"])),
     "realized_measures": ("rv", lambda r: market_data.realized_measures(r.returns, "day")),
     "index": ("indexed", lambda r: index_series(r.returns)),
-    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, _label_config(r.opts))),
-    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, _label_config(r.opts))),
+    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, r.label_config)),
+    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, r.label_config)),
     "load_labeled": ("dataset", lambda r: _read_labeled(r.args.dataset)),
     "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
     "fit": ("trained", _fit),
@@ -573,6 +573,8 @@ def run_data_command(args) -> int:
     for name in THREADED_STAGES:  # before any stage runs, named as the stage that reads it
         if name in stages:
             _stage(name, _check_threads, run.opts)
+    if "mark" in stages:
+        run.label_config = _stage("mark", _label_config, run.opts)
     if hasattr(args, "hp"):  # the subcommands whose stages fit; see STAGE_FLAGS
         run.hp = _named_items(args, cfg, "hyperparams", "hp")
         run.bank = _hyperparams(run.hp)

@@ -110,7 +110,6 @@ class LogPricePath:
     x_true: np.ndarray
     x_observed: np.ndarray | None = None
     noise: np.ndarray | None = None
-    s0: float = 100.0
 
 
 def _require_same_grid(*objs) -> TimeGrid:
@@ -213,7 +212,7 @@ def _euler_log_price(grid: TimeGrid, params: ModelParams, sigma_sq: np.ndarray,
 
 
 def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath, zb: JumpPath,
-                       seed, s0: float = 100.0, diffusion: bool = True) -> LogPricePath:
+                       seed, diffusion: bool = True) -> LogPricePath:
     """Euler-Maruyama log price driven by the generalized jump combination.
 
     X_{k+1} = X_k + (mu + beta sigma_k^2) dt + sigma_k sqrt(dt) N_k
@@ -225,15 +224,15 @@ def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath,
     grid = _require_same_grid(var_path, z, zb)
     dm = (1.0 - params.theta) * z.increments() + params.theta * zb.increments()
     x = _euler_log_price(grid, params, var_path.values, dm, seed, diffusion)
-    return LogPricePath(grid=grid, x_true=x, s0=s0)
+    return LogPricePath(grid=grid, x_true=x)
 
 
 def simulate_log_price_classical(params: ModelParams, var_path: VariancePath, z: JumpPath,
-                                 seed, s0: float = 100.0, diffusion: bool = True) -> LogPricePath:
+                                 seed, diffusion: bool = True) -> LogPricePath:
     """Classical-model log price: jumps come from the base subordinator alone."""
     grid = _require_same_grid(var_path, z)
     x = _euler_log_price(grid, params, var_path.values, z.increments(), seed, diffusion)
-    return LogPricePath(grid=grid, x_true=x, s0=s0)
+    return LogPricePath(grid=grid, x_true=x)
 
 
 def apply_noise(path: LogPricePath, noise: NoiseSpec, seed) -> LogPricePath:
@@ -247,9 +246,9 @@ def apply_noise(path: LogPricePath, noise: NoiseSpec, seed) -> LogPricePath:
     return replace(path, noise=eps, x_observed=path.x_true + eps)
 
 
-def price_series(path: LogPricePath) -> np.ndarray:
-    """Price series s0 * exp(X) of the true log price."""
-    return path.s0 * np.exp(path.x_true)
+def price_series(path: LogPricePath, s0: float = 100.0) -> np.ndarray:
+    """Price series s0 * exp(X) of the true log price, from base price ``s0``."""
+    return s0 * np.exp(path.x_true)
 
 
 def instantaneous_variance_rate(params: ModelParams, sigma_sq: float) -> float:

@@ -270,7 +270,11 @@ def _changes(series: BarSeries) -> tuple[np.ndarray, np.ndarray]:
 
 def sigma_outlier_policy(threshold: float = 10.0) -> OutlierPolicy:
     """Flag bars whose within-session 1-bar percent change exceeds
-    ``threshold`` standard deviations of that day's changes."""
+    ``threshold`` standard deviations of that day's changes, which must
+    be finite and positive."""
+    if not 0.0 < threshold < math.inf:
+        raise InvalidParameterError(f"outlier_sigma must be finite and positive, got {threshold}")
+
     def policy(series: BarSeries) -> np.ndarray:
         mask = np.zeros(len(series), dtype=bool)
         changes = np.full(len(series), np.nan)

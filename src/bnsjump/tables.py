@@ -6,17 +6,19 @@ ParseError names its line.  Floats are written as round-trip ``repr``, NaN
 as an empty cell.  JSON has sorted keys, indent 2, a final newline, and
 NaN as ``null``, so every file is strict JSON.
 
-``csv_rows`` reads a file row by row.  ``read_table`` reads its text once
-and parses every row at once with ``np.loadtxt``; it re-reads the file row
-by row only when the bulk parse refuses it, so every error, and the line
-it names, is the row loop's.  The bulk parse takes only text that it reads
-exactly as the row loop does: ASCII without a double quote (csv quoting),
-a carriage return (so that only csv decides where a line ends; a CRLF file
-is read row by row), a NUL (numpy drops it from the end of a text) or
-\\x1c-\\x1f (numpy strips them around a number; ``float`` and ``int`` refuse
-them).  Non-ASCII text is refused because ``float`` reads non-ASCII digits
-and numpy's integer parse misreads some letters as digits.  Paths, bytes
-and binary files are decoded as UTF-8 after an optional byte-order mark.
+``csv_rows`` reads a file row by row.  ``read_table`` reads the text of a
+file named by a path once and parses every row at once with ``np.loadtxt``;
+it re-reads the file row by row only when the bulk parse refuses it, so
+every error, and the line it names, is the row loop's.  Any other source
+(bytes, a text or binary file) is read row by row.  The bulk parse takes
+only text that it reads exactly as the row loop does: ASCII without a
+double quote (csv quoting), a carriage return (so that only csv decides
+where a line ends; a CRLF file is read row by row), a NUL (numpy drops it
+from the end of a text) or \\x1c-\\x1f (numpy strips them around a number;
+``float`` and ``int`` refuse them).  Non-ASCII text is refused because
+``float`` reads non-ASCII digits and numpy's integer parse misreads some
+letters as digits.  Paths, bytes and binary files are decoded as UTF-8
+after an optional byte-order mark, with csv's own line splitting.
 
 ``float_rows`` writes float64 columns as CSV rows whose fields are exactly
 ``repr(float(v))``, whole columns at a time.  ``repr`` is CPython's
@@ -56,9 +58,9 @@ def _open_text(source) -> io.TextIOBase:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8-sig", newline="")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
+        return io.StringIO(source.decode("utf-8-sig"), newline="")
     if isinstance(source, io.BytesIO) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        return io.TextIOWrapper(source, encoding="utf-8-sig")
+        return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     return source
 
 
@@ -95,30 +97,6 @@ def csv_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]], spe
             fh.close()
 
 
-def _read_text(source) -> tuple[str | None, object]:
-    """The text of ``source`` (None where it does not decode), and a source
-    that ``csv_rows`` reads as it would have read ``source`` itself."""
-    if isinstance(source, (str, Path, bytes)):
-        try:
-            if isinstance(source, bytes):
-                return source.decode("utf-8-sig"), source
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                return fh.read(), source
-        except UnicodeDecodeError:  # csv_rows raises it after the rows before it
-            return None, source
-    lines: list[str] = []  # a file is read through its own line splitting
-    try:
-        lines.extend(_open_text(source))
-    except UnicodeDecodeError as exc:
-        return None, _lines_then(lines, exc)
-    return "".join(lines), lines
-
-
-def _lines_then(lines: list[str], exc: Exception) -> Iterator[str]:
-    yield from lines
-    raise exc
-
-
 _NOT_BULK = '"\r\x00\x1c\x1d\x1e\x1f'  # see the module docstring
 
 
@@ -132,10 +110,10 @@ def _lines(text: str, start: int) -> Iterator[str]:
         start = end
 
 
-def _loadtxt(text: str | None, header, dtype) -> np.ndarray:
+def _loadtxt(text: str, header, dtype) -> np.ndarray:
     """The rows under the header, as one structured array; ValueError where
     the parse might differ from the row loop's."""
-    if text is None or not text.isascii() or any(c in text for c in _NOT_BULK):
+    if not text.isascii() or any(c in text for c in _NOT_BULK):
         raise ValueError("not bulk-readable text")
     head = text.find("\n")
     if head < 0:
@@ -150,23 +128,26 @@ def _loadtxt(text: str | None, header, dtype) -> np.ndarray:
 
 
 def read_table(source, header, dtype, bulk: Callable, by_row: Callable, spec: str = ""):
-    """Read ``source`` as ``csv_rows`` would, parsing its rows in bulk.
+    """Read ``source`` as ``csv_rows`` would, parsing a path's rows in bulk.
 
     ``np.loadtxt`` parses the rows under the header as ``dtype`` (a
     structured dtype, or a function from the header's width to one), and
     ``bulk`` makes the result from that array, raising ValueError for any
-    row it would not accept.  Where either refuses, the file is read again
-    through ``csv_rows`` and ``by_row(names, rows)`` makes the same result,
-    or raises the error the row loop finds first, naming its line.
+    row it would not accept.  Where either refuses, or the file does not
+    decode, it is read again through ``csv_rows`` and ``by_row(names, rows)``
+    makes the same result, or raises the error the row loop finds first,
+    naming its line.  Any other source goes straight to ``csv_rows``.
     """
-    text, again = _read_text(source)
-    try:
-        table = _loadtxt(text, header, dtype)
-        del text  # freed while bulk runs: a refused file is re-read from ``again``
-        return bulk(table)
-    except (ValueError, Warning):
-        pass
-    with csv_rows(again, header, spec) as (names, rows):
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                text = fh.read()
+            table = _loadtxt(text, header, dtype)
+            del text  # freed while bulk runs: a refused file is read again
+            return bulk(table)
+        except (ValueError, Warning):  # UnicodeDecodeError too: csv_rows raises it at its line
+            pass
+    with csv_rows(source, header, spec) as (names, rows):
         return by_row(names, rows)
 
 
@@ -385,19 +366,17 @@ def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def float_rows(columns: Sequence[np.ndarray | None]) -> bytes:
     """The rows of equal-length float columns as ``\\n``-terminated CSV
     bytes: each field is ``repr(float(v))``, and a ``None`` column an empty
-    field.  At least one column must be given."""
+    field.  The first column must be given."""
     present = [k for k, c in enumerate(columns) if c is not None]
     values = np.column_stack([np.asarray(columns[k], dtype=float) for k in present])
     n, m = values.shape
     if n == 0:
         return b""
     img, length = _texts(values.ravel())
-    # a field is its text, then the separators up to the next field's text;
-    # the last field's run goes into the next row, so leading empty fields
-    # start the first row and are cut from after the last
-    width = len(columns)
+    # a field is its text, then the separators up to the next field's text,
+    # or to the end of its row
     seps = ["," * (b - a) for a, b in zip(present, present[1:])]
-    seps.append("," * (width - 1 - present[-1]) + "\n" + "," * present[0])
+    seps.append("," * (len(columns) - 1 - present[-1]) + "\n")
     sizes = np.array([len(s) for s in seps])
     words = -(-sizes.max() // 8)
     fields = np.empty((n, m, 3 + words), dtype="<u8")
@@ -407,8 +386,7 @@ def float_rows(columns: Sequence[np.ndarray | None]) -> bytes:
     cols = np.arange(_W + 8 * words)
     keep = (cols >= _W - np.arange(_W + 1)[:, None, None]) & (cols < _W + sizes[:, None])  # [length, column]
     keep = keep.reshape(-1, len(cols)).take(length.reshape(n, m) * m + np.arange(m), axis=0)
-    body = fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
-    return b"," * present[0] + body[:len(body) - present[0]]
+    return fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
 
 
 def write_rows(fileobj, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -146,19 +146,20 @@ def test_bulk_read_matches_row_loop(tmp_path, monkeypatch, reader, case, newline
 
 @pytest.mark.parametrize("reader", list(READERS))
 @pytest.mark.parametrize("kind", ["bytes", "text-file", "binary-file"])
-def test_every_source_kind_reads_the_same(monkeypatch, reader, kind):
-    """Bytes and file objects are read in bulk too, and row by row where refused."""
+def test_every_source_kind_reads_the_same(tmp_path, monkeypatch, reader, kind):
+    """Bytes and file objects are read row by row, as the same bytes read from a path."""
     _, _, header, cases = READERS[reader]
-    for case, (lines, path) in cases.items():
+    for case, (lines, _) in cases.items():
         data = text_of(header, lines).encode("utf-8")
+        file = tmp_path / "table.csv"
+        file.write_bytes(data)
+        from_path, _, _ = both_ways(monkeypatch, reader, lambda: str(file))
         source_of = {"bytes": lambda: data,
-                     "text-file": lambda: io.StringIO(data.decode("utf-8")),
+                     "text-file": lambda: io.StringIO(data.decode("utf-8"), newline=""),
                      "binary-file": lambda: io.BytesIO(data)}[kind]
         as_read, read_by, row_by_row = both_ways(monkeypatch, reader, source_of)
-        assert as_read == row_by_row, case
-        if kind == "binary-file" and case == "bare-cr":
-            path = "bulk"  # a binary file is read with universal newlines, which end a line there
-        assert read_by == path, case
+        assert as_read == row_by_row == from_path, case
+        assert read_by == "rows", case
 
 
 @pytest.mark.parametrize("reader", list(READERS))
@@ -183,9 +184,10 @@ def test_undecodable_file_fails_as_the_row_loop_does(tmp_path, monkeypatch, read
         assert as_read[:2] == ("error", error) and read_by == "rows"
 
 
-def test_zero_feature_dataset_reads_in_bulk(monkeypatch):
-    as_read, read_by, row_by_row = both_ways(monkeypatch, "read_dataset_csv",
-                                             lambda: b"index,theta\n3,1\n4,0\n")
+def test_zero_feature_dataset_reads_in_bulk(tmp_path, monkeypatch):
+    file = tmp_path / "table.csv"
+    file.write_bytes(b"index,theta\n3,1\n4,0\n")
+    as_read, read_by, row_by_row = both_ways(monkeypatch, "read_dataset_csv", lambda: str(file))
     assert as_read == row_by_row
     assert read_by == "bulk"
     assert as_read[1][1][:2] == ("<f8", (2, 0))

@@ -92,6 +92,14 @@ class TestTrainBasics:
         with pytest.raises(InvalidParameterError):
             resolve_hyperparams("knn", {"kk": 3})
 
+    @pytest.mark.parametrize("algorithm,key", [("knn", "k"), ("random_forest", "trees")])
+    def test_counts_must_be_integers_from_one(self, algorithm, key):
+        for value in (0, -3, 2.5, "3", True):
+            with pytest.raises(InvalidParameterError):
+                resolve_hyperparams(algorithm, {key: value})
+        for value in (1, np.int64(3)):
+            assert resolve_hyperparams(algorithm, {key: value})[key] == value
+
     def test_single_class_degenerate(self):
         X = np.random.default_rng(0).normal(size=(20, 4))
         ds = as_dataset(X, np.zeros(20, dtype=int))

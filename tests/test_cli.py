@@ -457,6 +457,41 @@ class TestDataCommands:
         assert err == "error: stage 'benchmark': threads must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["label", "pipeline"])
+    @pytest.mark.parametrize("flag", ["--window", "--lookahead", "--min-jumps", "--stride",
+                                      "--threshold-pct"])
+    def test_labeling_checked_before_any_stage(self, tmp_path, capsys, subcommand, flag):
+        """A bad labeling option fails before ingest would fail on the missing input."""
+        out = tmp_path / "o"
+        assert main([subcommand, "--input", str(tmp_path / "missing.csv"), "--out", str(out)]
+                    + DATA_FLAGS[subcommand] + [flag, "0"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'mark': ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf"])
+    def test_outlier_sigma_must_be_finite_and_positive(self, tmp_path, capsys, bars_csv, sigma):
+        out = tmp_path / "o"
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(out),
+                     "--outlier-sigma", sigma] + PIPELINE_FLAGS) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("error: stage 'ingest': outlier_sigma must be finite and positive, "
+                       f"got {float(sigma)}\n")
+        assert not (out / "reports.csv").exists()
+
+    @pytest.mark.parametrize("hp", ["knn.k=0", "knn.k=-3", "knn.k=2.5", "random_forest.trees=0"])
+    def test_count_hyperparams_below_one_are_config_errors(self, tmp_path, capsys, hp):
+        """Checked with the other hyperparameters, before any stage runs."""
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
+                           encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--dataset", str(dataset), "--out", str(out), "--split", "T=0:5/6:10",
+                     "--algorithms", "knn,random_forest", "--hp", hp]) == EXIT_CONFIG
+        key, value = hp.split("=")
+        assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
+        assert not out.exists()
+
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""
         bars = tmp_path / "edge.csv"

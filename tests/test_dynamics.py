@@ -202,13 +202,13 @@ class TestNoise:
 
 class TestPriceSeries:
     def test_constant_price(self):
-        lp = LogPricePath(grid=GRID, x_true=np.zeros(GRID.n_steps + 1), s0=100.0)
-        assert np.all(price_series(lp) == 100.0)
+        lp = LogPricePath(grid=GRID, x_true=np.zeros(GRID.n_steps + 1))
+        assert np.all(price_series(lp, 100.0) == 100.0)
 
     def test_exponential_identity(self):
         x = np.full(GRID.n_steps + 1, math.log(2.0))
-        lp = LogPricePath(grid=GRID, x_true=x, s0=100.0)
-        np.testing.assert_allclose(price_series(lp), 200.0, rtol=1e-15)
+        lp = LogPricePath(grid=GRID, x_true=x)
+        np.testing.assert_allclose(price_series(lp, 100.0), 200.0, rtol=1e-15)
 
 
 class TestInstantaneousVariance:

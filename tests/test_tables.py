@@ -136,7 +136,7 @@ def test_float_rows_match_repr():
     assert len(got) == len(want)
     wrong = [(g, w) for g, w in zip(got, want) if g != w]
     assert not wrong, f"{len(wrong)} fields differ from repr, the first ones (got, repr): {wrong[:5]}"
-    cols = [None, values[:999], None, values[999:1998][::-1], None]
+    cols = [values[:999], None, values[999:1998][::-1], None]
     assert tables.float_rows(cols).decode() == _expect_rows(cols)
     assert tables.float_rows([values[:1], None]).decode() == _expect_rows([values[:1], None])
     assert tables.float_rows([values[:0]]) == b""
