@@ -317,13 +317,19 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
 
 
-# the stages that run their seeded units on ``threads`` threads
-THREADED_STAGES = ("simulate", "benchmark")
+# option -> (its least value, the stages that read it).  Each is checked
+# before any stage runs, as the stage that reads it, so that a bad value
+# fails before ingest loads every bar or fails on a missing input.
+LEAST_VALUES = {
+    "threads": (1, ("simulate", "benchmark")),  # the stages that run seeded units on threads
+    "seed": (0, ("simulate", "benchmark", "fit")),
+    "interval": (1, ("resample",)),
+}
 
 
-def _check_threads(opts: dict) -> None:
-    if opts["threads"] < 1:
-        raise ConfigError(f"threads must be at least 1, got {opts['threads']}")
+def _check_least(opts: dict, name: str, least: int) -> None:
+    if opts[name] < least:
+        raise ConfigError(f"{name} must be at least {least}, got {opts[name]}")
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +576,10 @@ def run_data_command(args) -> int:
     cfg = _read_config(args.config)
     run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
                           splits=(), hp={}, external={})
-    for name in THREADED_STAGES:  # before any stage runs, named as the stage that reads it
-        if name in stages:
-            _stage(name, _check_threads, run.opts)
+    for option, (least, readers) in LEAST_VALUES.items():
+        for name in readers:
+            if name in stages:
+                _stage(name, _check_least, run.opts, option, least)
     if "mark" in stages:
         run.label_config = _stage("mark", _label_config, run.opts)
     if hasattr(args, "hp"):  # the subcommands whose stages fit; see STAGE_FLAGS

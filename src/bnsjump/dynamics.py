@@ -31,8 +31,9 @@ single-subordinator model that the theta=0 case must reproduce exactly.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,6 +121,12 @@ def _require_same_grid(*objs) -> TimeGrid:
     return grid
 
 
+# `_ou_accumulate` runs the stretches between deposits as numpy running
+# products on grids with at least this many steps per event; on denser grids
+# (C05's 100 steps carry 8 to 24 events on average) the Python loop is faster
+_OU_SPARSE_STEPS = 32
+
+
 def _recur(v: float, factor: float, deposits: list[float]) -> np.ndarray:
     """Values v, then v_{k+1} = factor * v_k + deposits[k], in Python floats."""
     values = [v]
@@ -140,15 +147,28 @@ def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
     """
     n = grid.n_steps
     grid_times = grid.times()
+    factor = math.exp(-lam * grid.dt)
     if len(times):
         # events land in the step whose right endpoint is the first grid time >= tau
         step = np.searchsorted(grid_times, times, side="left") - 1
         step = np.minimum(np.maximum(step, 0), n - 1)
         contrib = sizes * np.exp(-lam * (grid_times[step + 1] - times))
-        deposit = np.bincount(step, weights=contrib, minlength=n).tolist()
+        deposit = np.bincount(step, weights=contrib, minlength=n)
+        if len(times) * _OU_SPARSE_STEPS > n:
+            return _recur(float(sigma0_sq), factor, deposit.tolist())
     else:
-        deposit = [0.0] * n
-    return _recur(float(sigma0_sq), math.exp(-lam * grid.dt), deposit)
+        deposit = np.zeros(n)
+    # a step without a deposit is factor * v + 0.0, which is factor * v for
+    # the non-negative variance: a stretch of them is a running product
+    values = np.full(n + 1, factor)
+    values[0] = sigma0_sq
+    start = 0
+    for k in np.flatnonzero(deposit).tolist():
+        np.multiply.accumulate(values[start:k + 1], out=values[start:k + 1])
+        values[k + 1] = factor * float(values[k]) + float(deposit[k])
+        start = k + 1
+    np.multiply.accumulate(values[start:], out=values[start:])
+    return values
 
 
 def simulate_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> VariancePath:
@@ -338,6 +358,26 @@ PATH_CSV_OPTIONAL = ("x_observed", "noise")  # written empty when the path has n
 PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the kernel's temporary arrays
 
 
+@functools.lru_cache(maxsize=1)
+def _time_texts(grid: TimeGrid, rows: int) -> tuple[tables.Formatted, ...]:
+    """The grid's times formatted ``rows`` at a time.  Every path on a grid
+    has the same ``t`` column, so the last grid's is kept (32 bytes a grid
+    point); threads that ask for it at once may each compute it."""
+    times = grid.times()
+    return tuple(tables.formatted(times[lo:lo + rows]) for lo in range(0, len(times), rows))
+
+
+def _path_csv_parts(var_path: VariancePath, price_path: LogPricePath) -> Iterator[bytes]:
+    """The path CSV's header, then its rows a chunk at a time, as ASCII."""
+    grid = _require_same_grid(var_path, price_path)
+    cols = [None if a is None else np.asarray(a, dtype=float)
+            for a in (var_path.values, price_path.x_true, price_path.x_observed, price_path.noise)]
+    yield (",".join(PATH_CSV_HEADER) + "\n").encode("ascii")
+    rows = PATH_CSV_CHUNK_ROWS
+    for lo, times in zip(range(0, grid.n_steps + 1, rows), _time_texts(grid, rows)):
+        yield tables.float_rows([times] + [None if c is None else c[lo:lo + rows] for c in cols])
+
+
 def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) -> None:
     """Write one simulated path as CSV rows t,sigma_sq,x_true,x_observed,noise.
 
@@ -346,16 +386,11 @@ def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) ->
     identical bytes; a missing noise column is written empty.  No float
     repr holds a comma, quote or newline, so nothing is quoted.  The rows
     are formatted `PATH_CSV_CHUNK_ROWS` at a time by `tables.float_rows`,
-    which bounds its temporary arrays whatever the path's length.
+    which bounds its temporary arrays whatever the path's length; the
+    ``t`` column is formatted once for all the paths on a grid.
     """
-    grid = _require_same_grid(var_path, price_path)
-    cols = [None if a is None else np.asarray(a, dtype=float)
-            for a in (grid.times(), var_path.values, price_path.x_true,
-                      price_path.x_observed, price_path.noise)]
-    fileobj.write(",".join(PATH_CSV_HEADER) + "\n")
-    for lo in range(0, grid.n_steps + 1, PATH_CSV_CHUNK_ROWS):
-        chunk = [None if c is None else c[lo:lo + PATH_CSV_CHUNK_ROWS] for c in cols]
-        fileobj.write(tables.float_rows(chunk).decode("ascii"))
+    for part in _path_csv_parts(var_path, price_path):
+        fileobj.write(part.decode("ascii"))
 
 
 def read_path_csv(source) -> dict[str, np.ndarray | None]:
@@ -388,6 +423,5 @@ def read_path_csv(source) -> dict[str, np.ndarray | None]:
 
 
 def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:
-    buf = io.StringIO()
-    write_path_csv(buf, var_path, price_path)
-    return buf.getvalue()
+    """The text `write_path_csv` writes."""
+    return b"".join(_path_csv_parts(var_path, price_path)).decode("ascii")

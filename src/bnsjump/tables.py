@@ -21,7 +21,8 @@ letters as digits.  Paths, bytes and binary files are decoded as UTF-8
 after an optional byte-order mark, with csv's own line splitting.
 
 ``float_rows`` writes float64 columns as CSV rows whose fields are exactly
-``repr(float(v))``, whole columns at a time.  ``repr`` is CPython's
+``repr(float(v))``, whole columns at a time; ``formatted`` formats a column
+alone, for one that several tables share.  ``repr`` is CPython's
 correctly rounded shortest conversion (Gay's dtoa, mode 0): the fewest
 significant digits that read back to the same float, and of those the
 nearest to it.  Ryu (Adams, PLDI 2018) finds the same digits with
@@ -47,7 +48,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -263,13 +264,16 @@ def _shortest(bits: np.ndarray):
     vp = _mul_shift(mv + _U(2), limbs, j)
     vm = _mul_shift(mv - _U(1) - ((mant != 0) | (exps == 1)).astype(np.uint64), limbs, j)
     width = vp - vm
-    lo = np.zeros(vr.shape, dtype=np.intp)
-    hi = np.full(vr.shape, 20, dtype=np.intp)
-    for _ in range(5):  # r digits go while a multiple of 10^r lies in (vm, vp]; vr has at most 20
-        mid = (lo + hi) >> 1
-        ok = vp % _POW10.take(mid) < width
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
+    # r digits go while a multiple of 10^r lies in (vm, vp]: that holds from
+    # r = 0 up to the answer, which is at most 19 (vr has at most 20 digits),
+    # and for every r with 10^r <= width; it holds one step further for some
+    # of the values, and two or more for a few, often short decimals
+    lo = np.searchsorted(_POW10, width, side="right") - 1
+    up = np.minimum(lo + 1, 19)
+    lo = np.where(vp % _POW10.take(up) < width, up, lo)
+    rare = np.flatnonzero(vp % _POW10.take(np.minimum(lo + 1, 19)) < width)
+    if rare.size:  # count the r that hold
+        lo[rare] = (vp[rare, None] % _POW10 < width[rare, None]).sum(axis=1) - 1
     d = _POW10.take(lo)
     out = vr // d
     low = out * d
@@ -307,9 +311,18 @@ def _masks() -> tuple[np.ndarray, ...]:
 _AS_IS, _SHIFTED, _POINT, _MINUS = _masks()
 
 
-def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each float, right-aligned in 24 bytes (three little-endian
-    uint64 words a value), and its length."""
+class Formatted(NamedTuple):
+    """``repr`` of each float of a column, right-aligned in 24 bytes (three
+    little-endian uint64 words a value), and its length."""
+
+    img: np.ndarray
+    length: np.ndarray
+
+
+def formatted(values: np.ndarray) -> Formatted:
+    """The floats of the 1-D ``values`` formatted for `float_rows`, which
+    can write a column formatted once into any number of tables."""
+    values = np.ascontiguousarray(values, dtype=float)
     bits = values.view(np.uint64)
     out, e, odd = _shortest(bits)
     neg = bits >= _U(1 << 63)
@@ -360,19 +373,20 @@ def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ends = np.cumsum(sizes)
         at = np.arange(ends[-1]) - np.repeat(ends - _W, sizes)  # each byte's column
         img.view(np.uint8)[np.repeat(odd, sizes), at] = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
-    return img, length
+    return Formatted(img, length)
 
 
-def float_rows(columns: Sequence[np.ndarray | None]) -> bytes:
+def float_rows(columns: Sequence[np.ndarray | Formatted | None]) -> bytes:
     """The rows of equal-length float columns as ``\\n``-terminated CSV
     bytes: each field is ``repr(float(v))``, and a ``None`` column an empty
-    field.  The first column must be given."""
+    field.  The first column must be given.  A column may come `formatted`
+    already; the others are formatted here, together."""
     present = [k for k, c in enumerate(columns) if c is not None]
-    values = np.column_stack([np.asarray(columns[k], dtype=float) for k in present])
-    n, m = values.shape
+    given = [isinstance(columns[k], Formatted) for k in present]
+    n = len(columns[0].length if given[0] else columns[0])
+    m = len(present)
     if n == 0:
         return b""
-    img, length = _texts(values.ravel())
     # a field is its text, then the separators up to the next field's text,
     # or to the end of its row
     seps = ["," * (b - a) for a, b in zip(present, present[1:])]
@@ -380,12 +394,20 @@ def float_rows(columns: Sequence[np.ndarray | None]) -> bytes:
     sizes = np.array([len(s) for s in seps])
     words = -(-sizes.max() // 8)
     fields = np.empty((n, m, 3 + words), dtype="<u8")
-    fields[:, :, :3] = img.reshape(n, m, 3)
+    length = np.empty((n, m), dtype=np.intp)
+    fresh = [j for j in range(m) if not given[j]]
+    if fresh:
+        texts = formatted(np.column_stack([columns[present[j]] for j in fresh]).ravel())
+        fields[:, fresh, :3] = texts.img.reshape(n, len(fresh), 3)
+        length[:, fresh] = texts.length.reshape(n, len(fresh))
+    for j in range(m):
+        if given[j]:
+            fields[:, j, :3], length[:, j] = columns[present[j]]
     fields[:, :, 3:] = np.frombuffer(b"".join(s.encode().ljust(8 * words, b"\0") for s in seps),
                                      dtype="<u8").reshape(m, words)
     cols = np.arange(_W + 8 * words)
     keep = (cols >= _W - np.arange(_W + 1)[:, None, None]) & (cols < _W + sizes[:, None])  # [length, column]
-    keep = keep.reshape(-1, len(cols)).take(length.reshape(n, m) * m + np.arange(m), axis=0)
+    keep = keep.reshape(-1, len(cols)).take(length * m + np.arange(m), axis=0)
     return fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
 
 

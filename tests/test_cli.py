@@ -457,6 +457,42 @@ class TestDataCommands:
         assert err == "error: stage 'benchmark': threads must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand,stage", [("simulate", "simulate"), ("report", "benchmark"),
+                                                  ("pipeline", "benchmark"), ("train", "fit")])
+    def test_negative_seed_checked_before_any_stage(self, tmp_path, capsys, subcommand, stage):
+        """A negative --seed fails as the stage that reads it, before a
+        missing input would, and although naive Bayes never draws from it."""
+        missing = str(tmp_path / "missing.csv")
+        argv = {"simulate": [],
+                "report": ["--dataset", missing, "--split", "T=0:5/6:10"],
+                "pipeline": ["--input", missing] + PIPELINE_FLAGS,
+                "train": ["--dataset", missing, "--train", "0:5"]}[subcommand]
+        learner = {"simulate": [], "train": ["--algorithm", "naive_bayes_gaussian"]}.get(
+            subcommand, ["--algorithms", "naive_bayes_gaussian"])
+        out = tmp_path / "o"
+        assert main([subcommand, "--out", str(out)] + argv + learner + ["--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: stage '{stage}': seed must be at least 0, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_fails_where_no_learner_draws_from_it(self, tmp_path, capsys, bars_csv):
+        out = tmp_path / "o"
+        assert main(["pipeline", "--input", str(bars_csv), "--out", str(out)] + PIPELINE_FLAGS
+                    + ["--algorithms", "naive_bayes_gaussian", "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: stage 'benchmark': seed must be at least 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["stats", "label", "pipeline"])
+    @pytest.mark.parametrize("present", [False, True], ids=["missing-input", "input"])
+    def test_interval_checked_before_any_stage(self, tmp_path, capsys, bars_csv, subcommand, present):
+        """--interval 0 fails as stage resample before ingest loads the bars,
+        or fails on a missing input."""
+        source = str(bars_csv) if present else str(tmp_path / "missing.csv")
+        out = tmp_path / "o"
+        assert main([subcommand, "--input", source, "--out", str(out)] + DATA_FLAGS[subcommand]
+                    + ["--interval", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: stage 'resample': interval must be at least 1, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["label", "pipeline"])
     @pytest.mark.parametrize("flag", ["--window", "--lookahead", "--min-jumps", "--stride",
                                       "--threshold-pct"])

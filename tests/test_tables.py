@@ -12,6 +12,8 @@ import dataclasses
 import io
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,9 +144,9 @@ def test_float_rows_match_repr():
     assert tables.float_rows([values[:0]]) == b""
 
 
-def _simulated(n_steps: int, noise: bool):
+def _simulated(n_steps: int, noise: bool, grid: TimeGrid | None = None):
     params = dynamics.ModelParams(rho=-0.3, sigma0_sq=0.5, theta=0.4)
-    grid = TimeGrid(0.0, 0.0002, n_steps)
+    grid = grid or TimeGrid(0.0, 0.0002, n_steps)
     z = sample_subordinator_path(SubordinatorSpec(1.0, 1.0), params.lam, grid, seed=(5, 0))
     zb = sample_subordinator_path(SubordinatorSpec(2.0, 1.0), params.lam, grid, seed=(5, 1))
     var_path = dynamics.simulate_variance_path(params, z, zb)
@@ -173,3 +175,47 @@ def test_path_csv_at_chunk_edges(rows, noise):
     brute_force_write_path_csv(want, var_path, price)
     assert got.getvalue() == want.getvalue()
     assert dynamics.dumps_path_csv(var_path, price) == want.getvalue()
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Fail naming the first line that differs, where pytest's own diff of
+    two path CSVs would run for minutes."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
+        pytest.fail(f"first difference (line, got, want): "
+                    f"{next((p for p in pairs if p[1][0] != p[1][1]), 'one text ends early')}")
+
+
+def test_path_csv_on_grids_in_turn():
+    """The ``t`` column kept for one grid is never written for another: paths
+    on two grids that differ only in their origin, in turn, then on a grid
+    equal to the first but built again, all against the one-repr-a-cell
+    writer."""
+    first = TimeGrid(0.0, 0.0002, 1500)
+    for grid in (first, TimeGrid(0.5, 0.0002, 1500), first, TimeGrid(0.0, 0.0002, 1500)):
+        for noise in (False, True):
+            var_path, price = _simulated(grid.n_steps, noise, grid)
+            want = io.StringIO()
+            brute_force_write_path_csv(want, var_path, price)
+            _assert_same_text(dynamics.dumps_path_csv(var_path, price), want.getvalue())
+
+
+def test_path_csv_on_grids_from_threads():
+    """Threads writing paths on two grids at once, with the interpreter
+    switching between them every microsecond, each write their own grid's
+    ``t`` column."""
+    grids = (TimeGrid(0.0, 0.0002, 1500), TimeGrid(0.5, 0.0002, 1500))
+    paths = [_simulated(grid.n_steps, True, grid) for grid in grids]
+    wants = []
+    for var_path, price in paths:
+        wants.append(io.StringIO())
+        brute_force_write_path_csv(wants[-1], var_path, price)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            right = list(pool.map(lambda k: dynamics.dumps_path_csv(*paths[k % 2]) == wants[k % 2].getvalue(),
+                                  range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert right == [True] * 24

@@ -370,6 +370,35 @@ def test_ou_accumulate():
         assert same(got, brute_force_ou_accumulate(grid, 1, 3.0, empty, empty))
 
 
+@pytest.mark.parametrize("n_steps", [100, 5000])
+def test_ou_accumulate_on_both_sides_of_the_sparse_rule(n_steps, monkeypatch):
+    """Both the running products over the stretches between deposits and the
+    Python loop that dense grids keep give the loop oracle's bits, also where
+    events deposit nothing."""
+    grid = TimeGrid(0.0, 1.0 / n_steps, n_steps)
+    starts, dt = grid.times(), grid.dt
+    most = n_steps // dynamics._OU_SPARSE_STEPS  # events still run as running products
+    rng = np.random.default_rng(n_steps)
+    steps = rng.choice(np.arange(1, n_steps - 1), most + 1, replace=False)
+    cases = {  # name -> (event times, whether the grid is dense)
+        "none": (np.empty(0), False),
+        "first step": (np.array([starts[0], starts[0] + 0.4 * dt]), False),
+        "last step": (np.array([starts[-2] + 0.9 * dt, starts[-1]]), False),
+        "two in one step": (starts[[7, 7]] + np.array([0.2, 0.7]) * dt, False),
+        "at the rule": (np.sort(starts[np.r_[0, steps[:most - 2], n_steps - 1]] + 0.5 * dt), False),
+        "past the rule": (np.sort(starts[np.r_[0, steps[:most - 1], n_steps - 1]] + 0.5 * dt), True),
+    }
+    loops = []
+    recur = dynamics._recur
+    monkeypatch.setattr(dynamics, "_recur", lambda *args: loops.append(1) or recur(*args))
+    for name, (times, dense) in cases.items():
+        for sizes in (rng.exponential(1.0, len(times)), np.zeros(len(times))):
+            del loops[:]
+            got = dynamics._ou_accumulate(grid, 0.7, 1.3, times, sizes)
+            assert same(got, brute_force_ou_accumulate(grid, 0.7, 1.3, times, sizes)), name
+            assert bool(loops) == dense, name
+
+
 def test_euler_variance_path():
     """Same bits as the numpy-scalar Euler loop, including shrink factors <= 0."""
     rng = np.random.default_rng(13)
