@@ -6,9 +6,11 @@ import numpy as np
 
 from ..seeding import substream
 
-# Queries are scored this many rows at a time, so the distance matrix held at
-# once is KNN_CHUNK_ROWS x n_train rather than n_test x n_train.
-KNN_CHUNK_ROWS = 256
+# Queries are scored max(1, KNN_CHUNK_ELEMENTS // n_train) rows at a time, so
+# the two distance buffers hold about KNN_CHUNK_ELEMENTS float64 values each
+# (1 MiB), whatever n_train is. Measured: 2**20 put train_grid's whole test
+# split into one chunk and raised its peak; 2**16 slowed year-scale scoring.
+KNN_CHUNK_ELEMENTS = 2**17
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -43,11 +45,19 @@ class KNearestClassifier:
         X = np.asarray(X, dtype=float)
         k = min(self.k, len(self.y))
         scores = np.empty(len(X))
-        for lo in range(0, len(X), KNN_CHUNK_ROWS):
-            A = X[lo:lo + KNN_CHUNK_ROWS]
-            d2 = _sq_distances(_sq_norms(A), 2.0 * A, self.X, self.sq_norms)
+        rows = max(1, min(len(X), KNN_CHUNK_ELEMENTS // len(self.y)))
+        # Every chunk reuses these two buffers, in _sq_distances' expression
+        # order and with its GEMM operands, so the distances keep its bits.
+        d2_buf = np.empty((rows, len(self.y)))
+        gram_buf = np.empty_like(d2_buf)
+        for lo in range(0, len(X), rows):
+            A = X[lo:lo + rows]
+            d2, gram = d2_buf[:len(A)], gram_buf[:len(A)]
+            np.add(_sq_norms(A)[:, None], self.sq_norms[None, :], out=d2)
+            d2 -= np.matmul(2.0 * A, self.X.T, out=gram)
+            np.maximum(d2, 0.0, out=d2)
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            scores[lo:lo + KNN_CHUNK_ROWS] = self.y[nearest].mean(axis=1)
+            scores[lo:lo + rows] = self.y[nearest].mean(axis=1)
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -278,6 +278,15 @@ def brute_force_write_path_csv(fileobj, var_path, price_path):
         ])
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail naming the first line that differs, where pytest's own diff of
+    two path CSVs would run for minutes."""
+    if got != want:
+        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
+        raise AssertionError(f"first difference (line, got, want): "
+                             f"{next((p for p in pairs if p[1][0] != p[1][1]), 'one text ends early')}")
+
+
 def brute_force_ou_accumulate(grid, sigma0_sq, lam, times, sizes):
     """Exact OU values at grid points: ``np.add.at`` deposits, then a numpy-scalar loop."""
     n = grid.n_steps

@@ -25,7 +25,7 @@ from bnsjump.errors import ParseError
 from bnsjump.labeling import read_dataset_csv
 from bnsjump.market_data import load_bars
 from bnsjump.subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path
-from brute_force import brute_force_write_path_csv
+from brute_force import assert_same_text, brute_force_write_path_csv
 
 # reader -> (function of a path, header, two good rows, a short row, a row with a
 # non-numeric field, rows read from its result)
@@ -173,17 +173,8 @@ def test_path_csv_at_chunk_edges(rows, noise):
     got, want = io.StringIO(), io.StringIO()
     dynamics.write_path_csv(got, var_path, price)
     brute_force_write_path_csv(want, var_path, price)
-    assert got.getvalue() == want.getvalue()
-    assert dynamics.dumps_path_csv(var_path, price) == want.getvalue()
-
-
-def _assert_same_text(got: str, want: str) -> None:
-    """Fail naming the first line that differs, where pytest's own diff of
-    two path CSVs would run for minutes."""
-    if got != want:
-        pairs = enumerate(zip(got.split("\n"), want.split("\n")), 1)
-        pytest.fail(f"first difference (line, got, want): "
-                    f"{next((p for p in pairs if p[1][0] != p[1][1]), 'one text ends early')}")
+    assert_same_text(got.getvalue(), want.getvalue())
+    assert_same_text(dynamics.dumps_path_csv(var_path, price), want.getvalue())
 
 
 def test_path_csv_on_grids_in_turn():
@@ -197,7 +188,7 @@ def test_path_csv_on_grids_in_turn():
             var_path, price = _simulated(grid.n_steps, noise, grid)
             want = io.StringIO()
             brute_force_write_path_csv(want, var_path, price)
-            _assert_same_text(dynamics.dumps_path_csv(var_path, price), want.getvalue())
+            assert_same_text(dynamics.dumps_path_csv(var_path, price), want.getvalue())
 
 
 def test_path_csv_on_grids_from_threads():

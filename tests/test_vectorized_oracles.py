@@ -40,6 +40,7 @@ from bnsjump.subordinators import (
 from bnsjump.synthetic import session_minutes, synthetic_bars
 
 from brute_force import (
+    assert_same_text,
     brute_force_build_dataset,
     brute_force_cumulative_on_grid,
     brute_force_descriptive_stats,
@@ -335,8 +336,8 @@ def test_path_csv(monkeypatch, chunk_rows):
         got, want = io.StringIO(), io.StringIO()
         dynamics.write_path_csv(got, var_path, price_path)
         brute_force_write_path_csv(want, var_path, price_path)
-        assert got.getvalue() == want.getvalue()
-        assert dynamics.dumps_path_csv(var_path, price_path) == want.getvalue()
+        assert_same_text(got.getvalue(), want.getvalue())
+        assert_same_text(dynamics.dumps_path_csv(var_path, price_path), want.getvalue())
 
 
 def ou_cases(rng):
