@@ -8,9 +8,11 @@ and the files it writes (``DATA_COMMANDS``); ``report`` and ``train``
 start from a labeled CSV instead, and ``simulate`` runs its own one stage,
 which writes the path CSVs as they are ready.
 
-Options resolve as flags > config file > defaults.  Each subcommand takes
-one flag per option of its option tables, plus the flags its stages read
-(``STAGE_FLAGS``).  Every run echoes the options it resolved to
+Options resolve as flags > config file > defaults.  ``OPTIONS`` lists the
+options each stage reads, with each one's domain; a subcommand takes one
+flag per option of its stages, plus the flags its stages read
+(``STAGE_FLAGS``), and checks every option against its domain before any
+stage runs.  Every run echoes the options it resolved to
 ``config_used.cfg`` in the output directory, each under the section it is
 read from; re-running from that file (with the same ``--input`` or
 ``--dataset``) reproduces the outputs byte for byte, regardless of
@@ -111,62 +113,85 @@ def _one_of(*values: str):
     return choice
 
 
-SIMULATE_OPTIONS = {
-    # name: (section, type, default); the default None marks a required option
-    "paths": ("simulate", int, 4),
-    "seed": ("simulate", int, 0),
-    "mu": ("simulate", float, 0.0),
-    "beta": ("simulate", float, 0.0),
-    "rho": ("simulate", float, -0.3),
-    "lam": ("simulate", float, 1.0),
-    "theta": ("simulate", float, 0.5),
-    "sigma0_sq": ("simulate", float, 1.0),
-    "nu_base": ("simulate", float, 1.0),
-    "a_base": ("simulate", float, 2.0),
-    "nu_strong": ("simulate", float, 2.0),
-    "a_strong": ("simulate", float, 2.0),
-    "t_end": ("simulate", float, 1.0),
-    "dt": ("simulate", float, 0.01),
-    "noise_std": ("simulate", float, 0.0),
-    "threads": ("simulate", int, 1),
+def _number(least=-math.inf, most=math.inf):
+    """Domain: a finite number from ``least`` to ``most``."""
+    def check(value) -> str | None:
+        if not math.isfinite(value):
+            return "must be finite"
+        if value < least:
+            return f"must be at least {least}"
+        return f"must be at most {most}" if value > most else None
+    return check
+
+
+def _positive(value) -> str | None:
+    """Domain: a finite number above 0."""
+    return _number()(value) or ("must be positive" if value <= 0 else None)
+
+
+def _algorithm_list(text: str) -> str | None:
+    """Domain: a comma list of algorithm ids."""
+    unknown = {a.strip() for a in text.split(",")} - set(ALGORITHM_IDS) - {""}
+    return f"must be a comma list of {', '.join(ALGORITHM_IDS)}" if unknown else None
+
+
+# stage -> the options it reads: name -> (section, type, default, domain).  The
+# default None marks a required option.  A domain says what is wrong with a
+# value, or returns None; a value outside it fails as the stage that reads it,
+# before any stage runs.
+OPTIONS = {
+    "simulate": {
+        "paths": ("simulate", int, 4, _number(1)),
+        "seed": ("simulate", int, 0, _number(0)),
+        "mu": ("simulate", float, 0.0, _number()),
+        "beta": ("simulate", float, 0.0, _number()),
+        "rho": ("simulate", float, -0.3, _number(most=0)),
+        "lam": ("simulate", float, 1.0, _positive),
+        "theta": ("simulate", float, 0.5, _number(0, 1)),
+        "sigma0_sq": ("simulate", float, 1.0, _positive),
+        "nu_base": ("simulate", float, 1.0, _number(0)),
+        "a_base": ("simulate", float, 2.0, _positive),
+        "nu_strong": ("simulate", float, 2.0, _number(0)),
+        "a_strong": ("simulate", float, 2.0, _positive),
+        "t_end": ("simulate", float, 1.0, _positive),
+        "dt": ("simulate", float, 0.01, _positive),
+        "noise_std": ("simulate", float, 0.0, _number(0)),
+        "threads": ("simulate", int, 1, _number(1)),
+    },
+    "ingest": {
+        "calendar": ("calendar", str, SessionCalendar().to_spec(), None),
+        "trim_minutes": ("preprocess", int, 10, _number(0)),
+        "trim_reopen": ("preprocess", bool, False, None),
+        "outlier_sigma": ("preprocess", float, 10.0, None),  # sigma_outlier_policy checks it
+        "no_outliers": ("preprocess", bool, False, None),
+    },
+    "resample": {"interval": ("preprocess", int, 5, _number(1))},
+    "stats": {"group_by": ("benchmark", _one_of(*market_data.STATS_GROUPINGS), "overall", None)},
+    "mark": {
+        "window": ("labeling", int, 10, _number(1)),
+        "lookahead": ("labeling", int, 10, _number(1)),
+        "threshold_pct": ("labeling", float, 0.1, _positive),
+        "min_jumps": ("labeling", int, 2, _number(1)),
+        "direction": ("labeling", _one_of(*DIRECTIONS), "down", None),
+        "stride": ("labeling", int, 1, _number(1)),
+    },
+    "fit": {
+        "algorithm": ("train", _one_of(*ALGORITHM_IDS), None, None),
+        "train": ("train", str, None, None),  # a:b
+        "test": ("train", str, "", None),  # c:d, or none
+        "seed": ("train", int, 0, _number(0)),
+    },
+    "benchmark": {
+        "algorithms": ("benchmark", str, ",".join(ALGORITHM_IDS), _algorithm_list),
+        "seed": ("benchmark", int, 0, _number(0)),
+        "threads": ("benchmark", int, 1, _number(1)),
+    },
 }
 
-CLEAN_OPTIONS = {
-    "calendar": ("calendar", str, SessionCalendar().to_spec()),
-    "trim_minutes": ("preprocess", int, 10),
-    "trim_reopen": ("preprocess", bool, False),
-    "outlier_sigma": ("preprocess", float, 10.0),
-    "no_outliers": ("preprocess", bool, False),
-}
 
-DATA_OPTIONS = CLEAN_OPTIONS | {"interval": ("preprocess", int, 5)}
-
-LABEL_OPTIONS = {
-    "window": ("labeling", int, 10),
-    "lookahead": ("labeling", int, 10),
-    "threshold_pct": ("labeling", float, 0.1),
-    "min_jumps": ("labeling", int, 2),
-    "direction": ("labeling", _one_of(*DIRECTIONS), "down"),
-    "stride": ("labeling", int, 1),
-}
-
-REPORT_OPTIONS = {
-    "algorithms": ("benchmark", str, ",".join(ALGORITHM_IDS)),
-    "seed": ("benchmark", int, 0),
-    "threads": ("benchmark", int, 1),
-}
-
-# `stats` groups its statistics overall unless told otherwise, `pipeline` by month
-_group_by = _one_of(*market_data.STATS_GROUPINGS)
-STATS_OPTIONS = {"group_by": ("benchmark", _group_by, "overall")}
-BENCH_OPTIONS = REPORT_OPTIONS | {"group_by": ("benchmark", _group_by, "month")}
-
-TRAIN_OPTIONS = {
-    "algorithm": ("train", _one_of(*ALGORITHM_IDS), None),
-    "train": ("train", str, None),  # a:b
-    "test": ("train", str, ""),  # c:d, or none
-    "seed": ("train", int, 0),
-}
+def _options(stages):
+    """(reading stage, name, table entry) of each option that ``stages`` read."""
+    return [(stage, name, entry) for stage in stages for name, entry in OPTIONS.get(stage, {}).items()]
 
 
 def _flag(name: str) -> str:
@@ -190,9 +215,12 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _resolve(args, cfg: configparser.ConfigParser, *tables: dict) -> dict:
+def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> dict:
+    """Each option of ``stages``, from its flag, its config value or its
+    default (``defaults`` overrides the table's), checked against its domain."""
     out = {}
-    for name, (section, typ, default) in (item for table in tables for item in table.items()):
+    for stage, name, (section, typ, default, domain) in _options(stages):
+        default = defaults.get(name, default)
         flag_val = getattr(args, name, None)
         if flag_val is not None:
             out[name] = flag_val
@@ -208,6 +236,9 @@ def _resolve(args, cfg: configparser.ConfigParser, *tables: dict) -> dict:
             raise ConfigError(f"{_flag(name)} or [{section}] {name} is required")
         else:
             out[name] = default
+        reason = domain and domain(out[name])
+        if reason:
+            raise StageError(stage, ConfigError(f"{name} {reason}, got {out[name]}"))
     return out
 
 
@@ -298,16 +329,15 @@ def _out_dir(args, subcommand: str) -> Path:
     return path
 
 
-def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
-    """Write the effective config: each option of ``tables`` under its own
+def _echo_config(out_dir: Path, opts: dict, stages, **extra: dict) -> None:
+    """Write the effective config: each option of ``stages`` under its own
     section, plus the ``extra`` sections that are not empty.  `threads` is
     an execution knob that does not affect results and is deliberately not
     part of it."""
     sections = {name: values for name, values in extra.items() if values}
-    for table in tables:
-        for name, (section, _, _) in table.items():
-            if name != "threads":
-                sections.setdefault(section, {})[name] = opts[name]
+    for _, name, (section, *_) in _options(stages):
+        if name != "threads":
+            sections.setdefault(section, {})[name] = opts[name]
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.optionxform = str
     for section in sorted(sections):
@@ -315,21 +345,6 @@ def _echo_config(out_dir: Path, opts: dict, tables, **extra: dict) -> None:
     buf = StringIO()
     cfg.write(buf)
     (out_dir / "config_used.cfg").write_text(buf.getvalue(), encoding="utf-8")
-
-
-# option -> (its least value, the stages that read it).  Each is checked
-# before any stage runs, as the stage that reads it, so that a bad value
-# fails before ingest loads every bar or fails on a missing input.
-LEAST_VALUES = {
-    "threads": (1, ("simulate", "benchmark")),  # the stages that run seeded units on threads
-    "seed": (0, ("simulate", "benchmark", "fit")),
-    "interval": (1, ("resample",)),
-}
-
-
-def _check_least(opts: dict, name: str, least: int) -> None:
-    if opts[name] < least:
-        raise ConfigError(f"{name} must be at least {least}, got {opts[name]}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +373,6 @@ def _simulate(run) -> dict:
     """Simulate the paths, writing each one's CSV under ``paths/`` as it is
     ready; returns the payload of ``summary.json``."""
     opts = run.opts
-    if opts["paths"] < 1:
-        raise ConfigError("paths must be at least 1")
-    for name in ("dt", "t_end", "noise_std"):
-        if not math.isfinite(opts[name]):
-            raise ConfigError(f"{name} must be finite, got {opts[name]}")
-    if opts["dt"] <= 0 or opts["t_end"] <= 0:
-        raise ConfigError("dt and t_end must be positive")
-    if opts["noise_std"] < 0:
-        raise ConfigError(f"noise_std must be at least 0, got {opts['noise_std']}")
     n_steps = round(opts["t_end"] / opts["dt"])
     if abs(n_steps * opts["dt"] - opts["t_end"]) > 1e-9 * opts["t_end"]:
         raise ConfigError(f"t_end {opts['t_end']} is not a whole number of dt {opts['dt']} steps")
@@ -404,7 +410,7 @@ def _simulate(run) -> dict:
 
     slacks = np.array([s["floor_slack"] for s in results])
     terminals = np.array([s["x_terminal"] for s in results])
-    summary = {
+    return {
         "subordinator_mc": {
             "base": mc_block(z_rates, params.spec_base),
             "strong": mc_block(zb_rates, params.spec_strong),
@@ -417,7 +423,6 @@ def _simulate(run) -> dict:
         },
         "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
     }
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +526,8 @@ STAGES = {
     "stats": ("stats", lambda r: market_data.descriptive_stats(r.sampled, r.opts["group_by"])),
     "realized_measures": ("rv", lambda r: market_data.realized_measures(r.returns, "day")),
     "index": ("indexed", lambda r: index_series(r.returns)),
-    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, r.label_config)),
-    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, r.label_config)),
+    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, _label_config(r.opts))),
+    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, _label_config(r.opts))),
     "load_labeled": ("dataset", lambda r: _read_labeled(r.args.dataset)),
     "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
     "fit": ("trained", _fit),
@@ -553,16 +558,17 @@ OUTPUTS = {
 LABEL_STAGES = ("ingest", "resample", "pct_change", "index", "mark", "label")
 REPORT_FILES = ("reports.csv", "reports.txt", "hyperparams_used.json")
 
-# subcommand -> (option tables, stages in order, files written besides config_used.cfg)
+# subcommand -> (its defaults in place of OPTIONS', stages in order, files
+# written besides config_used.cfg); it reads the options of its stages.
+# `stats` groups its statistics overall unless told otherwise, `pipeline` by month.
 DATA_COMMANDS = {
-    "simulate": ((SIMULATE_OPTIONS,), ("simulate",), ("summary.json",)),
-    "ingest": ((CLEAN_OPTIONS,), ("ingest",), ("bars_clean.csv", "ingest.json")),
-    "stats": ((DATA_OPTIONS, STATS_OPTIONS), ("ingest", "resample", "stats"),
-              ("stats.csv", "stats.json", "ingest.json")),
-    "label": ((DATA_OPTIONS, LABEL_OPTIONS), LABEL_STAGES, ("labeled.csv", "label.json")),
-    "train": ((TRAIN_OPTIONS,), ("load_labeled", "fit"), ("train_report.json",)),
-    "report": ((REPORT_OPTIONS,), ("load_labeled", "splits", "benchmark"), REPORT_FILES),
-    "pipeline": ((DATA_OPTIONS, LABEL_OPTIONS, BENCH_OPTIONS),
+    "simulate": ({}, ("simulate",), ("summary.json",)),
+    "ingest": ({}, ("ingest",), ("bars_clean.csv", "ingest.json")),
+    "stats": ({}, ("ingest", "resample", "stats"), ("stats.csv", "stats.json", "ingest.json")),
+    "label": ({}, LABEL_STAGES, ("labeled.csv", "label.json")),
+    "train": ({}, ("load_labeled", "fit"), ("train_report.json",)),
+    "report": ({}, ("load_labeled", "splits", "benchmark"), REPORT_FILES),
+    "pipeline": ({"group_by": "month"},
                  ("ingest", "resample", "pct_change", "stats", "realized_measures", "index", "mark",
                   "label", "splits", "benchmark", "summarize"),
                  ("stats.csv", "stats.json", "rv_day.csv", "rv_day.json", "labeled.csv")
@@ -572,16 +578,10 @@ DATA_COMMANDS = {
 
 def run_data_command(args) -> int:
     """Run the stages a subcommand names, then write its files."""
-    tables, stages, files = DATA_COMMANDS[args.subcommand]
+    defaults, stages, files = DATA_COMMANDS[args.subcommand]
     cfg = _read_config(args.config)
-    run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, *tables), indexed=None,
+    run = SimpleNamespace(args=args, cfg=cfg, opts=_resolve(args, cfg, stages, defaults), indexed=None,
                           splits=(), hp={}, external={})
-    for option, (least, readers) in LEAST_VALUES.items():
-        for name in readers:
-            if name in stages:
-                _stage(name, _check_least, run.opts, option, least)
-    if "mark" in stages:
-        run.label_config = _stage("mark", _label_config, run.opts)
     if hasattr(args, "hp"):  # the subcommands whose stages fit; see STAGE_FLAGS
         run.hp = _named_items(args, cfg, "hyperparams", "hp")
         run.bank = _hyperparams(run.hp)
@@ -591,7 +591,7 @@ def run_data_command(args) -> int:
     for name in stages:
         attr, fn = STAGES[name]
         setattr(run, attr, _stage(name, fn, run))
-    _echo_config(out_dir, run.opts, tables, hyperparams=run.hp, external=run.external,
+    _echo_config(out_dir, run.opts, stages, hyperparams=run.hp, external=run.external,
                  run={"subcommand": args.subcommand, "input": args.input} if "ingest" in stages else {},
                  splits={s.name: _split_text(s) for s in run.splits})
     for name in files:
@@ -619,18 +619,18 @@ STAGE_FLAGS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand: ``--out``, ``--config``, the flags its
-    stages read and one flag per option of its tables."""
+    stages read and one flag per option of its stages."""
     parser = argparse.ArgumentParser(prog="bnsjump",
                                      description="BN-S simulation and jump-prediction pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (tables, stages, files) in DATA_COMMANDS.items():
+    for name, (_, stages, files) in DATA_COMMANDS.items():
         p = sub.add_parser(name, help=f"{' > '.join(stages)}; writes {', '.join(files)}")
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<subcommand>)")
         p.add_argument("--config", help="INI config file; flags override its values")
         for flag, (readers, kwargs) in STAGE_FLAGS.items():
             if set(readers) & set(stages):
                 p.add_argument(flag, **kwargs)
-        for option, (section, typ, _) in (item for table in tables for item in table.items()):
+        for _, option, (section, typ, *_) in _options(stages):
             kwargs = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
             p.add_argument(_flag(option), dest=option, help=f"config: [{section}] {option}", **kwargs)
     return parser

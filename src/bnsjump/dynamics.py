@@ -71,7 +71,9 @@ class ModelParams:
     spec_strong: SubordinatorSpec = SubordinatorSpec(2.0, 1.0)
 
     def __post_init__(self):
-        if self.rho > 0:
+        if not (np.isfinite(self.mu) and np.isfinite(self.beta)):
+            raise InvalidParameterError(f"mu and beta must be finite, got {self.mu} and {self.beta}")
+        if not self.rho <= 0:
             raise InvalidParameterError(f"rho must be <= 0, got {self.rho}")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidParameterError(f"theta must lie in [0, 1], got {self.theta}")
@@ -90,8 +92,8 @@ class NoiseSpec:
     std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise InvalidParameterError(f"noise std must be >= 0, got {self.std}")
+        if not 0 <= self.std < np.inf:
+            raise InvalidParameterError(f"noise std must be finite and >= 0, got {self.std}")
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ class LabelingConfig:
     def __post_init__(self):
         if self.window_len < 1 or self.lookahead < 1 or self.min_jumps < 1 or self.stride < 1:
             raise InvalidParameterError("window_len, lookahead, min_jumps and stride must be >= 1")
-        if self.threshold_pct <= 0:
-            raise InvalidParameterError(f"threshold_pct must be > 0, got {self.threshold_pct}")
+        if not 0 < self.threshold_pct < np.inf:
+            raise InvalidParameterError(f"threshold_pct must be finite and > 0, got {self.threshold_pct}")
         if self.direction not in DIRECTIONS:
             raise InvalidParameterError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
 

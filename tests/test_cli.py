@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bnsjump import cli, synthetic
+from bnsjump.classifiers import ALGORITHM_IDS
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
 from bnsjump.market_data import write_bars_csv
@@ -39,6 +40,25 @@ DATA_FLAGS = {
     "label": ["--interval", "1", "--min-jumps", "1"],
     "pipeline": PIPELINE_FLAGS,
 }
+
+# one value outside the domain of each option of cli.OPTIONS that has a domain
+OUT_OF_DOMAIN = {
+    "paths": "0", "seed": "-1", "mu": "inf", "beta": "nan", "rho": "0.5", "lam": "0",
+    "theta": "1.5", "sigma0_sq": "-inf", "nu_base": "-1", "a_base": "0", "nu_strong": "nan",
+    "a_strong": "inf", "t_end": "0", "dt": "-0.01", "noise_std": "-1", "threads": "0",
+    "trim_minutes": "-1", "interval": "0", "window": "0", "lookahead": "-3",
+    "threshold_pct": "nan", "min_jumps": "0", "stride": "0", "algorithms": "knn,bogus",
+}
+
+# (reading stage, option, config section, subcommand, flag or config) for each
+# option with a domain and each subcommand whose stages read it
+DOMAIN_CASES = [
+    pytest.param(stage, name, section, subcommand, via, id=f"{subcommand}-{name}-{via}")
+    for stage, table in cli.OPTIONS.items()
+    for name, (section, _, _, domain) in table.items() if domain is not None
+    for subcommand, (_, stages, _) in cli.DATA_COMMANDS.items() if stage in stages
+    for via in ("flag", "config")
+]
 
 
 class TestSimulate:
@@ -170,7 +190,7 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--out", str(tmp_path / "sim"), "--paths", "1", "--s0", "5"])
         assert exc.value.code == 2
-        assert "s0" not in cli.SIMULATE_OPTIONS
+        assert "s0" not in cli.OPTIONS["simulate"]
 
 
 class TestDataCommands:
@@ -527,6 +547,45 @@ class TestDataCommands:
         key, value = hp.split("=")
         assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage,name,section,subcommand,via", DOMAIN_CASES)
+    def test_every_domain_checked_before_any_stage(self, tmp_path, capsys, stage, name, section,
+                                                   subcommand, via):
+        """Each option with a domain, out of it as a flag or as a config value,
+        fails as the stage that reads it, before a missing input is found."""
+        missing = str(tmp_path / "missing.csv")
+        argv = {"simulate": [],
+                "train": ["--dataset", missing, "--algorithm", "knn", "--train", "0:5"],
+                "report": ["--dataset", missing, "--split", "T=0:5/6:10"]}.get(
+            subcommand, ["--input", missing])
+        bad = OUT_OF_DOMAIN[name]
+        if via == "flag":
+            argv += [f"{cli._flag(name)}={bad}"]  # '=' so that argparse takes '-inf' as a value
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"[{section}]\n{name} = {bad}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main([subcommand, "--out", str(out)] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}': {name} ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,line", [
+        (["ingest", "--trim-minutes", "-1"], "stage 'ingest': trim_minutes must be at least 0, got -1"),
+        (["label", "--threshold-pct", "nan"], "stage 'mark': threshold_pct must be finite, got nan"),
+        (["simulate", "--rho", "nan"], "stage 'simulate': rho must be finite, got nan"),
+        (["simulate", "--rho", "0.5"], "stage 'simulate': rho must be at most 0, got 0.5"),
+        (["simulate", "--mu", "inf"], "stage 'simulate': mu must be finite, got inf"),
+        (["simulate", "--beta", "nan"], "stage 'simulate': beta must be finite, got nan"),
+        (["pipeline", "--algorithms", "bogus"],
+         "stage 'benchmark': algorithms must be a comma list of " + ", ".join(ALGORITHM_IDS)
+         + ", got bogus"),
+    ], ids=["trim-minutes", "threshold-pct", "rho-nan", "rho-positive", "mu", "beta", "algorithms"])
+    def test_domain_error_lines(self, tmp_path, capsys, argv, line):
+        source = [] if argv[0] == "simulate" else ["--input", str(tmp_path / "missing.csv")]
+        assert main(argv + source + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""

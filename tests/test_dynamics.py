@@ -38,6 +38,14 @@ def single_event_path(tau, size, grid=GRID):
 
 
 class TestVariancePath:
+    @pytest.mark.parametrize("kwargs", [
+        {"mu": math.inf}, {"mu": math.nan}, {"beta": math.nan}, {"beta": -math.inf},
+        {"rho": math.nan}, {"rho": 0.5}, {"theta": math.nan}, {"lam": 0.0}, {"sigma0_sq": math.inf},
+    ], ids=repr)
+    def test_bad_params_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            ModelParams(**kwargs)
+
     def test_jump_free_decay(self):
         params = ModelParams(lam=1.0, theta=0.0, sigma0_sq=1.0)
         vp = simulate_variance_path(params, empty_path(), empty_path())
@@ -198,6 +206,11 @@ class TestNoise:
     def test_negative_std_rejected(self):
         with pytest.raises(InvalidParameterError):
             NoiseSpec(std=-0.1)
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf])
+    def test_non_finite_std_rejected(self, std):
+        with pytest.raises(InvalidParameterError):
+            NoiseSpec(std=std)
 
 
 class TestPriceSeries:

@@ -1,4 +1,5 @@
 import io
+import math
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -74,6 +75,14 @@ class TestIndexSeries:
 
 
 class TestMarks:
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold_pct": 0.0}, {"threshold_pct": -0.1}, {"threshold_pct": math.nan},
+        {"threshold_pct": math.inf}, {"window_len": 0}, {"stride": 0}, {"direction": "sideways"},
+    ], ids=repr)
+    def test_bad_config_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            LabelingConfig(**kwargs)
+
     def test_downward_threshold_inclusive(self):
         indexed = indexed_from_values([-0.05, -0.10, -0.15])
         marks = mark_big_jumps(indexed, LabelingConfig(threshold_pct=0.1, direction="down"))
