@@ -37,13 +37,6 @@ class GaussianNaiveBayes:
                 np.log(2.0 * math.pi * var) + (X - self.means[c]) ** 2 / var, axis=1)
         return out
 
-    def predict_score(self, X: np.ndarray) -> np.ndarray:
-        jll = self._joint_log_likelihood(X)
-        shifted = jll - jll.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, 1]
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         jll = self._joint_log_likelihood(X)
         return (jll[:, 1] > jll[:, 0]).astype(int)

@@ -77,6 +77,8 @@ def run_benchmark(
     algorithms = list(algorithms) if algorithms is not None else list(ALGORITHM_IDS)
     hyperparams_bank = hyperparams_bank or {}
     external = external or {}
+    if not algorithms and not external:
+        raise InvalidParameterError("no algorithms and no external predictions to score")
     for alg in algorithms:
         resolve_hyperparams(alg, hyperparams_bank.get(alg))
 
@@ -90,10 +92,10 @@ def run_benchmark(
 
     def run_cell(args) -> BenchmarkCell:
         si, name, train_set, test_set, ai, alg = args
-        hp = resolve_hyperparams(alg, hyperparams_bank.get(alg))
         model = train(alg, train_set, hyperparams_bank.get(alg), seed=(seed, si, ai))
         report = evaluate(predict(model, test_set.features), test_set.theta)
-        return BenchmarkCell(split_name=name, algorithm=alg, report=report, hyperparams=hp)
+        return BenchmarkCell(split_name=name, algorithm=alg, report=report,
+                             hyperparams=model.metadata["hyperparams"])
 
     jobs = [(si, name, train_set, test_set, ai, alg)
             for si, name, train_set, test_set in prepared

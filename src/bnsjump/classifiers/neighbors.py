@@ -17,13 +17,15 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A**2).sum(axis=1)
 
 
-def _sq_distances(a_sq: np.ndarray, twice_a: np.ndarray, B: np.ndarray,
-                  b_sq: np.ndarray) -> np.ndarray:
+def _sq_distances(a_sq: np.ndarray, twice_a: np.ndarray, B: np.ndarray, b_sq: np.ndarray,
+                  out: np.ndarray | None = None, gram: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, |A| x |B|, from the squared row
     norms of A and B and from ``2.0 * A``, so a caller that meets one side
-    many times computes its terms once."""
-    d2 = (a_sq[:, None] + b_sq[None, :]) - twice_a @ B.T
-    return np.maximum(d2, 0.0)
+    many times computes its terms once.  ``out`` and ``gram``, |A| x |B|
+    buffers a caller may reuse, receive the distances and ``twice_a @ B.T``."""
+    d2 = np.add(a_sq[:, None], b_sq[None, :], out=out)
+    d2 -= np.matmul(twice_a, B.T, out=gram)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 class KNearestClassifier:
@@ -46,16 +48,12 @@ class KNearestClassifier:
         k = min(self.k, len(self.y))
         scores = np.empty(len(X))
         rows = max(1, min(len(X), KNN_CHUNK_ELEMENTS // len(self.y)))
-        # Every chunk reuses these two buffers, in _sq_distances' expression
-        # order and with its GEMM operands, so the distances keep its bits.
-        d2_buf = np.empty((rows, len(self.y)))
+        d2_buf = np.empty((rows, len(self.y)))  # every chunk reuses both buffers
         gram_buf = np.empty_like(d2_buf)
         for lo in range(0, len(X), rows):
             A = X[lo:lo + rows]
-            d2, gram = d2_buf[:len(A)], gram_buf[:len(A)]
-            np.add(_sq_norms(A)[:, None], self.sq_norms[None, :], out=d2)
-            d2 -= np.matmul(2.0 * A, self.X.T, out=gram)
-            np.maximum(d2, 0.0, out=d2)
+            d2 = _sq_distances(_sq_norms(A), 2.0 * A, self.X, self.sq_norms,
+                               d2_buf[:len(A)], gram_buf[:len(A)])
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
             scores[lo:lo + rows] = self.y[nearest].mean(axis=1)
         return scores

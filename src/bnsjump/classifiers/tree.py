@@ -13,7 +13,7 @@ import numpy as np
 
 
 class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "score")
+    __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self):
         self.feature = -1
@@ -21,20 +21,19 @@ class _Node:
         self.left = None
         self.right = None
         self.value = 0          # leaf label (classification) or leaf value (regression)
-        self.score = 0.0        # leaf class-1 fraction (classification only)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
 
 
-def _route(node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray, attr: str):
+def _route(node: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray):
     if node.is_leaf:
-        out[idx] = getattr(node, attr)
+        out[idx] = node.value
         return
     mask = X[idx, node.feature] <= node.threshold
-    _route(node.left, X, idx[mask], out, attr)
-    _route(node.right, X, idx[~mask], out, attr)
+    _route(node.left, X, idx[mask], out)
+    _route(node.right, X, idx[~mask], out)
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -156,7 +155,6 @@ class DecisionTreeClassifier:
         node = _Node()
         ones = int(wy[idx].sum())
         n = int(w[idx].sum())
-        node.score = ones / n
         node.value = 1 if 2 * ones > n else 0
         if depth >= self.max_depth or n < 2 * self.min_leaf or ones == 0 or ones == n:
             return node
@@ -172,13 +170,7 @@ class DecisionTreeClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.zeros(len(X), dtype=int)
-        _route(self.root, X, np.arange(len(X)), out, "value")
-        return out
-
-    def predict_score(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(len(X), dtype=float)
-        _route(self.root, X, np.arange(len(X)), out, "score")
+        _route(self.root, X, np.arange(len(X)), out)
         return out
 
 
@@ -236,5 +228,5 @@ class RegressionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.zeros(len(X), dtype=float)
-        _route(self.root, X, np.arange(len(X)), out, "value")
+        _route(self.root, X, np.arange(len(X)), out)
         return out

@@ -129,6 +129,15 @@ def _positive(value) -> str | None:
     return _number()(value) or ("must be positive" if value <= 0 else None)
 
 
+def _calendar(spec: str) -> str | None:
+    """Domain: a session calendar spec that ``SessionCalendar.from_spec`` reads."""
+    try:
+        SessionCalendar.from_spec(spec)
+    except InvalidParameterError as exc:
+        return f"must be sessions like 09:30-11:30,13:00-15:00 ({exc})"
+    return None
+
+
 def _algorithm_list(text: str) -> str | None:
     """Domain: a comma list of algorithm ids."""
     unknown = {a.strip() for a in text.split(",")} - set(ALGORITHM_IDS) - {""}
@@ -159,7 +168,7 @@ OPTIONS = {
         "threads": ("simulate", int, 1, _number(1)),
     },
     "ingest": {
-        "calendar": ("calendar", str, SessionCalendar().to_spec(), None),
+        "calendar": ("calendar", str, SessionCalendar().to_spec(), _calendar),
         "trim_minutes": ("preprocess", int, 10, _number(0)),
         "trim_reopen": ("preprocess", bool, False, None),
         "outlier_sigma": ("preprocess", float, 10.0, None),  # sigma_outlier_policy checks it

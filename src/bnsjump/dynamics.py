@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tables
-from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError, ParseError
+from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError
 from .seeding import BROWNIAN_STREAM, NOISE_STREAM, substream
 from .subordinators import (
     JumpPath,
@@ -356,8 +355,7 @@ def correlation_generalized(var_path: VariancePath, z: JumpPath, zb: JumpPath,
 
 
 PATH_CSV_HEADER = ["t", "sigma_sq", "x_true", "x_observed", "noise"]
-PATH_CSV_OPTIONAL = ("x_observed", "noise")  # written empty when the path has no noise
-PATH_CSV_CHUNK_ROWS = 1024  # rows formatted per write; bounds the kernel's temporary arrays
+PATH_CSV_CHUNK_ROWS = 1024  # rows formatted at a time; bounds the kernel's temporary arrays
 
 
 @functools.lru_cache(maxsize=1)
@@ -369,19 +367,9 @@ def _time_texts(grid: TimeGrid, rows: int) -> tuple[tables.Formatted, ...]:
     return tuple(tables.formatted(times[lo:lo + rows]) for lo in range(0, len(times), rows))
 
 
-def _path_csv_parts(var_path: VariancePath, price_path: LogPricePath) -> Iterator[bytes]:
-    """The path CSV's header, then its rows a chunk at a time, as ASCII."""
-    grid = _require_same_grid(var_path, price_path)
-    cols = [None if a is None else np.asarray(a, dtype=float)
-            for a in (var_path.values, price_path.x_true, price_path.x_observed, price_path.noise)]
-    yield (",".join(PATH_CSV_HEADER) + "\n").encode("ascii")
-    rows = PATH_CSV_CHUNK_ROWS
-    for lo, times in zip(range(0, grid.n_steps + 1, rows), _time_texts(grid, rows)):
-        yield tables.float_rows([times] + [None if c is None else c[lo:lo + rows] for c in cols])
-
-
-def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) -> None:
-    """Write one simulated path as CSV rows t,sigma_sq,x_true,x_observed,noise.
+def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:
+    """One simulated path as CSV text: the header, then rows
+    t,sigma_sq,x_true,x_observed,noise.
 
     Each float is written as its ``repr``, the shortest text that reads
     back to the same float, so identical paths always serialize to
@@ -391,39 +379,11 @@ def write_path_csv(fileobj, var_path: VariancePath, price_path: LogPricePath) ->
     which bounds its temporary arrays whatever the path's length; the
     ``t`` column is formatted once for all the paths on a grid.
     """
-    for part in _path_csv_parts(var_path, price_path):
-        fileobj.write(part.decode("ascii"))
-
-
-def read_path_csv(source) -> dict[str, np.ndarray | None]:
-    """Read a path CSV written by `write_path_csv` back into arrays.
-
-    The file follows the `tables` dialect: blank lines are skipped, and a
-    row without exactly one field per header column, or with a field that
-    is not a float, raises `ParseError` naming its line.  x_observed and
-    noise are each empty in every row (read as None) or in none.
-    """
-    cols: list[list[float] | None] | None = None
-    with tables.csv_rows(source, PATH_CSV_HEADER) as (_, rows):
-        for row in rows:
-            try:
-                cells = [None if name in PATH_CSV_OPTIONAL and not f else float(f)
-                         for name, f in zip(PATH_CSV_HEADER, row)]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
-            if cols is None:
-                cols = [None if c is None else [] for c in cells]
-            elif any((c is None) != (col is None) for c, col in zip(cells, cols)):
-                raise ParseError("x_observed and noise must be empty in every row or in none")
-            for c, col in zip(cells, cols):
-                if col is not None:
-                    col.append(c)
-    if cols is None:
-        cols = [None if name in PATH_CSV_OPTIONAL else [] for name in PATH_CSV_HEADER]
-    return {name: None if col is None else np.array(col, dtype=float)
-            for name, col in zip(PATH_CSV_HEADER, cols)}
-
-
-def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:
-    """The text `write_path_csv` writes."""
-    return b"".join(_path_csv_parts(var_path, price_path)).decode("ascii")
+    grid = _require_same_grid(var_path, price_path)
+    cols = [None if a is None else np.asarray(a, dtype=float)
+            for a in (var_path.values, price_path.x_true, price_path.x_observed, price_path.noise)]
+    parts = [(",".join(PATH_CSV_HEADER) + "\n").encode("ascii")]
+    rows = PATH_CSV_CHUNK_ROWS
+    for lo, times in zip(range(0, grid.n_steps + 1, rows), _time_texts(grid, rows)):
+        parts.append(tables.float_rows([times] + [None if c is None else c[lo:lo + rows] for c in cols]))
+    return b"".join(parts).decode("ascii")

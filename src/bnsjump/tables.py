@@ -9,16 +9,16 @@ NaN as ``null``, so every file is strict JSON.
 ``csv_rows`` reads a file row by row.  ``read_table`` reads the text of a
 file named by a path once and parses every row at once with ``np.loadtxt``;
 it re-reads the file row by row only when the bulk parse refuses it, so
-every error, and the line it names, is the row loop's.  Any other source
-(bytes, a text or binary file) is read row by row.  The bulk parse takes
-only text that it reads exactly as the row loop does: ASCII without a
-double quote (csv quoting), a carriage return (so that only csv decides
-where a line ends; a CRLF file is read row by row), a NUL (numpy drops it
-from the end of a text) or \\x1c-\\x1f (numpy strips them around a number;
-``float`` and ``int`` refuse them).  Non-ASCII text is refused because
-``float`` reads non-ASCII digits and numpy's integer parse misreads some
-letters as digits.  Paths, bytes and binary files are decoded as UTF-8
-after an optional byte-order mark, with csv's own line splitting.
+every error, and the line it names, is the row loop's.  A text file is read
+row by row.  The bulk parse takes only text that it reads exactly as the
+row loop does: ASCII without a double quote (csv quoting), a carriage
+return (so that only csv decides where a line ends; a CRLF file is read row
+by row), a NUL (numpy drops it from the end of a text) or \\x1c-\\x1f
+(numpy strips them around a number; ``float`` and ``int`` refuse them).
+Non-ASCII text is refused because ``float`` reads non-ASCII digits and
+numpy's integer parse misreads some letters as digits.  A path is decoded
+as UTF-8 after an optional byte-order mark, with csv's own line splitting;
+a text file is read as its caller opened it.
 
 ``float_rows`` writes float64 columns as CSV rows whose fields are exactly
 ``repr(float(v))``, whole columns at a time; ``formatted`` formats a column
@@ -42,7 +42,6 @@ whole number.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
@@ -53,16 +52,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParseError
-
-
-def _open_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"), newline="")
-    if isinstance(source, io.BytesIO) or (hasattr(source, "read") and "b" in getattr(source, "mode", "")):
-        return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    return source
 
 
 def _rows(reader, width: int) -> Iterator[list[str]]:
@@ -76,13 +65,14 @@ def _rows(reader, width: int) -> Iterator[list[str]]:
 
 @contextmanager
 def csv_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]], spec: str = ""):
-    """Open ``source`` (a path, bytes, or a text or binary file) and check its
-    header; give the lower-cased header and an iterator over the other rows'
-    fields, which reads each row as it is reached.  A ParseError raised in the
-    block is raised again naming the line being read, so raise it without one.
+    """Open ``source`` (a path or a text file) and check its header; give the
+    lower-cased header and an iterator over the other rows' fields, which
+    reads each row as it is reached.  A ParseError raised in the block is
+    raised again naming the line being read, so raise it without one.
     ``header`` is the column names, or a function from the header's width to
     them; messages name it ``spec``, by default the names joined with commas."""
-    fh = _open_text(source)
+    is_path = isinstance(source, (str, Path))
+    fh = open(source, "r", encoding="utf-8-sig", newline="") if is_path else source
     reader = csv.reader(fh)
     try:
         first = next(reader, [])
@@ -94,7 +84,7 @@ def csv_rows(source, header: Sequence[str] | Callable[[int], Sequence[str]], spe
     except ParseError as exc:
         raise type(exc)(str(exc), max(reader.line_num, 1)) from None  # an empty file fails at line 1
     finally:
-        if isinstance(source, (str, Path)):
+        if is_path:
             fh.close()
 
 
@@ -137,7 +127,7 @@ def read_table(source, header, dtype, bulk: Callable, by_row: Callable, spec: st
     row it would not accept.  Where either refuses, or the file does not
     decode, it is read again through ``csv_rows`` and ``by_row(names, rows)``
     makes the same result, or raises the error the row loop finds first,
-    naming its line.  Any other source goes straight to ``csv_rows``.
+    naming its line.  A text file goes straight to ``csv_rows``.
     """
     if isinstance(source, (str, Path)):
         try:

@@ -12,8 +12,8 @@ path kernels keep the concatenate, ``np.diff`` and boolean-mask forms and
 recompute the grid times on every call.
 The row-level logic shares no code with the package implementation so the
 two can check each other; only the per-group formulas the vectorized code
-leaves untouched (skewness/kurtosis, the BV scale), the seeded streams and
-the result containers are imported.
+leaves untouched (skewness/kurtosis, the BV scale), the seeded streams, the
+result containers and the CSV dialect's row reader are imported.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from bnsjump import tables
+from bnsjump.errors import ParseError
 from bnsjump.market_data import BV_SCALE, StatsReport, _skew_kurt
 from bnsjump.seeding import BROWNIAN_STREAM, substream
 
@@ -278,6 +280,26 @@ def brute_force_write_path_csv(fileobj, var_path, price_path):
         ])
 
 
+def read_path_csv(source) -> dict:
+    """A path CSV (a path or a text file) read back through the CSV dialect
+    (``tables.csv_rows``), as the package writes path CSVs but reads none:
+    name -> float array, with ``x_observed`` and ``noise`` None when empty in
+    every row.  A non-numeric field raises ParseError naming its line."""
+    names = ["t", "sigma_sq", "x_true", "x_observed", "noise"]
+    optional = ("x_observed", "noise")
+    cells = []
+    with tables.csv_rows(source, names) as (_, rows):
+        for row in rows:
+            try:
+                cells.append([None if name in optional and not f else float(f)
+                              for name, f in zip(names, row)])
+            except ValueError:
+                raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
+    columns = list(zip(*cells)) or [()] * len(names)
+    return {name: None if name in optional and all(c is None for c in col) else np.array(col, dtype=float)
+            for name, col in zip(names, columns)}
+
+
 def assert_same_text(got: str, want: str) -> None:
     """Fail naming the first line that differs, where pytest's own diff of
     two path CSVs would run for minutes."""
@@ -413,7 +435,7 @@ def brute_force_gini_tree(X, y, max_depth, min_leaf, max_features=None, rng=None
         ones = int(y[idx].sum())
         n = idx.size
         node = {"feature": -1, "threshold": 0.0, "value": 1 if 2 * ones > n else 0,
-                "score": ones / n, "left": None, "right": None}
+                "left": None, "right": None}
         if depth >= max_depth or n < 2 * min_leaf or ones == 0 or ones == n:
             return node
         best = brute_force_gini_split(X, y, idx, candidates(), min_leaf)
@@ -433,7 +455,7 @@ def brute_force_regression_tree(X, g, h, max_depth, min_leaf):
     def grow(idx, depth):
         node = {"feature": -1, "threshold": 0.0,
                 "value": float(g[idx].sum() / (h[idx].sum() + 1e-12)),
-                "score": 0.0, "left": None, "right": None}
+                "left": None, "right": None}
         if depth >= max_depth or idx.size < 2 * min_leaf:
             return node
         best = brute_force_mse_split(X, g, idx, min_leaf)

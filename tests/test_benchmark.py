@@ -85,6 +85,16 @@ class TestRunBenchmark:
         with pytest.raises(ParseError, match="^line 3: index 5 repeated$"):
             load_external_predictions(path)
 
+    def test_nothing_to_score_rejected(self):
+        """No algorithms is valid only beside external predictions."""
+        ds = noisy_dataset()
+        spec = SplitSpec(train=(0, 299), test=(300, 399), name="T")
+        with pytest.raises(InvalidParameterError, match="no algorithms and no external"):
+            run_benchmark(ds, [spec], algorithms=[])
+        external = {"all_ones": {i: 1 for i in range(300, 400)}}
+        cells = run_benchmark(ds, [spec], algorithms=[], external=external)
+        assert [c.algorithm for c in cells] == ["external:all_ones"]
+
     def test_empty_split_rejected(self):
         ds = noisy_dataset()
         with pytest.raises(InvalidParameterError):

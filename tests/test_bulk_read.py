@@ -129,6 +129,11 @@ def text_of(header, lines, newline="\n"):
     return "".join(line + newline for line in [header, *lines])
 
 
+def text_file(data: bytes) -> io.TextIOWrapper:
+    """A binary file of ``data`` opened as text, as a path is opened."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
 CASES = [(reader, case) for reader, (_, _, _, cases) in READERS.items() for case in cases]
 
 
@@ -145,25 +150,25 @@ def test_bulk_read_matches_row_loop(tmp_path, monkeypatch, reader, case, newline
 
 
 @pytest.mark.parametrize("reader", list(READERS))
-@pytest.mark.parametrize("kind", ["bytes", "text-file", "binary-file"])
+@pytest.mark.parametrize("kind", ["text-file", "binary-file"])
 def test_every_source_kind_reads_the_same(tmp_path, monkeypatch, reader, kind):
-    """Bytes and file objects are read row by row, as the same bytes read from a path."""
+    """Text files, a binary one wrapped as text by its caller included, are
+    read row by row, as the same bytes read from a path."""
     _, _, header, cases = READERS[reader]
     for case, (lines, _) in cases.items():
         data = text_of(header, lines).encode("utf-8")
         file = tmp_path / "table.csv"
         file.write_bytes(data)
         from_path, _, _ = both_ways(monkeypatch, reader, lambda: str(file))
-        source_of = {"bytes": lambda: data,
-                     "text-file": lambda: io.StringIO(data.decode("utf-8"), newline=""),
-                     "binary-file": lambda: io.BytesIO(data)}[kind]
+        source_of = {"text-file": lambda: io.StringIO(data.decode("utf-8"), newline=""),
+                     "binary-file": lambda: text_file(data)}[kind]
         as_read, read_by, row_by_row = both_ways(monkeypatch, reader, source_of)
         assert as_read == row_by_row == from_path, case
         assert read_by == "rows", case
 
 
 @pytest.mark.parametrize("reader", list(READERS))
-@pytest.mark.parametrize("kind", ["path", "bytes", "binary-file"])
+@pytest.mark.parametrize("kind", ["path", "binary-file"])
 def test_undecodable_file_fails_as_the_row_loop_does(tmp_path, monkeypatch, reader, kind):
     """A malformed row before a byte that is not UTF-8 is still the error
     found first in a file; a clean file with such a byte fails as csv_rows fails."""
@@ -175,12 +180,9 @@ def test_undecodable_file_fails_as_the_row_loop_does(tmp_path, monkeypatch, read
         data = text_of(header, lines).encode("utf-8") + b"\xff\n"
         file = tmp_path / "table.csv"
         file.write_bytes(data)
-        source_of = {"path": lambda: str(file), "bytes": lambda: data,
-                     "binary-file": lambda: io.BytesIO(data)}[kind]
+        source_of = {"path": lambda: str(file), "binary-file": lambda: text_file(data)}[kind]
         as_read, read_by, row_by_row = both_ways(monkeypatch, reader, source_of)
         assert as_read == row_by_row
-        if kind == "bytes":
-            error = UnicodeDecodeError  # bytes are decoded whole before any row is read
         assert as_read[:2] == ("error", error) and read_by == "rows"
 
 

@@ -6,11 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnsjump import cli, synthetic
+from bnsjump import cli, synthetic, tables
 from bnsjump.classifiers import ALGORITHM_IDS
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
-from bnsjump.market_data import write_bars_csv
+from bnsjump.labeling import (
+    LabelingConfig,
+    build_dataset,
+    index_series,
+    mark_big_jumps,
+    read_dataset_csv,
+)
+from bnsjump.market_data import load_bars, pct_change, preprocess, resample, write_bars_csv
 from bnsjump.synthetic import synthetic_bars
 
 
@@ -48,6 +55,7 @@ OUT_OF_DOMAIN = {
     "a_strong": "inf", "t_end": "0", "dt": "-0.01", "noise_std": "-1", "threads": "0",
     "trim_minutes": "-1", "interval": "0", "window": "0", "lookahead": "-3",
     "threshold_pct": "nan", "min_jumps": "0", "stride": "0", "algorithms": "knn,bogus",
+    "calendar": "bogus",
 }
 
 # (reading stage, option, config section, subcommand, flag or config) for each
@@ -316,6 +324,63 @@ class TestDataCommands:
         lines = (out / "reports.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("subcommand", ["report", "pipeline"])
+    def test_no_algorithms_and_no_external_is_config_error(self, tmp_path, capsys, bars_csv,
+                                                           subcommand):
+        """An empty algorithm list scores nothing unless --external gives rows,
+        so it fails as stage 'benchmark' and writes no reports.csv."""
+        lb = tmp_path / "lb"
+        assert main(["label", "--input", str(bars_csv), "--out", str(lb),
+                     "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
+        source = (["--dataset", str(lb / "labeled.csv")] if subcommand == "report"
+                  else ["--input", str(bars_csv), "--interval", "1", "--min-jumps", "1"])
+        out = tmp_path / "o"
+        assert main([subcommand, "--out", str(out), "--algorithms", ",",
+                     "--split", "T1=7:800/801:1000"] + source) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: stage 'benchmark': no algorithms and no external predictions to score\n"
+        assert not (out / "reports.csv").exists()
+
+    def test_label_at_year_scale(self, tmp_path, monkeypatch):
+        """``label`` on 250 days of minute bars: labeled.csv reads back in
+        bulk bit for bit as the dataset the library builds from the same bars,
+        label.json counts it, and the bars read in bulk as row by row."""
+        bars = synthetic_bars(days=250, seed=7)
+        source = tmp_path / "year.csv"
+        with open(source, "w", encoding="utf-8", newline="") as fh:
+            write_bars_csv(fh, bars)
+        out = tmp_path / "lab"
+        assert main(["label", "--input", str(source), "--out", str(out),
+                     "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
+
+        clean, _ = preprocess(bars)
+        returns = pct_change(resample(clean, 1))
+        indexed = index_series(returns)
+        config = LabelingConfig(min_jumps=1)
+        marks = mark_big_jumps(indexed, config)
+        want = build_dataset(indexed, marks, config)
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("read row by row")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, "csv_rows", no_row_loop)
+            got = read_dataset_csv(out / "labeled.csv")
+            in_bulk, rejected = load_bars(source)
+        for name in ("anchor_index", "features", "theta"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        zeros, ones = want.class_counts()
+        info = json.loads((out / "label.json").read_text(encoding="utf-8"))
+        assert info["rows_loaded"] == len(bars) and info["rows_after_preprocess"] == len(clean)
+        assert (info["n_returns"], info["n_marks"], info["n_anchors"], info["theta0"], info["theta1"]) \
+            == (len(returns), int(marks.sum()), len(want), zeros, ones)
+        with open(source, encoding="utf-8", newline="") as fh:
+            by_row, rejected_by_row = load_bars(fh)
+        assert rejected == rejected_by_row == 0
+        for name in ("stamps", "closes", "session"):
+            assert getattr(in_bulk, name).tobytes() == getattr(by_row, name).tobytes(), name
+
     def test_label_then_report_matches_pipeline(self, tmp_path, bars_csv):
         """The test range ends past the last anchor but inside the return
         series; both paths accept it and write the same reports."""
@@ -581,7 +646,11 @@ class TestDataCommands:
         (["pipeline", "--algorithms", "bogus"],
          "stage 'benchmark': algorithms must be a comma list of " + ", ".join(ALGORITHM_IDS)
          + ", got bogus"),
-    ], ids=["trim-minutes", "threshold-pct", "rho-nan", "rho-positive", "mu", "beta", "algorithms"])
+        (["ingest", "--calendar", "09:30-08:00"],
+         "stage 'ingest': calendar must be sessions like 09:30-11:30,13:00-15:00 "
+         "(session close 08:00:00 not after open 09:30:00), got 09:30-08:00"),
+    ], ids=["trim-minutes", "threshold-pct", "rho-nan", "rho-positive", "mu", "beta", "algorithms",
+            "calendar"])
     def test_domain_error_lines(self, tmp_path, capsys, argv, line):
         source = [] if argv[0] == "simulate" else ["--input", str(tmp_path / "missing.csv")]
         assert main(argv + source + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -16,7 +16,6 @@ from bnsjump.dynamics import (
     euler_variance_path,
     instantaneous_variance_rate,
     price_series,
-    read_path_csv,
     regrid_path,
     simulate_log_price,
     simulate_log_price_classical,
@@ -25,6 +24,8 @@ from bnsjump.dynamics import (
 )
 from bnsjump.errors import GridMismatchError, InvalidParameterError, NumericOverflowError, ParseError
 from bnsjump.subordinators import JumpPath, SubordinatorSpec, TimeGrid, sample_subordinator_path
+
+from brute_force import read_path_csv
 
 GRID = TimeGrid(0.0, 0.01, 100)
 

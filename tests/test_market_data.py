@@ -90,11 +90,6 @@ class TestLoadBars:
         with pytest.raises(OrderingError):
             load_bars(csv_of("2021-01-04 09:32:00,5000", "2021-01-04 09:31:00,5001"))
 
-    def test_bytes_source(self):
-        text = "timestamp,close\n2021-01-04 09:31:00,5000\n"
-        series, _ = load_bars(text.encode("utf-8"))
-        assert len(series) == 1
-
     def test_roundtrip_via_writer(self, small_market):
         buf = io.StringIO()
         write_bars_csv(buf, small_market)

@@ -20,15 +20,15 @@ import pytest
 
 from bnsjump import dynamics, tables
 from bnsjump.classifiers import load_external_predictions
-from bnsjump.dynamics import read_path_csv
 from bnsjump.errors import ParseError
 from bnsjump.labeling import read_dataset_csv
 from bnsjump.market_data import load_bars
 from bnsjump.subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path
-from brute_force import assert_same_text, brute_force_write_path_csv
+from brute_force import assert_same_text, brute_force_write_path_csv, read_path_csv
 
 # reader -> (function of a path, header, two good rows, a short row, a row with a
-# non-numeric field, rows read from its result)
+# non-numeric field, rows read from its result); the path CSV's reader is the
+# tests' own, on the same dialect
 READERS = {
     "load_bars": (load_bars, "timestamp,close",
                   ["2021-01-04 09:31:00,5000", "2021-01-04 09:32:00,5001"], "2021-01-04 09:33:00",
@@ -95,15 +95,15 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("reader", list(READERS))
 def test_utf8_byte_order_mark_is_skipped(tmp_path, reader):
     """A file that starts with a UTF-8 byte-order mark, as spreadsheet "CSV
-    UTF-8" exports write it, reads as the same file without one: as a path,
-    bytes and a binary file."""
+    UTF-8" exports write it, reads as the same file without one, named by a
+    string or a ``Path``."""
     fn, header, good, _, _, _ = READERS[reader]
     text = "".join(line + "\n" for line in (header, *good)).encode("utf-8")
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(text)
     marked.write_bytes(codecs.BOM_UTF8 + text)
     want = fn(str(plain))
-    for source in (str(marked), marked, marked.read_bytes(), io.BytesIO(marked.read_bytes())):
+    for source in (str(marked), marked):
         assert _same(fn(source), want)
 
 
@@ -170,10 +170,8 @@ def test_path_csv_at_chunk_edges(rows, noise):
     """Whole path CSVs one row short of, at and one past a chunk, against
     the one-repr-a-cell writer (a grid has at least two rows)."""
     var_path, price = _simulated(rows - 1, noise)
-    got, want = io.StringIO(), io.StringIO()
-    dynamics.write_path_csv(got, var_path, price)
+    want = io.StringIO()
     brute_force_write_path_csv(want, var_path, price)
-    assert_same_text(got.getvalue(), want.getvalue())
     assert_same_text(dynamics.dumps_path_csv(var_path, price), want.getvalue())
 
 

@@ -1,6 +1,6 @@
 """Presorted trees against the re-sorting oracles in brute_force.py.
 
-Every node (feature, threshold, value, score), every prediction and every
+Every node (feature, threshold, value), every prediction and every
 boosting margin must be bit-identical.  The random data carries tied and
 signed-zero values, constant columns, bootstrap duplicates, single-class
 targets and ``min_leaf`` values at which no split is possible.
@@ -29,17 +29,17 @@ def same(got, want) -> bool:
 
 
 def package_nodes(node) -> list:
-    """Preorder (feature, threshold, value, score) of a package tree."""
+    """Preorder (feature, threshold, value) of a package tree."""
     if node is None:
         return []
-    return ([(node.feature, node.threshold, node.value, node.score)]
+    return ([(node.feature, node.threshold, node.value)]
             + package_nodes(node.left) + package_nodes(node.right))
 
 
 def oracle_nodes(node) -> list:
     if node is None:
         return []
-    return ([(node["feature"], node["threshold"], node["value"], node["score"])]
+    return ([(node["feature"], node["threshold"], node["value"])]
             + oracle_nodes(node["left"]) + oracle_nodes(node["right"]))
 
 
@@ -50,7 +50,7 @@ def assert_same_tree(tree, oracle, zero_sign=True):
     # repr compares floats bit for bit, telling -0.0 from 0.0
     got, want = package_nodes(tree.root), oracle_nodes(oracle)
     if not zero_sign:
-        got, want = ([(f, t + 0.0, v, s) for f, t, v, s in nodes] for nodes in (got, want))
+        got, want = ([(f, t + 0.0, v) for f, t, v in nodes] for nodes in (got, want))
     assert repr(got) == repr(want)
 
 
@@ -97,7 +97,6 @@ def test_decision_tree_matches_oracle(seed):
     assert_same_tree(tree, oracle)
     X_new = np.vstack([X, rng.normal(size=(20, d))])
     assert same(tree.predict(X_new), oracle_predict(oracle, X_new, "value").astype(int))
-    assert same(tree.predict_score(X_new), oracle_predict(oracle, X_new, "score").astype(float))
 
 
 @pytest.mark.parametrize("seed", SEEDS[:15])
