@@ -211,19 +211,30 @@ def _dataset_header(window_len: int) -> list[str]:
 def write_dataset_csv(fileobj, dataset: LabeledDataset) -> None:
     """Serialize as ``index,f1..fW,theta`` with round-trip float formatting.
 
-    No field ever needs CSV quoting, so rows are joined directly, a chunk
-    of rows at a time, with each chunk's features formatted by
-    ``float_texts``.
+    The windows of consecutive anchors overlap: a row whose first W-1
+    features are, bit for bit, the previous row's last W-1 continues that
+    row's run.  Each run's values are formatted once, by
+    ``tables.float_lines``, into one comma-joined text, and a row is its
+    index, a slice of that text and its theta; a row that continues nothing
+    is a run of one.  Rows go ``CSV_CHUNK_ROWS`` at a time, and a chunk's
+    first row starts a run.  No field ever needs CSV quoting.
     """
-    fileobj.write(",".join(_dataset_header(dataset.window_len)))
+    width = dataset.window_len
+    fileobj.write(",".join(_dataset_header(width)))
     fileobj.write("\n")
     for lo in range(0, len(dataset), CSV_CHUNK_ROWS):
         chunk = slice(lo, lo + CSV_CHUNK_ROWS)
-        fileobj.write("".join(
-            ",".join([repr(i), *row, repr(t)]) + "\n"
-            for i, row, t in zip(dataset.anchor_index[chunk].tolist(),
-                                 tables.float_texts(dataset.features[chunk]).tolist(),
-                                 dataset.theta[chunk].tolist())))
+        features = np.ascontiguousarray(dataset.features[chunk], dtype=float)
+        bits = features.view(np.int64)
+        new = np.ones((len(bits), 1), dtype=bool)
+        new[1:, 0] = (bits[1:, :-1] != bits[:-1, 1:]).any(axis=1)
+        adds = new | (np.arange(width) == width - 1)  # the values each row adds to its run
+        text, at = tables.float_lines(features[adds])
+        text = text.replace("\n", ",")
+        last = np.cumsum(adds.sum(axis=1))  # one past each row's last value
+        fileobj.write("".join([f"{i},{text[a:b]}{t}\n" for i, a, b, t in zip(
+            dataset.anchor_index[chunk].tolist(), at[last - width].tolist(), at[last].tolist(),
+            dataset.theta[chunk].tolist())]))
 
 
 def _dataset_row(width: int) -> np.dtype:

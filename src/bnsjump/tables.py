@@ -22,7 +22,10 @@ a text file is read as its caller opened it.
 
 ``float_rows`` writes float64 columns as CSV rows whose fields are exactly
 ``repr(float(v))``, whole columns at a time; ``formatted`` formats a column
-alone, for one that several tables share.  ``repr`` is CPython's
+alone, for one that several tables share; ``float_lines`` gives one column's
+text with the offset of each value, for writers that place the values in
+rows themselves (bar closes, overlapping feature windows).  Apart from
+``cell``, these are the only float formatters.  ``repr`` is CPython's
 correctly rounded shortest conversion (Gay's dtoa, mode 0): the fewest
 significant digits that read back to the same float, and of those the
 nearest to it.  Ryu (Adams, PLDI 2018) finds the same digits with
@@ -145,19 +148,6 @@ def read_table(source, header, dtype, bulk: Callable, by_row: Callable, spec: st
 def cell(x: float) -> str:
     """A float cell: round-trip ``repr``, or empty for NaN."""
     return "" if math.isnan(x) else repr(float(x))
-
-
-def float_texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every float, as an object array of the same shape.
-
-    Each distinct bit pattern is formatted once and shared by every cell
-    holding it, which pays off where values repeat (overlapping feature
-    windows, prices moving in ticks).
-    """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    return text[inverse.reshape(values.shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +389,19 @@ def float_rows(columns: Sequence[np.ndarray | Formatted | None]) -> bytes:
     keep = (cols >= _W - np.arange(_W + 1)[:, None, None]) & (cols < _W + sizes[:, None])  # [length, column]
     keep = keep.reshape(-1, len(cols)).take(length * m + np.arange(m), axis=0)
     return fields.view(np.uint8).reshape(keep.shape)[keep].tobytes()
+
+
+REPR_BLOCK = 4096  # values formatted at a time; bounds the kernel's temporary arrays
+
+
+def float_lines(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """``repr(float(v))`` of each float of the 1-D ``values`` on a line of
+    its own, formatted by `float_rows` `REPR_BLOCK` values at a time; and
+    where each line starts in that text, then the text's length."""
+    text = b"".join(float_rows([values[lo:lo + REPR_BLOCK]]) for lo in range(0, len(values), REPR_BLOCK))
+    starts = np.zeros(len(values) + 1, dtype=int)
+    starts[1:] = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
+    return text.decode("ascii"), starts
 
 
 def write_rows(fileobj, header: Sequence[str], rows: Iterable[Sequence]) -> None:

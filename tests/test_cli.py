@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from bnsjump.labeling import (
 )
 from bnsjump.market_data import load_bars, pct_change, preprocess, resample, write_bars_csv
 from bnsjump.synthetic import synthetic_bars
+
+from brute_force import assert_same_text, brute_force_write_bars_csv, brute_force_write_dataset_csv
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -344,7 +347,9 @@ class TestDataCommands:
     def test_label_at_year_scale(self, tmp_path, monkeypatch):
         """``label`` on 250 days of minute bars: labeled.csv reads back in
         bulk bit for bit as the dataset the library builds from the same bars,
-        label.json counts it, and the bars read in bulk as row by row."""
+        and holds the bytes the row-by-row writer makes of it; label.json
+        counts it; the bars file holds the row-by-row writer's bytes and reads
+        in bulk as row by row."""
         bars = synthetic_bars(days=250, seed=7)
         source = tmp_path / "year.csv"
         with open(source, "w", encoding="utf-8", newline="") as fh:
@@ -370,6 +375,11 @@ class TestDataCommands:
         for name in ("anchor_index", "features", "theta"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for path, writer, value in ((out / "labeled.csv", brute_force_write_dataset_csv, want),
+                                    (source, brute_force_write_bars_csv, bars)):
+            text = io.StringIO()
+            writer(text, value)
+            assert_same_text(path.read_text(encoding="utf-8"), text.getvalue())
         zeros, ones = want.class_counts()
         info = json.loads((out / "label.json").read_text(encoding="utf-8"))
         assert info["rows_loaded"] == len(bars) and info["rows_after_preprocess"] == len(clean)
@@ -649,8 +659,14 @@ class TestDataCommands:
         (["ingest", "--calendar", "09:30-08:00"],
          "stage 'ingest': calendar must be sessions like 09:30-11:30,13:00-15:00 "
          "(session close 08:00:00 not after open 09:30:00), got 09:30-08:00"),
+        (["ingest", "--calendar", "bogus"],
+         "stage 'ingest': calendar must be sessions like 09:30-11:30,13:00-15:00 "
+         "(session 'bogus' is not HH:MM-HH:MM), got bogus"),
+        (["ingest", "--calendar", "09:30-11:30-12:00"],
+         "stage 'ingest': calendar must be sessions like 09:30-11:30,13:00-15:00 "
+         "(session '09:30-11:30-12:00' is not HH:MM-HH:MM), got 09:30-11:30-12:00"),
     ], ids=["trim-minutes", "threshold-pct", "rho-nan", "rho-positive", "mu", "beta", "algorithms",
-            "calendar"])
+            "calendar", "calendar-shape", "calendar-three-times"])
     def test_domain_error_lines(self, tmp_path, capsys, argv, line):
         source = [] if argv[0] == "simulate" else ["--input", str(tmp_path / "missing.csv")]
         assert main(argv + source + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG

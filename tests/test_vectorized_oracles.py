@@ -9,7 +9,7 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from bnsjump import dynamics, labeling
+from bnsjump import dynamics, labeling, tables
 from bnsjump.labeling import (
     LabeledDataset,
     LabelingConfig,
@@ -212,6 +212,21 @@ def test_descriptive_stats(group_by):
         assert repr(got) == repr(want)
 
 
+def assert_same_dataset_csv(dataset):
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset_csv(got, dataset)
+    brute_force_write_dataset_csv(want, dataset)
+    assert_same_text(got.getvalue(), want.getvalue())
+
+
+def shuffled(dataset, rng):
+    """The rows in a random order, so that (but for repeated windows) no row
+    continues the window of the row before it."""
+    order = rng.permutation(len(dataset))
+    return LabeledDataset(anchor_index=dataset.anchor_index[order], features=dataset.features[order],
+                          theta=dataset.theta[order])
+
+
 def test_build_dataset_and_csv(monkeypatch):
     monkeypatch.setattr(labeling, "CSV_CHUNK_ROWS", 7)  # many chunk boundaries
     for rng, series in random_series(6, 60):
@@ -227,10 +242,8 @@ def test_build_dataset_and_csv(monkeypatch):
         assert same(dataset.features, features)
         assert same(dataset.theta, theta)
         assert dataset.source_length == len(indexed)
-        got, want = io.StringIO(), io.StringIO()
-        write_dataset_csv(got, dataset)
-        brute_force_write_dataset_csv(want, dataset)
-        assert got.getvalue() == want.getvalue()
+        assert_same_dataset_csv(dataset)
+        assert_same_dataset_csv(shuffled(dataset, rng))
 
 
 def test_empty_and_too_short_series():
@@ -263,33 +276,79 @@ def test_empty_and_too_short_series():
         assert got.getvalue() == want.getvalue()
 
 
+def windows(values, keys, window_len) -> LabeledDataset:
+    """The dataset of ``values`` in the session blocks ``keys``, lookahead 1."""
+    n = len(values)
+    indexed = labeling.IndexedReturns(
+        index=np.arange(n), values=np.asarray(values, dtype=float),
+        stamps=np.datetime64("2021-01-04T09:31") + np.arange(n) * np.timedelta64(1, "m"),
+        session_key=np.asarray(keys))
+    cfg = LabelingConfig(window_len=window_len, lookahead=1, threshold_pct=0.5, min_jumps=1,
+                         direction="both")
+    return build_dataset(indexed, mark_big_jumps(indexed, cfg), cfg)
+
+
 def test_dataset_csv_special_values(monkeypatch):
-    monkeypatch.setattr(labeling, "CSV_CHUNK_ROWS", 2)
+    """Special floats as cells and as runs of windows; several session
+    blocks, one of whose first window continues the block before's last;
+    rows shuffled; window_len 1, 3 and 10; row counts around a chunk, at
+    the package's chunk size and at 2 rows."""
     values = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 1e-300],
                        [0.1, 0.1, -0.0], [5e-324, 1e16, 2.5]])
-    for features in (values, values[:, ::2], np.arange(12).reshape(4, 3)):
-        dataset = LabeledDataset(anchor_index=np.arange(4) + 3, features=features,
-                                 theta=np.array([0, 1, 1, 0]))
-        got, want = io.StringIO(), io.StringIO()
-        write_dataset_csv(got, dataset)
-        brute_force_write_dataset_csv(want, dataset)
-        assert got.getvalue() == want.getvalue()
+    # row 1 continues row 0 as floats but not bit for bit; row 3 continues row 2 bit for bit only
+    signed = np.array([[1.0, 0.0, -0.0], [-0.0, 0.0, 2.0], [0.0, 2.0, np.nan], [2.0, np.nan, 3.0]])
+    cases = [LabeledDataset(anchor_index=np.arange(4) + 3, features=features, theta=np.array([0, 1, 1, 0]))
+             for features in (values, values[:, ::2], np.arange(12).reshape(4, 3), signed)]
+    cases.append(LabeledDataset(anchor_index=np.empty(0, dtype=int), features=np.empty((0, 1)),
+                                theta=np.empty(0, dtype=int)))
+    rng = np.random.default_rng(5)
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, 2.0**60, 1e-05, 1e16, 0.1,
+                        9.999999999999999e-06, -2.2250738585072014e-308, 1e-300, -123.456])
+    first = rng.normal(size=6)
+    continued = (np.concatenate([first, first[3:5], rng.normal(size=5)]), np.repeat([0, 1], [6, 7]))
+    dataset = windows(*continued, 3)
+    row = int(np.flatnonzero(dataset.anchor_index == 8)[0])  # the second block's first row
+    assert dataset.anchor_index[row - 1] == 4
+    assert dataset.features[row, :-1].tobytes() == dataset.features[row - 1, 1:].tobytes()
+    for values, keys in [(special, np.zeros(len(special))), (rng.normal(size=60), np.repeat(np.arange(4), 15)),
+                         continued]:
+        for window_len in (1, 3, 10):
+            dataset = windows(values, keys, window_len)
+            cases += [dataset, shuffled(dataset, rng)]
+    for chunk_rows in (labeling.CSV_CHUNK_ROWS, 2):
+        sizes = [chunk_rows - 1, chunk_rows, chunk_rows + 1, 2 * chunk_rows + 1]
+        straddling = [windows(rng.normal(size=n + 10), np.zeros(n + 10), 10) for n in sizes]
+        assert [len(dataset) for dataset in straddling] == sizes
+        with monkeypatch.context() as patch:
+            patch.setattr(labeling, "CSV_CHUNK_ROWS", chunk_rows)
+            for dataset in cases + straddling:
+                assert_same_dataset_csv(dataset)
 
 
-def test_bars_csv():
-    """Whole-second and fractional stamps, repeated ticks and special closes."""
+def test_bars_csv(monkeypatch):
+    """Whole-second and fractional stamps, repeated ticks, special closes,
+    and bar counts around a block of ``tables.float_lines``, at the
+    package's block size and at 3 values."""
     calendar = SessionCalendar()
     odd = BarSeries.build(
         [datetime(2021, 1, 4, 9, 45, 0, 5), datetime(2021, 1, 4, 9, 45, 1),
          datetime(2021, 1, 4, 9, 46, 0, 999999), datetime(2021, 1, 4, 10, 0, 0, 500000),
-         datetime(2021, 1, 4, 13, 1), datetime(2021, 1, 4, 13, 2), datetime(2021, 1, 4, 14, 0)],
-        [0.0, -0.0, np.nan, np.inf, 5e-324, 1e16, 0.1], calendar)
-    cases = [series for _, series in random_series(8, 20)]
-    for series in [*cases, odd, BarSeries.build([], [], calendar)]:
-        got, want = io.StringIO(), io.StringIO()
-        write_bars_csv(got, series)
-        brute_force_write_bars_csv(want, series)
-        assert got.getvalue() == want.getvalue()
+         datetime(2021, 1, 4, 13, 1), datetime(2021, 1, 4, 13, 2), datetime(2021, 1, 4, 14, 0),
+         datetime(2021, 1, 4, 14, 1), datetime(2021, 1, 4, 14, 2), datetime(2021, 1, 4, 14, 3)],
+        [0.0, -0.0, np.nan, np.inf, 5e-324, 1e16, 0.1, -np.inf, 2.0**60, 1e-05], calendar)
+    cases = [series for _, series in random_series(8, 20)] + [odd, BarSeries.build([], [], calendar)]
+    for block in (tables.REPR_BLOCK, 3):
+        sizes = [block - 1, block, block + 1, 2 * block + 1]
+        bars = synthetic_bars(days=sizes[-1] // 240 + 1, seed=8)  # 240 bars a day
+        straddling = [bars.select(np.arange(len(bars)) < n) for n in sizes]
+        assert [len(series) for series in straddling] == sizes
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, "REPR_BLOCK", block)
+            for series in cases + straddling:
+                got, want = io.StringIO(), io.StringIO()
+                write_bars_csv(got, series)
+                brute_force_write_bars_csv(want, series)
+                assert_same_text(got.getvalue(), want.getvalue())
 
 
 def random_grid(rng) -> TimeGrid:
