@@ -626,14 +626,18 @@ STAGE_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     """One subparser per subcommand: ``--out``, ``--config``, the flags its
-    stages read and one flag per option of its stages."""
+    stages read and one flag per option of its stages.  Given a
+    ``subcommand``, only that one gets its flags; every subcommand is still
+    offered, so the help and the error for an unknown one do not change."""
     parser = argparse.ArgumentParser(prog="bnsjump",
                                      description="BN-S simulation and jump-prediction pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, stages, files) in DATA_COMMANDS.items():
         p = sub.add_parser(name, help=f"{' > '.join(stages)}; writes {', '.join(files)}")
+        if subcommand not in (None, name):
+            continue
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<subcommand>)")
         p.add_argument("--config", help="INI config file; flags override its values")
         for flag, (readers, kwargs) in STAGE_FLAGS.items():
@@ -646,7 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but --help, so a subcommand comes first
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return run_data_command(args)
     except Exception as exc:

@@ -83,6 +83,16 @@ class ModelParams:
         if self.spec_strong.intensity < self.spec_base.intensity:
             raise InvalidParameterError("spec_strong must have intensity >= spec_base")
 
+    @functools.cached_property
+    def _jump_weights(self) -> tuple[float, float, float, float]:
+        """rho^2, (1-theta)^2, theta^2 and (1-theta)^2 Var[Z_1] + theta^2 Var[Zb_1]:
+        the generalized correlation functional's constants, kept after the first call."""
+        _, var_z = subordinator_moments(self.spec_base)
+        _, var_zb = subordinator_moments(self.spec_strong)
+        w_base = (1.0 - self.theta) ** 2
+        w_strong = self.theta**2
+        return self.rho**2, w_base, w_strong, w_base * var_z + w_strong * var_zb
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -130,12 +140,13 @@ _OU_SPARSE_STEPS = 32
 
 def _recur(v: float, factor: float, deposits: list[float]) -> np.ndarray:
     """Values v, then v_{k+1} = factor * v_k + deposits[k], in Python floats."""
-    values = [v]
-    append = values.append
+    values = [v] * (len(deposits) + 1)
+    k = 0
     for d in deposits:
         v = factor * v + d
-        append(v)
-    return np.array(values)
+        k += 1
+        values[k] = v
+    return np.fromiter(values, float, len(values))
 
 
 def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
@@ -145,15 +156,24 @@ def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
     Stepwise recursion v_{k+1} = exp(-lam dt) v_k + sum of events in
     (t_k, t_{k+1}] decayed to the step end; exact and overflow-free for
     any lam * horizon.
+
+    An event lands in the step whose right end is the first grid time
+    >= tau.  The step ends are ``grid_times[1:]``, and the number of
+    interior grid times ``grid_times[1:-1]`` below tau is that step's
+    index, so one search gives it: an event at or before t0 counts none
+    and lands in the first step, one past the horizon counts all n - 1
+    and lands in the last, with no shift or clip.
     """
     n = grid.n_steps
     grid_times = grid.times()
     factor = math.exp(-lam * grid.dt)
     if len(times):
-        # events land in the step whose right endpoint is the first grid time >= tau
-        step = np.searchsorted(grid_times, times, side="left") - 1
-        step = np.minimum(np.maximum(step, 0), n - 1)
-        contrib = sizes * np.exp(-lam * (grid_times[step + 1] - times))
+        step = grid_times[1:-1].searchsorted(times)
+        contrib = grid_times[1:].take(step)
+        contrib -= times
+        contrib *= -lam
+        np.exp(contrib, out=contrib)
+        contrib *= sizes
         deposit = np.bincount(step, weights=contrib, minlength=n)
         if len(times) * _OU_SPARSE_STEPS > n:
             return _recur(float(sigma0_sq), factor, deposit.tolist())
@@ -214,20 +234,35 @@ def regrid_path(path: JumpPath, grid: TimeGrid) -> JumpPath:
 
 def _euler_log_price(grid: TimeGrid, params: ModelParams, sigma_sq: np.ndarray,
                      jump_increments: np.ndarray, seed, diffusion: bool) -> np.ndarray:
+    """X_0 = 0 and the running sum of (mu + beta sigma_k^2) dt
+    + sigma_k sqrt(dt) N_k + rho dm_k, with sigma_k^2 the left-point
+    variance.  Each increment is built in one array, in the order of the
+    formula.
+
+    Raises `NumericOverflowError` if the sum is non-finite anywhere.  Only
+    the last value is checked: a running sum that meets inf or nan stays
+    inf or nan (inf plus a finite value is inf, inf - inf is nan, and nan
+    plus anything is nan), so one value decides for the whole path.
+    """
+    n = grid.n_steps
     dt = grid.dt
-    sigma = np.sqrt(sigma_sq[:-1])  # left-point volatility, non-anticipating
-    drift = (params.mu + params.beta * sigma_sq[:-1]) * dt
+    left = sigma_sq[:-1]  # left-point variance, non-anticipating
+    increments = left * params.beta
+    increments += params.mu
+    increments *= dt
     if diffusion:
         rng = substream(seed, BROWNIAN_STREAM)
-        dw = math.sqrt(dt) * rng.standard_normal(grid.n_steps)
-        brownian = sigma * dw
+        brownian = rng.standard_normal(n)
+        brownian *= math.sqrt(dt)
+        brownian *= np.sqrt(left)
     else:
         brownian = 0.0
-    x = np.zeros(grid.n_steps + 1)
+    x = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        increments = drift + brownian + params.rho * jump_increments
-        np.cumsum(increments, out=x[1:])
-    if not np.isfinite(x).all():
+        increments += brownian
+        increments += params.rho * jump_increments
+        increments.cumsum(out=x[1:])
+    if not math.isfinite(x[n]):
         raise NumericOverflowError("log price accumulated a non-finite value")
     return x
 
@@ -243,7 +278,11 @@ def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath,
     and pure-jump configurations).
     """
     grid = _require_same_grid(var_path, z, zb)
-    dm = (1.0 - params.theta) * z.increments() + params.theta * zb.increments()
+    dm = z.increments()
+    dm *= 1.0 - params.theta
+    strong = zb.increments()
+    strong *= params.theta
+    dm += strong
     x = _euler_log_price(grid, params, var_path.values, dm, seed, diffusion)
     return LogPricePath(grid=grid, x_true=x)
 
@@ -292,12 +331,13 @@ def integrate_variance(var_path: VariancePath, upto: float) -> float:
         raise InvalidParameterError(f"integration bound {upto} outside [0, {grid.horizon}]")
     dt = grid.dt
     vals = var_path.values
-    k = min(int(math.floor(upto / dt + 1e-9)), grid.n_steps)
-    full = dt * (vals[: k + 1].sum() - 0.5 * (vals[0] + vals[k])) if k >= 1 else 0.0
+    n = grid.n_steps
+    k = min(math.floor(upto / dt + 1e-9), n)
+    full = dt * (float(vals[:k + 1].sum()) - 0.5 * (vals.item(0) + vals.item(k))) if k >= 1 else 0.0
     frac = upto - k * dt
-    if frac > 1e-12 and k < grid.n_steps:
-        v0 = float(vals[k])
-        v_up = v0 + (float(vals[k + 1]) - v0) * frac / dt
+    if frac > 1e-12 and k < n:
+        v0 = vals.item(k)
+        v_up = v0 + (vals.item(k + 1) - v0) * frac / dt
         full += 0.5 * (v0 + v_up) * frac
     return float(full)
 
@@ -338,17 +378,12 @@ def correlation_generalized(var_path: VariancePath, z: JumpPath, zb: JumpPath,
     theta = 0.
     """
     _check_interval(var_path, t, s)
-    _, var_z = subordinator_moments(params.spec_base)
-    _, var_zb = subordinator_moments(params.spec_strong)
-    rho2 = params.rho**2
-    w_base = (1.0 - params.theta) ** 2
-    w_strong = params.theta**2
-    var_eff = w_base * var_z + w_strong * var_zb
-    t0 = var_path.grid.t0
+    rho2, w_base, w_strong, var_eff = params._jump_weights
     int_s = integrate_variance(var_path, s)
     int_t = integrate_variance(var_path, t)
-    num = int_s + rho2 * w_base * realized_jump_energy(z, t0 + s) \
-        + rho2 * w_strong * realized_jump_energy(zb, t0 + s)
+    upto = var_path.grid.t0 + s
+    num = int_s + rho2 * w_base * realized_jump_energy(z, upto) \
+        + rho2 * w_strong * realized_jump_energy(zb, upto)
     den = math.sqrt((int_t + t * rho2 * params.lam * var_eff)
                     * (int_s + s * rho2 * params.lam * var_eff))
     return num / den

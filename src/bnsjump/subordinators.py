@@ -15,6 +15,7 @@ path from (master_seed, path_index), so any path can be drawn on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +112,8 @@ class JumpPath:
 
 def _cumulative_on_grid(grid: TimeGrid, times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     running = np.zeros(len(sizes) + 1)
-    np.cumsum(sizes, out=running[1:])
-    return running[np.searchsorted(times, grid.times(), side="right")]
+    sizes.cumsum(out=running[1:])
+    return running.take(times.searchsorted(grid.times(), "right"))
 
 
 def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: TimeGrid, seed) -> JumpPath:
@@ -122,18 +123,20 @@ def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: Ti
     event times are uniform order statistics on the horizon and sizes are
     i.i.d. Exponential(jump_rate).  Deterministic for a fixed seed.
     """
-    if not (rate_scale > 0 and np.isfinite(rate_scale)):
+    if not (rate_scale > 0 and math.isfinite(rate_scale)):
         raise InvalidParameterError(f"rate_scale must be > 0, got {rate_scale}")
     rng = substream(seed, JUMP_STREAM)
     n = int(rng.poisson(rate_scale * spec.intensity * grid.horizon))
     if n == 0:
         times = np.empty(0)
         sizes = np.empty(0)
+        cumulative = np.zeros(grid.n_steps + 1)
     else:
         times = rng.uniform(grid.t0, grid.t_end, n)
         times.sort()
         sizes = rng.exponential(1.0 / spec.jump_rate, n)
-    return JumpPath(grid=grid, event_times=times, event_sizes=sizes)
+        cumulative = _cumulative_on_grid(grid, times, sizes)
+    return JumpPath(grid=grid, event_times=times, event_sizes=sizes, cumulative=cumulative)
 
 
 def sample_ensemble(
@@ -156,8 +159,11 @@ def terminal_samples(spec: SubordinatorSpec, rate_scale: float, horizon: float, 
     as summing a sampled event list, at a fraction of the cost; intended
     for large Monte Carlo moment checks.
     """
-    if not (rate_scale > 0 and horizon > 0):
-        raise InvalidParameterError("rate_scale and horizon must be positive")
+    if not (rate_scale > 0 and math.isfinite(rate_scale) and horizon > 0 and math.isfinite(horizon)):
+        raise InvalidParameterError(f"rate_scale and horizon must be positive and finite, "
+                                    f"got {rate_scale} and {horizon}")
+    if n_samples < 0:
+        raise InvalidParameterError(f"n_samples must be >= 0, got {n_samples}")
     rng = substream(seed, JUMP_STREAM)
     counts = rng.poisson(rate_scale * spec.intensity * horizon, n_samples)
     return rng.standard_gamma(counts.astype(float)) / spec.jump_rate
@@ -178,30 +184,30 @@ def combine_paths(p1: JumpPath, p2: JumpPath, w1: float, w2: float) -> JumpPath:
 
     The merged event list carries sizes scaled by the respective weight
     (zero-weight events are dropped) and the grid cumulative is the
-    pointwise weighted sum w1 * p1.cumulative + w2 * p2.cumulative.
+    pointwise weighted sum w1 * p1.cumulative + w2 * p2.cumulative.  When
+    only one path contributes events, its ascending times are the merged
+    times as they are.
     """
-    if p1.grid != p2.grid:
+    if p1.grid is not p2.grid and p1.grid != p2.grid:
         raise GridMismatchError("paths must share the same time grid")
     if w1 < 0 or w2 < 0:
         raise InvalidParameterError("weights must be nonnegative")
-    times = []
-    sizes = []
-    if w1 > 0 and p1.n_events:
-        times.append(p1.event_times)
-        sizes.append(w1 * p1.event_sizes)
-    if w2 > 0 and p2.n_events:
-        times.append(p2.event_times)
-        sizes.append(w2 * p2.event_sizes)
-    if times:
-        times = np.concatenate(times)
-        sizes = np.concatenate(sizes)
+    use1 = w1 > 0 and len(p1.event_times) > 0
+    use2 = w2 > 0 and len(p2.event_times) > 0
+    if use1 and use2:
+        times = np.concatenate((p1.event_times, p2.event_times))
         order = times.argsort(kind="stable")
-        times = times[order]
-        sizes = sizes[order]
+        times = times.take(order)
+        sizes = np.concatenate((p1.event_sizes * w1, p2.event_sizes * w2)).take(order)
+    elif use1:
+        times, sizes = p1.event_times, p1.event_sizes * w1
+    elif use2:
+        times, sizes = p2.event_times, p2.event_sizes * w2
     else:
         times = np.empty(0)
         sizes = np.empty(0)
-    cumulative = w1 * p1.cumulative + w2 * p2.cumulative
+    cumulative = p1.cumulative * w1
+    cumulative += p2.cumulative * w2
     return JumpPath(grid=p1.grid, event_times=times, event_sizes=sizes, cumulative=cumulative)
 
 
@@ -213,5 +219,5 @@ def realized_jump_energy(path: JumpPath, upto: float) -> float:
     correlation functionals consume it.
     """
     # event times ascend, so the events up to ``upto`` are a prefix
-    k = path.event_times.searchsorted(upto, "right")
-    return float((path.event_sizes[:k] ** 2).sum())
+    sizes = path.event_sizes[:path.event_times.searchsorted(upto, "right")]
+    return float((sizes * sizes).sum())

@@ -9,7 +9,9 @@ k-means and the SVM recompute every per-fit term inside their loops; the
 split pick indexes numpy scalars row by row; the neural net allocates
 every activation, gradient and Adam moment afresh per layer and epoch; the
 path kernels keep the concatenate, ``np.diff`` and boolean-mask forms and
-recompute the grid times on every call.
+recompute the grid times on every call; the path combination, the
+variance integral and the correlation functional keep fresh arrays, numpy
+scalars and constants recomputed per call.
 The row-level logic shares no code with the package implementation so the
 two can check each other; only the per-group formulas the vectorized code
 leaves untouched (skewness/kurtosis, the BV scale), the seeded streams, the
@@ -365,6 +367,64 @@ def brute_force_euler_log_price(grid, params, sigma_sq, jump_increments, seed, d
         brownian = np.sqrt(sigma_sq[:-1]) * dw
     with np.errstate(over="ignore", invalid="ignore"):
         return np.concatenate([[0.0], np.cumsum(drift + brownian + params.rho * jump_increments)])
+
+
+def brute_force_combine_paths(p1, p2, w1, w2):
+    """(times, sizes, cumulative) of the weighted superposition: the weighted
+    event lists concatenated and stably argsorted, whichever weights are
+    zero, and the cumulative as ``w1 * c1 + w2 * c2`` in fresh arrays."""
+    times = []
+    sizes = []
+    if w1 > 0 and len(p1.event_times):
+        times.append(p1.event_times)
+        sizes.append(w1 * p1.event_sizes)
+    if w2 > 0 and len(p2.event_times):
+        times.append(p2.event_times)
+        sizes.append(w2 * p2.event_sizes)
+    if times:
+        times = np.concatenate(times)
+        sizes = np.concatenate(sizes)
+        order = times.argsort(kind="stable")
+        times = times[order]
+        sizes = sizes[order]
+    else:
+        times = np.empty(0)
+        sizes = np.empty(0)
+    return times, sizes, w1 * p1.cumulative + w2 * p2.cumulative
+
+
+def brute_force_integrate_variance(grid, values, upto):
+    """Trapezoidal integral of the values up to ``upto`` on numpy scalars,
+    the partial last cell interpolated linearly."""
+    dt = grid.dt
+    k = min(int(math.floor(upto / dt + 1e-9)), grid.n_steps)
+    full = dt * (values[: k + 1].sum() - 0.5 * (values[0] + values[k])) if k >= 1 else 0.0
+    frac = upto - k * dt
+    if frac > 1e-12 and k < grid.n_steps:
+        v0 = float(values[k])
+        v_up = v0 + (float(values[k + 1]) - v0) * frac / dt
+        full += 0.5 * (v0 + v_up) * frac
+    return float(full)
+
+
+def brute_force_correlation_generalized(var_path, z, zb, params, t, s):
+    """The generalized correlation functional with every constant recomputed
+    from the parameters on each call and the jump energies taken by mask."""
+    var_z = 2.0 * params.spec_base.intensity / params.spec_base.jump_rate**2
+    var_zb = 2.0 * params.spec_strong.intensity / params.spec_strong.jump_rate**2
+    rho2 = params.rho**2
+    w_base = (1.0 - params.theta) ** 2
+    w_strong = params.theta**2
+    var_eff = w_base * var_z + w_strong * var_zb
+    grid = var_path.grid
+    int_s = brute_force_integrate_variance(grid, var_path.values, s)
+    int_t = brute_force_integrate_variance(grid, var_path.values, t)
+    upto = grid.t0 + s
+    num = int_s + rho2 * w_base * brute_force_jump_energy(z.event_times, z.event_sizes, upto) \
+        + rho2 * w_strong * brute_force_jump_energy(zb.event_times, zb.event_sizes, upto)
+    den = math.sqrt((int_t + t * rho2 * params.lam * var_eff)
+                    * (int_s + s * rho2 * params.lam * var_eff))
+    return num / den
 
 
 def brute_force_gini_split(X, y, idx, features, min_leaf):

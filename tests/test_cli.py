@@ -440,6 +440,18 @@ class TestDataCommands:
         assert all(stage in cli.STAGES for _, stages, _ in cli.DATA_COMMANDS.values()
                    for stage in stages)
 
+    def test_parser_for_one_subcommand(self):
+        """`main` builds flags only for the subcommand it runs; every
+        subcommand is still offered, and a simulate line parses as it does
+        with every subcommand's flags built."""
+        one = cli.build_parser("simulate")
+        choices = one._subparsers._group_actions[0].choices
+        assert set(choices) == set(cli.DATA_COMMANDS)
+        assert all(len(p._actions) == 1 for name, p in choices.items() if name != "simulate")
+        line = ["simulate", "--out", "o", "--paths", "3", "--dt", "0.001", "--seed", "2",
+                "--theta", "0.4", "--rho", "-0.5", "--noise-std", "0.01", "--threads", "2"]
+        assert vars(one.parse_args(line)) == vars(cli.build_parser().parse_args(line))
+
     def test_train_flags_come_from_its_option_table(self):
         train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
         flags = {flag for action in train._actions for flag in action.option_strings}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bnsjump import dynamics
 from bnsjump.dynamics import (
     LogPricePath,
     ModelParams,
@@ -166,6 +167,31 @@ class TestLogPrice:
         vp = simulate_variance_path(params, z, z)
         with pytest.raises(NumericOverflowError):
             simulate_log_price(params, vp, z, z, seed=3, diffusion=False)
+
+
+    @pytest.mark.parametrize("jumps", [
+        [1e308, 0.0, 0.0, 1e308],
+        [math.inf, 0.0, -math.inf, 1.0],
+        [math.inf, 1.0, 2.0, 3.0],
+    ], ids=["overflow-at-the-last-step", "inf-then-minus-inf", "first-increment-only"])
+    @pytest.mark.parametrize("diffusion", [False, True])
+    def test_non_finite_running_sum_raises(self, jumps, diffusion):
+        """Only the last value is checked; each of these sums is non-finite
+        there, also where the first non-finite value is at the last step or
+        at the first."""
+        grid = TimeGrid(0.0, 1.0, 4)
+        params = ModelParams(rho=-1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = np.cumsum(-np.array(jumps))
+        assert not math.isfinite(running[-1])
+        with pytest.raises(NumericOverflowError):
+            dynamics._euler_log_price(grid, params, np.ones(5), np.array(jumps), 3, diffusion)
+
+    def test_finite_running_sum_near_overflow_passes(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        x = dynamics._euler_log_price(grid, ModelParams(rho=-1.0), np.ones(5),
+                                      np.array([1e308, -1e308, 1e308, -1e308]), 3, False)
+        assert np.isfinite(x).all() and x[0] == 0.0
 
 
 class TestNoise:

@@ -66,6 +66,19 @@ class TestSampling:
         with pytest.raises(InvalidParameterError):
             sample_subordinator_path(SubordinatorSpec(1.0, 1.0), 0.0, UNIT_GRID, seed=0)
 
+    @pytest.mark.parametrize("rate_scale,horizon,n_samples", [
+        (math.inf, 1.0, 10), (1.0, math.inf, 10), (1.0, 1.0, -1),
+        (math.nan, 1.0, 10), (1.0, 0.0, 10),
+    ], ids=["infinite-rate", "infinite-horizon", "negative-count", "nan-rate", "zero-horizon"])
+    def test_terminal_samples_rejects_bad_arguments(self, rate_scale, horizon, n_samples):
+        """Refused as `sample_subordinator_path` refuses a bad rate, before
+        numpy's "lam value too large" or "negative dimensions" errors."""
+        with pytest.raises(InvalidParameterError):
+            terminal_samples(SubordinatorSpec(1.0, 1.0), rate_scale, horizon, n_samples, seed=0)
+
+    def test_terminal_samples_of_no_draws(self):
+        assert terminal_samples(SubordinatorSpec(1.0, 1.0), 1.0, 1.0, 0, seed=0).shape == (0,)
+
     def test_invalid_grid(self):
         with pytest.raises(InvalidParameterError):
             TimeGrid(0.0, 0.0, 10)

@@ -34,6 +34,7 @@ from bnsjump.subordinators import (
     JumpPath,
     SubordinatorSpec,
     TimeGrid,
+    combine_paths,
     realized_jump_energy,
     sample_subordinator_path,
 )
@@ -42,12 +43,15 @@ from bnsjump.synthetic import session_minutes, synthetic_bars
 from brute_force import (
     assert_same_text,
     brute_force_build_dataset,
+    brute_force_combine_paths,
+    brute_force_correlation_generalized,
     brute_force_cumulative_on_grid,
     brute_force_descriptive_stats,
     brute_force_drop_mask,
     brute_force_euler_log_price,
     brute_force_euler_variance,
     brute_force_grid_times,
+    brute_force_integrate_variance,
     brute_force_jump_energy,
     brute_force_ou_accumulate,
     brute_force_outlier_mask,
@@ -530,6 +534,19 @@ def test_path_kernels(theta):
             assert same(got.x_true, want)
 
 
+def test_euler_log_price_signed_zeros():
+    """Zero increments keep the oracle's signs of zero: -0.0 drift and jump
+    terms, with the Brownian term off (where the sum still adds 0.0) and on."""
+    grid = TimeGrid(0.0, 0.1, 6)
+    for rho in (-0.0, -0.3):
+        params = dynamics.ModelParams(mu=-0.0, beta=-0.0, rho=rho)
+        for jumps in (np.zeros(6), np.full(6, -0.0), np.array([0.0, -0.0, 1.0, 0.0, -0.0, 0.0])):
+            for diffusion in (False, True):
+                got = dynamics._euler_log_price(grid, params, np.ones(7), jumps, (19, 0, 2), diffusion)
+                want = brute_force_euler_log_price(grid, params, np.ones(7), jumps, (19, 0, 2), diffusion)
+                assert same(got, want), (rho, jumps, diffusion)
+
+
 def test_path_kernels_tied_events():
     """Events sharing a time, one of them on a grid point, and an empty path."""
     grid = TimeGrid(0.0, 0.1, 10)
@@ -537,3 +554,93 @@ def test_path_kernels_tied_events():
     check_path_kernels(JumpPath(grid=grid, event_times=np.array([0.2, 0.5, 0.5, 0.55, 0.9]),
                                 event_sizes=np.array([1.0, 2.0, 3.0, 0.5, 4.0])), rng)
     check_path_kernels(JumpPath(grid=grid, event_times=np.empty(0), event_sizes=np.empty(0)), rng)
+
+
+# The model's thetas, plus one whose weights are not powers of two, so that
+# a regrouped product of weights changes bits
+WEIGHT_THETAS = [0.0, 0.3, 0.5, 1.0]
+
+
+def sampled_pairs(theta):
+    """(params, z, zb) on random grids, with no events on one grid in five,
+    then hand-made pairs: events tied within and across the two paths (some
+    on grid points) and pairs where one or both paths have no events."""
+    rng = np.random.default_rng(16)
+    for k in range(30):
+        grid = random_grid(rng)
+        intensity = 0.0 if k % 5 == 0 else float(rng.uniform(0.5, 30.0))
+        params = dynamics.ModelParams(
+            rho=-float(rng.uniform(0.0, 1.0)), lam=float(rng.uniform(0.1, 5.0)), theta=theta,
+            sigma0_sq=float(rng.uniform(1e-3, 4.0)),
+            spec_base=SubordinatorSpec(intensity, float(rng.uniform(0.5, 8.0))),
+            spec_strong=SubordinatorSpec(intensity * 2.0, float(rng.uniform(0.5, 8.0))))
+        yield (params, sample_subordinator_path(params.spec_base, params.lam, grid, seed=(16, k, 0)),
+               sample_subordinator_path(params.spec_strong, params.lam, grid, seed=(16, k, 1)))
+    grid = TimeGrid(0.0, 0.1, 10)
+    params = dynamics.ModelParams(rho=-0.4, lam=1.3, theta=theta)
+
+    def path(times, sizes):
+        return JumpPath(grid=grid, event_times=np.array(times, dtype=float),
+                        event_sizes=np.array(sizes, dtype=float))
+
+    tied = path([0.2, 0.5, 0.5, 0.9], [1.0, 2.0, 3.0, 4.0])
+    tied_b = path([0.1, 0.5, 0.5, 0.9, 1.0], [5.0, 6.0, 7.0, 8.0, 9.0])
+    empty = path([], [])
+    for z, zb in ((tied, tied_b), (tied_b, tied), (tied, empty), (empty, tied_b), (empty, empty)):
+        yield params, z, zb
+
+
+@pytest.mark.parametrize("theta", WEIGHT_THETAS)
+def test_combine_paths(theta):
+    """Merged events, sizes and cumulative bit for bit against the
+    concatenate/argsort form, at the model's weights and with either or
+    both weights zero."""
+    for params, z, zb in sampled_pairs(theta):
+        for w1, w2 in ((1.0 - theta, theta), (0.0, 0.0), (0.3, 0.0), (0.0, 0.7)):
+            got = combine_paths(z, zb, w1, w2)
+            times, sizes, cumulative = brute_force_combine_paths(z, zb, w1, w2)
+            assert same(got.event_times, times) and same(got.event_sizes, sizes)
+            assert same(got.cumulative, cumulative)
+
+
+def integration_bounds(grid, rng):
+    """Bounds at 0, on grid points, between them, at the horizon and just
+    inside its tolerance, and at random."""
+    n, dt = grid.n_steps, grid.dt
+    on_grid = [k * dt for k in (1, n // 2, n - 1, int(rng.integers(0, n + 1)))]
+    between = [(k + f) * dt for k, f in ((0, 0.5), (n // 3, 0.37), (n - 1, 0.999))]
+    return [0.0, *on_grid, *between, grid.horizon, grid.horizon + 5e-13,
+            *rng.uniform(0.0, grid.horizon, 3)]
+
+
+@pytest.mark.parametrize("theta", WEIGHT_THETAS)
+def test_integrate_variance(theta):
+    """`integrate_variance` on simulated variance paths, as float.hex,
+    against the numpy-scalar form."""
+    rng = np.random.default_rng(17)
+    for params, z, zb in sampled_pairs(theta):
+        vp = dynamics.simulate_variance_path(params, z, zb)
+        for upto in integration_bounds(vp.grid, rng):
+            got = dynamics.integrate_variance(vp, upto)
+            want = brute_force_integrate_variance(vp.grid, vp.values, upto)
+            assert type(got) is float and got.hex() == want.hex(), upto
+
+
+@pytest.mark.parametrize("theta", WEIGHT_THETAS)
+def test_correlation_generalized(theta):
+    """The functional as float.hex against a copy that recomputes its
+    constants per call, with s and t on grid points, between them and t at
+    the horizon; the same parameters serve several calls, so constants kept
+    from the first call are checked on the later ones.  At theta 0 the
+    classical functional gives the same bits."""
+    rng = np.random.default_rng(18)
+    for params, z, zb in sampled_pairs(theta):
+        vp = dynamics.simulate_variance_path(params, z, zb)
+        bounds = sorted({b for b in integration_bounds(vp.grid, rng) if 0.0 < b <= vp.grid.horizon})
+        pairs = [(t, s) for t in (bounds[-1], bounds[len(bounds) // 2]) for s in bounds if s < t]
+        for t, s in pairs:
+            got = dynamics.correlation_generalized(vp, z, zb, params, t, s)
+            want = brute_force_correlation_generalized(vp, z, zb, params, t, s)
+            assert type(got) is float and got.hex() == want.hex(), (t, s)
+            if theta == 0.0:
+                assert dynamics.correlation_classical(vp, z, params, t, s).hex() == want.hex()
