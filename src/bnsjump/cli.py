@@ -171,7 +171,7 @@ OPTIONS = {
         "calendar": ("calendar", str, SessionCalendar().to_spec(), _calendar),
         "trim_minutes": ("preprocess", int, 10, _number(0)),
         "trim_reopen": ("preprocess", bool, False, None),
-        "outlier_sigma": ("preprocess", float, 10.0, None),  # sigma_outlier_policy checks it
+        "outlier_sigma": ("preprocess", float, 10.0, _positive),
         "no_outliers": ("preprocess", bool, False, None),
     },
     "resample": {"interval": ("preprocess", int, 5, _number(1))},
@@ -449,10 +449,10 @@ def _load_and_clean(run):
     counts in ``run.info``."""
     opts = run.opts
     calendar = SessionCalendar.from_spec(opts["calendar"])
-    policy = None if opts["no_outliers"] else market_data.sigma_outlier_policy(opts["outlier_sigma"])
+    sigma = None if opts["no_outliers"] else opts["outlier_sigma"]
     bars, rejected = market_data.load_bars(run.args.input, calendar)
     clean, rate = market_data.preprocess(bars, trim_minutes=opts["trim_minutes"],
-                                         outlier_policy=policy, trim_reopen=opts["trim_reopen"])
+                                         outlier_sigma=sigma, trim_reopen=opts["trim_reopen"])
     run.info = {
         "rows_loaded": len(bars) + rejected,
         "rows_in_sessions": len(bars),

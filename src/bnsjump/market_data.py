@@ -7,6 +7,9 @@ are trimmed to absorb overnight information, zero/non-positive prices and
 extreme outliers are dropped, and returns are computed strictly within
 sessions so no percent change spans the lunch break or an overnight gap.
 
+Stamps stay naive local ``datetime64[us]`` columns from load or generation to
+file, where one helper, ``_stamp_texts``, writes them for every writer.
+
 Realized measures per window:
 
     RV   = sum of squared returns
@@ -22,7 +25,7 @@ import re
 import warnings
 from dataclasses import asdict, dataclass
 from datetime import date, datetime, time, timedelta
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -156,9 +159,11 @@ class BarSeries(_Stamped):
     calendar: SessionCalendar
 
     @classmethod
-    def build(cls, timestamps: Iterable[datetime], closes: Iterable[float],
+    def build(cls, timestamps: np.ndarray | Iterable[datetime], closes: Iterable[float],
               calendar: SessionCalendar) -> "BarSeries":
-        stamps = _to_stamps(timestamps)
+        """Bars from a datetime64 column or naive datetimes, checked for order and sessions."""
+        column = isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M"
+        stamps = timestamps.astype("datetime64[us]") if column else _to_stamps(timestamps)
         values = np.asarray(list(closes), dtype=float)
         if len(stamps) != len(values):
             raise InvalidParameterError("timestamps and closes differ in length")
@@ -264,9 +269,6 @@ def load_bars(source, calendar: SessionCalendar | None = None) -> tuple[BarSerie
     return series, len(stamps) - len(series)
 
 
-OutlierPolicy = Callable[[BarSeries], np.ndarray]
-
-
 def _changes(series: BarSeries) -> tuple[np.ndarray, np.ndarray]:
     """Rows that follow a bar of their own (day, session) block whose close
     is not <= 0, and their percent changes from that bar."""
@@ -275,61 +277,51 @@ def _changes(series: BarSeries) -> tuple[np.ndarray, np.ndarray]:
     return rows, 100.0 * (c[rows] - c[rows - 1]) / c[rows - 1]
 
 
-def sigma_outlier_policy(threshold: float = 10.0) -> OutlierPolicy:
-    """Flag bars whose within-session 1-bar percent change exceeds
-    ``threshold`` standard deviations of that day's changes, which must
-    be finite and positive."""
-    if not 0.0 < threshold < math.inf:
-        raise InvalidParameterError(f"outlier_sigma must be finite and positive, got {threshold}")
-
-    def policy(series: BarSeries) -> np.ndarray:
-        mask = np.zeros(len(series), dtype=bool)
-        changes = np.full(len(series), np.nan)
-        rows, values = _changes(series)
-        changes[rows] = values
-        for lo, hi in _runs(series.day):
-            day_changes = changes[lo:hi]
-            finite = np.isfinite(day_changes)
-            if finite.sum() < 2:
-                continue
-            sd = float(np.std(day_changes[finite]))
-            if sd == 0.0:
-                continue
-            mask[lo:hi] = finite & (np.abs(day_changes) > threshold * sd)
-        return mask
-
-    policy.description = f"drop bars with |1-bar pct change| > {threshold} x same-day std"
-    return policy
+def outlier_mask(series: BarSeries, sigma: float) -> np.ndarray:
+    """Bars whose within-session 1-bar percent change exceeds ``sigma``
+    standard deviations of that day's changes; ``sigma`` must be finite
+    and positive."""
+    if not 0.0 < sigma < math.inf:
+        raise InvalidParameterError(f"outlier_sigma must be finite and positive, got {sigma}")
+    mask = np.zeros(len(series), dtype=bool)
+    changes = np.full(len(series), np.nan)
+    rows, values = _changes(series)
+    changes[rows] = values
+    for lo, hi in _runs(series.day):
+        day_changes = changes[lo:hi]
+        finite = np.isfinite(day_changes)
+        if finite.sum() < 2:
+            continue
+        sd = float(np.std(day_changes[finite]))
+        if sd == 0.0:
+            continue
+        mask[lo:hi] = finite & (np.abs(day_changes) > sigma * sd)
+    return mask
 
 
-def preprocess(series: BarSeries, trim_minutes: int = 10,
-               outlier_policy: OutlierPolicy | None = sigma_outlier_policy(),
+def preprocess(series: BarSeries, trim_minutes: int = 10, outlier_sigma: float | None = 10.0,
                trim_reopen: bool = False) -> tuple[BarSeries, float]:
     """Apply opening-window trimming and bad-data removal.
 
     Per trading day, bars within ``trim_minutes`` of the daily open are
     dropped (the afternoon reopen is only trimmed with ``trim_reopen``);
-    zero/non-positive closes are dropped; bars flagged by the outlier
-    policy are dropped.  Returns the cleaned series and the fraction of
-    rows removed.
+    zero/non-positive closes are dropped; unless ``outlier_sigma`` is None,
+    bars that ``outlier_mask`` flags at that sigma are dropped.  Returns
+    the cleaned series and the fraction of rows removed.
     """
     if trim_minutes < 0:
         raise InvalidParameterError(f"trim_minutes must be >= 0, got {trim_minutes}")
-    n = len(series)
-    if n == 0:
-        return series, 0.0
     open_minute = series.calendar.bounds()[:, 0] // _MINUTE
     drop = ((_minute_of_day(series.stamps) - open_minute[series.session] <= trim_minutes)
             & ((series.session == 0) | trim_reopen))
     drop |= series.closes <= 0.0
-    if outlier_policy is not None:
-        flagged = outlier_policy(series) & ~drop
+    if outlier_sigma is not None:
+        flagged = outlier_mask(series, outlier_sigma) & ~drop
         if flagged.any():
-            log.info("outlier policy (%s) removed %d bars",
-                     getattr(outlier_policy, "description", "custom"), int(flagged.sum()))
+            log.info("outlier rule (|1-bar pct change| > %s x same-day std) removed %d bars",
+                     outlier_sigma, int(flagged.sum()))
         drop |= flagged
-    cleaned = series.select(~drop)
-    return cleaned, float(drop.sum()) / n
+    return series.select(~drop), (float(drop.sum()) / len(drop) if len(drop) else 0.0)
 
 
 def resample(series: BarSeries, interval_minutes: int) -> BarSeries:
@@ -421,7 +413,7 @@ class RVSeries:
     """
 
     labels: tuple[str, ...]
-    window_end: tuple[datetime, ...]
+    window_end: np.ndarray  # datetime64[us], the last return's stamp per window
     realized_volatility: np.ndarray
     bipower_variation: np.ndarray
     jump_component: np.ndarray
@@ -449,9 +441,18 @@ def realized_measures(returns: ReturnSeries, window: str = "day") -> RVSeries:
         if len(pair_terms):
             bv[g] = BV_SCALE * float(np.sum(pair_terms))
     return RVSeries(labels=tuple(key for key, _, _ in groups),
-                    window_end=tuple(returns.stamps[[hi - 1 for _, _, hi in groups]].tolist()),
+                    window_end=returns.stamps[[hi - 1 for _, _, hi in groups]],
                     realized_volatility=rv, bipower_variation=bv,
                     jump_component=np.maximum(rv - bv, 0.0))  # NaN where bv is NaN
+
+
+def _stamp_texts(stamps: np.ndarray) -> list[str]:
+    """datetime64[us] stamps as ``datetime.isoformat(sep=" ")`` writes them:
+    ``YYYY-MM-DD HH:MM:SS``, plus ``.ffffff`` only when the fraction is non-zero."""
+    texts = np.datetime_as_string(stamps, unit="s").astype(object)
+    fraction = np.flatnonzero(stamps.astype(np.int64) % 1_000_000)
+    texts[fraction] = np.datetime_as_string(stamps[fraction], unit="us")
+    return [text.replace("T", " ") for text in texts.tolist()]
 
 
 STATS_CSV_HEADER = ["group", "count", "mean", "median", "minimum", "maximum",
@@ -471,37 +472,29 @@ def stats_to_json(reports: dict[str, StatsReport]) -> str:
     return tables.dumps({key: asdict(r) for key, r in reports.items()})
 
 
+def _rv_rows(rv: RVSeries):
+    """(label, window_end text, RV, BV, jump) per window, in Python types."""
+    return zip(rv.labels, _stamp_texts(rv.window_end), rv.realized_volatility.tolist(),
+               rv.bipower_variation.tolist(), rv.jump_component.tolist())
+
+
 def write_rv_csv(fileobj, rv: RVSeries) -> None:
-    tables.write_rows(fileobj, RV_CSV_HEADER, (
-        [rv.labels[i], rv.window_end[i].isoformat(sep=" "), tables.cell(rv.realized_volatility[i]),
-         tables.cell(rv.bipower_variation[i]), tables.cell(rv.jump_component[i])]
-        for i in range(len(rv))))
+    tables.write_rows(fileobj, RV_CSV_HEADER, ([label, end, *map(tables.cell, values)]
+                                               for label, end, *values in _rv_rows(rv)))
 
 
 def rv_to_json(rv: RVSeries) -> str:
-    return tables.dumps({
-        rv.labels[i]: {
-            "window_end": rv.window_end[i].isoformat(sep=" "),
-            "realized_volatility": float(rv.realized_volatility[i]),
-            "bipower_variation": float(rv.bipower_variation[i]),
-            "jump_component": float(rv.jump_component[i]),
-        }
-        for i in range(len(rv))
-    })
+    return tables.dumps({label: dict(zip(RV_CSV_HEADER[1:], fields))
+                         for label, *fields in _rv_rows(rv)})
 
 
 def write_bars_csv(fileobj, series: BarSeries) -> None:
-    """Serialize as ``timestamp,close``: stamps as ``isoformat(sep=" ")``
-    writes them, with a fraction only when it is non-zero, and closes in
-    round-trip ``repr``.  No field ever needs CSV quoting, so rows are
-    joined directly, ``tables.REPR_BLOCK`` at a time, with their closes
-    formatted by ``tables.float_lines``."""
+    """Serialize as ``timestamp,close``, closes in round-trip ``repr``.  No field
+    ever needs CSV quoting, so rows are joined directly, ``tables.REPR_BLOCK``
+    at a time, with stamps by ``_stamp_texts`` and closes by ``tables.float_lines``."""
     fileobj.write("timestamp,close\n")
     for lo in range(0, len(series), tables.REPR_BLOCK):
-        block = series.stamps[lo:lo + tables.REPR_BLOCK]
-        stamps = np.datetime_as_string(block, unit="s").astype(object)
-        fraction = np.flatnonzero(block.astype(np.int64) % 1_000_000)
-        stamps[fraction] = np.datetime_as_string(block[fraction], unit="us")
+        stamps = _stamp_texts(series.stamps[lo:lo + tables.REPR_BLOCK])
         closes, at = tables.float_lines(series.closes[lo:lo + tables.REPR_BLOCK])
-        fileobj.write("".join(f"{ts.replace('T', ' ')},{closes[a:b]}" for ts, a, b in
-                              zip(stamps.tolist(), at[:-1].tolist(), at[1:].tolist())))
+        fileobj.write("".join(f"{ts},{closes[a:b]}" for ts, a, b in
+                              zip(stamps, at[:-1].tolist(), at[1:].tolist())))

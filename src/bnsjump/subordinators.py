@@ -23,6 +23,9 @@ import numpy as np
 from .errors import GridMismatchError, InvalidParameterError
 from .seeding import JUMP_STREAM, substream
 
+# numpy's POISSON_LAM_MAX: Generator.poisson refuses a larger mean
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -116,6 +119,14 @@ def _cumulative_on_grid(grid: TimeGrid, times: np.ndarray, sizes: np.ndarray) ->
     return running.take(times.searchsorted(grid.times(), "right"))
 
 
+def _event_mean(rate_scale: float, intensity: float, horizon: float) -> float:
+    mean = rate_scale * intensity * horizon  # refused above numpy's limit, not passed to it
+    if mean > POISSON_MEAN_MAX:
+        raise InvalidParameterError(f"expected event count {mean} (rate_scale * intensity * horizon) "
+                                    f"is above the Poisson sampler's limit {POISSON_MEAN_MAX}")
+    return mean
+
+
 def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: TimeGrid, seed) -> JumpPath:
     """Sample one path with events at rate ``rate_scale * spec.intensity``.
 
@@ -125,8 +136,9 @@ def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: Ti
     """
     if not (rate_scale > 0 and math.isfinite(rate_scale)):
         raise InvalidParameterError(f"rate_scale must be > 0, got {rate_scale}")
+    mean = _event_mean(rate_scale, spec.intensity, grid.horizon)
     rng = substream(seed, JUMP_STREAM)
-    n = int(rng.poisson(rate_scale * spec.intensity * grid.horizon))
+    n = int(rng.poisson(mean))
     if n == 0:
         times = np.empty(0)
         sizes = np.empty(0)
@@ -164,8 +176,9 @@ def terminal_samples(spec: SubordinatorSpec, rate_scale: float, horizon: float, 
                                     f"got {rate_scale} and {horizon}")
     if n_samples < 0:
         raise InvalidParameterError(f"n_samples must be >= 0, got {n_samples}")
+    mean = _event_mean(rate_scale, spec.intensity, horizon)
     rng = substream(seed, JUMP_STREAM)
-    counts = rng.poisson(rate_scale * spec.intensity * horizon, n_samples)
+    counts = rng.poisson(mean, n_samples)
     return rng.standard_gamma(counts.astype(float)) / spec.jump_rate
 
 

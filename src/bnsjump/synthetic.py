@@ -4,13 +4,16 @@ Real vendor data cannot be bundled, so tests and demos run on generated
 two-session days: a small Gaussian percent-change walk with occasional
 clustered down-moves large enough to cross the default 0.1% jump
 threshold.  Deterministic for a fixed seed.
+
+Stamps are laid out as one ``datetime64[us]`` column, every day at once, and
+stay a column until ``market_data``'s one stamp formatter writes them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date, datetime, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -18,17 +21,13 @@ from .market_data import BarSeries, SessionCalendar, write_bars_csv
 from .seeding import substream
 
 
-def session_minutes(calendar: SessionCalendar, day: date) -> list[datetime]:
-    """Bar timestamps of one trading day: every minute after each session
-    open through the session close (the open minute itself has no bar)."""
-    stamps = []
-    for open_t, close_t in calendar.sessions:
-        t = datetime.combine(day, open_t) + timedelta(minutes=1)
-        end = datetime.combine(day, close_t)
-        while t <= end:
-            stamps.append(t)
-            t += timedelta(minutes=1)
-    return stamps
+def session_minutes(calendar: SessionCalendar, day: date) -> np.ndarray:
+    """Bar timestamps of one trading day, datetime64[us]: every minute after
+    each session open through the session close (the open minute itself has
+    no bar)."""
+    minute = np.timedelta64(1, "m")
+    return np.datetime64(day, "D") + np.concatenate(
+        [np.arange(open_ + minute, close + minute, minute) for open_, close in calendar.bounds()])
 
 
 def synthetic_bars(
@@ -47,36 +46,22 @@ def synthetic_bars(
     the positive class.
     """
     calendar = calendar or SessionCalendar()
+    day_offsets = np.arange(days).astype("timedelta64[D]")[:, None]
+    stamps = (session_minutes(calendar, start) + day_offsets).ravel()
     rng = substream(seed)
-    stamps: list[datetime] = []
     closes: list[float] = []
     price = base_price
-    day = start
     burst_left = 0
-    for _ in range(days):
-        for ts in session_minutes(calendar, day):
-            if burst_left > 0:
-                change = -float(rng.uniform(0.1, 0.3))
-                burst_left -= 1
-            else:
-                change = float(rng.normal(0.0, noise_pct))
-                if rng.uniform() < burst_prob:
-                    burst_left = int(rng.integers(2, 5))
-            price *= 1.0 + change / 100.0
-            stamps.append(ts)
-            closes.append(price)
-        day += timedelta(days=1)
-    return BarSeries.build(stamps, closes, calendar)
-
-
-def single_day_bars(closes=None, day: date = date(2021, 1, 4),
-                    calendar: SessionCalendar | None = None) -> BarSeries:
-    """One full 240-bar day (09:31-11:30 and 13:01-15:00 under the default
-    calendar), with constant closes unless a 240-vector is supplied."""
-    calendar = calendar or SessionCalendar()
-    stamps = session_minutes(calendar, day)
-    if closes is None:
-        closes = [5000.0] * len(stamps)
+    for _ in range(len(stamps)):
+        if burst_left > 0:
+            change = -float(rng.uniform(0.1, 0.3))
+            burst_left -= 1
+        else:
+            change = float(rng.normal(0.0, noise_pct))
+            if rng.uniform() < burst_prob:
+                burst_left = int(rng.integers(2, 5))
+        price *= 1.0 + change / 100.0
+        closes.append(price)
     return BarSeries.build(stamps, closes, calendar)
 
 

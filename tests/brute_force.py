@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -79,6 +80,19 @@ def brute_force_session_index(calendar, ts):
         if open_t <= t <= close_t:
             return i
     return None
+
+
+def brute_force_session_minutes(calendar, day):
+    """Bar datetimes of one trading day by a minute-by-minute walk: every
+    minute after each session open through the session close."""
+    stamps = []
+    for open_t, close_t in calendar.sessions:
+        t = datetime.combine(day, open_t) + timedelta(minutes=1)
+        end = datetime.combine(day, close_t)
+        while t <= end:
+            stamps.append(t)
+            t += timedelta(minutes=1)
+    return stamps
 
 
 def brute_force_resample(series, interval_minutes):

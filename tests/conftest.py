@@ -8,8 +8,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bnsjump.labeling import LabeledDataset
-from bnsjump.market_data import ReturnSeries, SessionCalendar
-from bnsjump.synthetic import single_day_bars, synthetic_bars
+from bnsjump.market_data import BarSeries, ReturnSeries, SessionCalendar
+from bnsjump.synthetic import session_minutes, synthetic_bars
+
+
+def single_day_bars(closes=None, day=date(2021, 1, 4)):
+    """One full 240-bar day (09:31-11:30 and 13:01-15:00) under the default
+    calendar, with constant closes unless a 240-vector is supplied."""
+    stamps = session_minutes(SessionCalendar(), day)
+    return BarSeries.build(stamps, [5000.0] * len(stamps) if closes is None else closes,
+                           SessionCalendar())
 
 
 @pytest.fixture(scope="session")

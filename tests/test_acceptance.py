@@ -49,10 +49,10 @@ from bnsjump.subordinators import (
     subordinator_moments,
     terminal_samples,
 )
-from bnsjump.synthetic import single_day_bars, synthetic_bars
+from bnsjump.synthetic import synthetic_bars
 
 from brute_force import brute_force_dataset
-from conftest import as_dataset, make_returns, separable_blobs
+from conftest import as_dataset, make_returns, separable_blobs, single_day_bars
 
 
 def _report(name: str, detail: str = ""):

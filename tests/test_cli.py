@@ -58,7 +58,7 @@ OUT_OF_DOMAIN = {
     "a_strong": "inf", "t_end": "0", "dt": "-0.01", "noise_std": "-1", "threads": "0",
     "trim_minutes": "-1", "interval": "0", "window": "0", "lookahead": "-3",
     "threshold_pct": "nan", "min_jumps": "0", "stride": "0", "algorithms": "knn,bogus",
-    "calendar": "bogus",
+    "calendar": "bogus", "outlier_sigma": "0",
 }
 
 # (reading stage, option, config section, subcommand, flag or config) for each
@@ -73,6 +73,15 @@ DOMAIN_CASES = [
 
 
 class TestSimulate:
+    def test_poisson_mean_over_numpy_limit(self, tmp_path, capsys):
+        """lam * nu * t_end = 1e20 is past numpy's Poisson limit; the error names that count."""
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--nu-base", "1e10",
+                     "--nu-strong", "1e10", "--lam", "1e10", "--paths", "1", "--t-end", "1",
+                     "--dt", "0.1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'simulate': expected event count 1e+20 "), err
+        assert err.count("\n") == 1
+
     def test_runs_and_reports_floor(self, tmp_path):
         out = tmp_path / "sim"
         code = main(["simulate", "--out", str(out), "--paths", "3", "--seed", "1",
@@ -617,10 +626,19 @@ class TestDataCommands:
         out = tmp_path / "o"
         assert main(["pipeline", "--input", str(bars_csv), "--out", str(out),
                      "--outlier-sigma", sigma] + PIPELINE_FLAGS) == EXIT_CONFIG
+        reason = "must be finite" if sigma in ("nan", "inf") else "must be positive"
         err = capsys.readouterr().err
-        assert err == ("error: stage 'ingest': outlier_sigma must be finite and positive, "
-                       f"got {float(sigma)}\n")
-        assert not (out / "reports.csv").exists()
+        assert err == f"error: stage 'ingest': outlier_sigma {reason}, got {float(sigma)}\n"
+        assert not out.exists()
+
+    def test_outlier_sigma_checked_with_no_outliers(self, tmp_path, capsys, bars_csv):
+        """--no-outliers does not use the sigma, but a bad one is still refused
+        rather than echoed into config_used.cfg."""
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(bars_csv), "--out", str(out), "--no-outliers",
+                     "--outlier-sigma", "nan"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: stage 'ingest': outlier_sigma must be finite, got nan\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("hp", ["knn.k=0", "knn.k=-3", "knn.k=2.5", "random_forest.trees=0"])
     def test_count_hyperparams_below_one_are_config_errors(self, tmp_path, capsys, hp):

@@ -12,19 +12,19 @@ from bnsjump.market_data import (
     SessionCalendar,
     descriptive_stats,
     load_bars,
+    outlier_mask,
     pct_change,
     preprocess,
     realized_measures,
     resample,
     rv_to_json,
-    sigma_outlier_policy,
     write_bars_csv,
     write_rv_csv,
     write_stats_csv,
 )
-from bnsjump.synthetic import single_day_bars, synthetic_bars
+from bnsjump.synthetic import synthetic_bars
 
-from conftest import make_returns
+from conftest import make_returns, single_day_bars
 
 
 def csv_of(*rows):
@@ -137,7 +137,7 @@ class TestPreprocess:
         closes = [5000.0] * 240
         closes[60] = 7500.0
         series = single_day_bars(closes=closes)
-        flagged = sigma_outlier_policy(10.0)(series)
+        flagged = outlier_mask(series, 10.0)
         assert flagged[60]
         assert flagged.sum() <= 2  # the spike and possibly the snap-back
         cleaned, _ = preprocess(series)

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from bnsjump import subordinators
 from bnsjump.errors import GridMismatchError, InvalidParameterError
 from bnsjump.subordinators import (
+    POISSON_MEAN_MAX,
     JumpPath,
     SubordinatorSpec,
     TimeGrid,
@@ -90,6 +93,44 @@ class TestSampling:
             SubordinatorSpec(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             SubordinatorSpec(1.0, 0.0)
+
+
+class TestPoissonLimit:
+    """An expected event count above numpy's Poisson limit is refused with the
+    count named; one at the limit reaches ``rng.poisson`` as the same float."""
+
+    ABOVE = float(np.nextafter(POISSON_MEAN_MAX, math.inf))
+
+    @staticmethod
+    def refused(count: float):
+        return pytest.raises(InvalidParameterError, match=re.escape(f"expected event count {count!r} "))
+
+    def test_terminal_samples(self):
+        draws = terminal_samples(SubordinatorSpec(POISSON_MEAN_MAX), 1.0, 1.0, 3, seed=0)
+        assert draws.shape == (3,) and np.isfinite(draws).all()
+        with self.refused(self.ABOVE):
+            terminal_samples(SubordinatorSpec(self.ABOVE), 1.0, 1.0, 3, seed=0)
+        with self.refused(1e20):
+            terminal_samples(SubordinatorSpec(1e10), 1e10, 1.0, 0, seed=0)
+
+    def test_path_sampler(self, monkeypatch):
+        means = []
+
+        class PoissonSpy:
+            """A stream that records every Poisson mean and draws no events."""
+
+            def poisson(self, lam):
+                means.append(lam)
+                return 0
+
+        monkeypatch.setattr(subordinators, "substream", lambda *key: PoissonSpy())
+        grid = TimeGrid(0.0, 0.5, 2)
+        sample_subordinator_path(SubordinatorSpec(POISSON_MEAN_MAX), 1.0, grid, seed=0)
+        sample_subordinator_path(SubordinatorSpec(3.1), 0.7, UNIT_GRID, seed=0)
+        assert means == [POISSON_MEAN_MAX, 0.7 * 3.1 * UNIT_GRID.horizon]
+        with self.refused(self.ABOVE):
+            sample_subordinator_path(SubordinatorSpec(self.ABOVE), 1.0, grid, seed=0)
+        assert len(means) == 2
 
 
 class TestMoments:

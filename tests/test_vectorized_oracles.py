@@ -3,6 +3,7 @@ stages, the path CSV writer, the variance recursions and the path kernels
 against the row-by-row loops and older forms in brute_force.py."""
 
 import io
+import json
 import sys
 from datetime import date, datetime, timedelta
 
@@ -20,15 +21,18 @@ from bnsjump.labeling import (
 )
 from bnsjump.market_data import (
     BarSeries,
+    ReturnSeries,
     SessionCalendar,
     descriptive_stats,
     load_bars,
+    outlier_mask,
     pct_change,
     preprocess,
     realized_measures,
     resample,
-    sigma_outlier_policy,
+    rv_to_json,
     write_bars_csv,
+    write_rv_csv,
 )
 from bnsjump.subordinators import (
     JumpPath,
@@ -60,6 +64,7 @@ from brute_force import (
     brute_force_resample,
     brute_force_session_index,
     brute_force_session_keys,
+    brute_force_session_minutes,
     brute_force_write_bars_csv,
     brute_force_write_dataset_csv,
     brute_force_write_path_csv,
@@ -81,7 +86,7 @@ def random_bars(rng, calendar) -> BarSeries:
     stamps, closes = [], []
     price = 100.0
     for d in range(int(rng.integers(0, 7))):
-        minutes = session_minutes(calendar, date(2021, 1, 20) + timedelta(days=11 * d))
+        minutes = brute_force_session_minutes(calendar, date(2021, 1, 20) + timedelta(days=11 * d))
         kind = int(rng.integers(0, 4))
         if kind == 0:
             rows = np.sort(rng.choice(len(minutes), size=int(rng.integers(1, 4)), replace=False))
@@ -151,13 +156,11 @@ def render(ts: datetime, form: int) -> str:
 def test_outlier_policy_and_preprocess():
     for rng, series in random_series(2, 60):
         for threshold in (1.0, 3.0, 10.0):
-            assert same(sigma_outlier_policy(threshold)(series),
-                        brute_force_outlier_mask(series, threshold))
+            assert same(outlier_mask(series, threshold), brute_force_outlier_mask(series, threshold))
         trim = int(rng.choice([0, 1, 10, 30]))
         threshold = [None, 2.0, 10.0][int(rng.integers(0, 3))]
-        policy = None if threshold is None else sigma_outlier_policy(threshold)
         for trim_reopen in (False, True):
-            cleaned, rate = preprocess(series, trim, policy, trim_reopen)
+            cleaned, rate = preprocess(series, trim, threshold, trim_reopen)
             keep = ~brute_force_drop_mask(series, trim, threshold, trim_reopen)
             assert cleaned.stamps.tolist() == [ts for ts, k in zip(series.stamps.tolist(), keep) if k]
             assert same(cleaned.closes, series.closes[keep])
@@ -197,11 +200,12 @@ def test_pct_change_and_session_keys():
 @pytest.mark.parametrize("window", ["day", "month"])
 def test_realized_measures(window):
     for _, series in random_series(4, 60):
-        returns = pct_change(preprocess(series, trim_minutes=0, outlier_policy=None)[0])
+        returns = pct_change(preprocess(series, trim_minutes=0, outlier_sigma=None)[0])
         got = realized_measures(returns, window)
         labels, ends, rv, bv, jump = brute_force_realized_measures(returns, window)
         assert got.labels == labels
-        assert got.window_end == ends
+        assert got.window_end.dtype == np.dtype("datetime64[us]")
+        assert tuple(got.window_end.tolist()) == ends
         assert same(got.realized_volatility, rv)
         assert same(got.bipower_variation, bv)
         assert same(got.jump_component, jump)
@@ -255,7 +259,7 @@ def test_empty_and_too_short_series():
     empty = BarSeries.build([], [], calendar)
     one = BarSeries.build([datetime(2021, 1, 4, 9, 45)], [5000.0], calendar)
     for series in (empty, one):
-        assert same(sigma_outlier_policy()(series), brute_force_outlier_mask(series, 10.0))
+        assert same(outlier_mask(series, 10.0), brute_force_outlier_mask(series, 10.0))
         returns = pct_change(series)
         assert len(returns) == 0
         assert same(returns.values, brute_force_pct_change(series)[1])
@@ -353,6 +357,54 @@ def test_bars_csv(monkeypatch):
                 write_bars_csv(got, series)
                 brute_force_write_bars_csv(want, series)
                 assert_same_text(got.getvalue(), want.getvalue())
+
+
+@pytest.mark.parametrize("calendar", [*CALENDARS, SessionCalendar.from_spec("09:30-11:30,22:00-23:59")],
+                         ids=["default", "three-sessions", "to-23:59"])
+def test_session_minutes(calendar):
+    """One day's stamps and whole fixtures' stamps against the minute-by-minute
+    walk, on days across month, year and leap-day ends, with 0, 1 and 250 days."""
+    for day in (date(2021, 1, 4), date(2020, 12, 31), date(2021, 1, 31), date(2024, 2, 29),
+                date(1969, 12, 31)):
+        minutes = session_minutes(calendar, day)
+        assert minutes.dtype == np.dtype("datetime64[us]")
+        assert minutes.tolist() == brute_force_session_minutes(calendar, day)
+    for days, start in ((0, date(2021, 1, 4)), (1, date(2020, 12, 31)), (250, date(2020, 11, 20))):
+        bars = synthetic_bars(days=days, seed=5, start=start, calendar=calendar)
+        want = [ts for d in range(days)
+                for ts in brute_force_session_minutes(calendar, start + timedelta(days=d))]
+        assert bars.stamps.dtype == np.dtype("datetime64[us]")
+        assert bars.stamps.tolist() == want
+        assert len(bars.closes) == len(want)
+        assert bars.session.tolist() == [brute_force_session_index(calendar, ts) for ts in want]
+
+
+def test_stamp_texts():
+    """The bar writer and both RV writers write each stamp as ``isoformat(sep=" ")``
+    does: with and without fractions, at midnight, before 1970 and at year ends."""
+    stamps = [datetime(1, 1, 1, 0, 0, 0, 1), datetime(1900, 2, 28, 12, 0, 30),
+              datetime(1969, 12, 31, 23, 59, 59, 999999), datetime(1970, 1, 1),
+              datetime(1999, 12, 31, 23, 59, 59), datetime(2000, 1, 1, 0, 0, 0, 500000),
+              datetime(2020, 12, 31, 23, 59), datetime(2021, 1, 4, 9, 31, 0, 5),
+              datetime(2021, 1, 5), datetime(9999, 12, 31, 23, 59, 59, 999999)]
+    texts = [ts.isoformat(sep=" ") for ts in stamps]
+    column = np.array(stamps, dtype="datetime64[us]")
+    bars = BarSeries(stamps=column, closes=np.arange(1.0, len(stamps) + 1),
+                     session=np.zeros(len(stamps), dtype=int), calendar=SessionCalendar())
+    got, want = io.StringIO(), io.StringIO()
+    write_bars_csv(got, bars)
+    brute_force_write_bars_csv(want, bars)
+    assert_same_text(got.getvalue(), want.getvalue())
+    assert [line.split(",")[0] for line in got.getvalue().splitlines()[1:]] == texts
+
+    rv = realized_measures(ReturnSeries(stamps=column, values=bars.closes, session=bars.session))
+    assert rv.window_end.dtype == np.dtype("datetime64[us]")
+    assert rv.window_end.tolist() == stamps
+    csv_text = io.StringIO()
+    write_rv_csv(csv_text, rv)
+    assert [line.split(",")[1] for line in csv_text.getvalue().splitlines()[1:]] == texts
+    payload = json.loads(rv_to_json(rv))
+    assert [payload[label]["window_end"] for label in rv.labels] == texts
 
 
 def random_grid(rng) -> TimeGrid:
