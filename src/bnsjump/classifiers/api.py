@@ -53,19 +53,24 @@ DEFAULT_HYPERPARAMS: dict[str, dict] = {
 }
 
 
+# the integer hyperparameters that count something a learner needs at least one of
+AT_LEAST_ONE = ("k", "trees", "restarts", "hidden_width")
+
+
 def resolve_hyperparams(algorithm: str, overrides: dict | None = None) -> dict:
     """Merge overrides into the documented defaults.  Unknown keys are
-    rejected, and so are a ``knn`` ``k`` and a ``random_forest`` ``trees``
-    (the counts each score averages over) that are not integers >= 1."""
+    rejected, and so is an override of an integer default that is not an
+    integer (a bool is not), or one of ``AT_LEAST_ONE`` below 1."""
     if algorithm not in DEFAULT_HYPERPARAMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_IDS}")
     merged = dict(DEFAULT_HYPERPARAMS[algorithm])
     for key, value in (overrides or {}).items():
         if key not in merged:
             raise InvalidParameterError(f"unknown hyperparameter {key!r} for {algorithm}")
-        if (algorithm, key) in (("knn", "k"), ("random_forest", "trees")) and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1):
-            raise InvalidParameterError(f"{algorithm}.{key} must be an integer >= 1, got {value!r}")
+        if type(merged[key]) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                                         or (key in AT_LEAST_ONE and value < 1)):
+            rule = "an integer >= 1" if key in AT_LEAST_ONE else "an integer"
+            raise InvalidParameterError(f"{algorithm}.{key} must be {rule}, got {value!r}")
         merged[key] = value
     return merged
 

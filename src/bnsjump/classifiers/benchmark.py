@@ -71,7 +71,7 @@ def run_benchmark(
 ) -> list[BenchmarkCell]:
     """One ClassReport per (split, algorithm), in deterministic order.
 
-    Raises if the per-class supports differ across algorithms within one
+    Refuses two splits of one name.  Raises if the per-class supports differ across algorithms within one
     split; supports are a function of the test rows alone.
     """
     algorithms = list(algorithms) if algorithms is not None else list(ALGORITHM_IDS)
@@ -85,6 +85,8 @@ def run_benchmark(
     prepared = []
     for si, spec in enumerate(splits):
         name = spec.name or f"S{si + 1}"
+        if any(name == seen for _, seen, _, _ in prepared):
+            raise InvalidParameterError(f"split name {name} repeated")
         train_set, test_set = split(dataset, spec)
         if len(train_set) == 0 or len(test_set) == 0:
             raise InvalidParameterError(f"split {name} produced an empty train or test set")
@@ -100,15 +102,15 @@ def run_benchmark(
     jobs = [(si, name, train_set, test_set, ai, alg)
             for si, name, train_set, test_set in prepared
             for ai, alg in enumerate(algorithms)]
-    cells = list(ordered_map(run_cell, jobs, max_workers))
-
-    for si, name, train_set, test_set in prepared:
-        for ext_name in sorted(external):
-            report = _score_external(ext_name, external[ext_name], test_set)
-            cells.append(BenchmarkCell(split_name=name, algorithm=f"external:{ext_name}",
-                                       report=report, hyperparams={}))
-    # regroup so each split lists its built-ins then its external rows
-    cells = [c for _, name, _, _ in prepared for c in cells if c.split_name == name]
+    built_in = list(ordered_map(run_cell, jobs, max_workers))
+    n = len(algorithms)
+    cells = []  # each split's built-in cells, then its external rows
+    for si, name, _, test_set in prepared:
+        cells += built_in[si * n:(si + 1) * n]
+        cells += [BenchmarkCell(split_name=name, algorithm=f"external:{ext_name}",
+                                report=_score_external(ext_name, external[ext_name], test_set),
+                                hyperparams={})
+                  for ext_name in sorted(external)]
 
     by_split: dict[str, set[tuple[int, int]]] = {}
     for cell in cells:

@@ -9,9 +9,10 @@ start from a labeled CSV instead, and ``simulate`` runs its own one stage,
 which writes the path CSVs as they are ready.
 
 Options resolve as flags > config file > defaults.  ``OPTIONS`` lists the
-options each stage reads, with each one's domain; a subcommand takes one
-flag per option of its stages, plus the flags its stages read
-(``STAGE_FLAGS``), and checks every option against its domain before any
+options each stage reads, with each one's type and domain; a subcommand
+takes one flag per option of its stages, plus the flags its stages read
+(``STAGE_FLAGS``), reads a flag's text and a config value's text alike as
+the option's type, and checks every option against its domain before any
 stage runs.  Every run echoes the options it resolved to
 ``config_used.cfg`` in the output directory, each under the section it is
 read from; re-running from that file (with the same ``--input`` or
@@ -104,13 +105,10 @@ EXIT_CODES = (
 # option resolution: flags > config file > defaults
 
 def _one_of(*values: str):
-    """Option type: a text that must be one of ``values``; it checks flags
-    and config values alike."""
-    def choice(text: str) -> str:
-        if text not in values:
-            raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(values)}")
-        return text
-    return choice
+    """Domain: one of the texts ``values``."""
+    def check(text: str) -> str | None:
+        return None if text in values else f"must be one of {', '.join(values)}"
+    return check
 
 
 def _number(least=-math.inf, most=math.inf):
@@ -144,10 +142,11 @@ def _algorithm_list(text: str) -> str | None:
     return f"must be a comma list of {', '.join(ALGORITHM_IDS)}" if unknown else None
 
 
-# stage -> the options it reads: name -> (section, type, default, domain).  The
-# default None marks a required option.  A domain says what is wrong with a
-# value, or returns None; a value outside it fails as the stage that reads it,
-# before any stage runs.
+# stage -> the options it reads: name -> (section, type, default, domain).  A
+# flag's or config value's text is read as the type (a bool as configparser
+# reads one); the default None marks a required option.  A domain says what is
+# wrong with a value, or returns None.  A text not of the type, or a value
+# outside the domain, fails as the stage that reads it, before any stage runs.
 OPTIONS = {
     "simulate": {
         "paths": ("simulate", int, 4, _number(1)),
@@ -175,17 +174,17 @@ OPTIONS = {
         "no_outliers": ("preprocess", bool, False, None),
     },
     "resample": {"interval": ("preprocess", int, 5, _number(1))},
-    "stats": {"group_by": ("benchmark", _one_of(*market_data.STATS_GROUPINGS), "overall", None)},
+    "stats": {"group_by": ("benchmark", str, "overall", _one_of(*market_data.STATS_GROUPINGS))},
     "mark": {
         "window": ("labeling", int, 10, _number(1)),
         "lookahead": ("labeling", int, 10, _number(1)),
         "threshold_pct": ("labeling", float, 0.1, _positive),
         "min_jumps": ("labeling", int, 2, _number(1)),
-        "direction": ("labeling", _one_of(*DIRECTIONS), "down", None),
+        "direction": ("labeling", str, "down", _one_of(*DIRECTIONS)),
         "stride": ("labeling", int, 1, _number(1)),
     },
     "fit": {
-        "algorithm": ("train", _one_of(*ALGORITHM_IDS), None, None),
+        "algorithm": ("train", str, None, _one_of(*ALGORITHM_IDS)),
         "train": ("train", str, None, None),  # a:b
         "test": ("train", str, "", None),  # c:d, or none
         "seed": ("train", int, 0, _number(0)),
@@ -225,22 +224,21 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> dict:
-    """Each option of ``stages``, from its flag, its config value or its
-    default (``defaults`` overrides the table's), checked against its domain."""
+    """Each option of ``stages``: the text of its flag, or else of its config
+    value, read as the option's type, or else its default (``defaults``
+    overrides the table's); every value is checked against its domain."""
     out = {}
     for stage, name, (section, typ, default, domain) in _options(stages):
         default = defaults.get(name, default)
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            out[name] = flag_val
-        elif cfg.has_option(section, name):
+        text = getattr(args, name, None)
+        if text is None:
+            text = cfg.get(section, name, fallback=None)
+        if text is not None:
             try:
-                if typ is bool:
-                    out[name] = cfg.getboolean(section, name)
-                else:
-                    out[name] = typ(cfg.get(section, name))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"bad config value for [{section}] {name}: {exc}") from None
+                out[name] = cfg.BOOLEAN_STATES[text.lower()] if typ is bool else typ(text)
+            except (KeyError, ValueError):
+                kind = {int: "an integer", float: "a number", bool: "true or false"}[typ]
+                raise StageError(stage, ConfigError(f"{name} must be {kind}, got {text}")) from None
         elif default is None:
             raise ConfigError(f"{_flag(name)} or [{section}] {name} is required")
         else:
@@ -329,13 +327,11 @@ def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
 
 
 def _out_dir(args, subcommand: str) -> Path:
+    """The output directory; it is made only when a run first writes, so a
+    refused run leaves none."""
     if args.out:
-        path = Path(args.out)
-    else:
-        root = os.environ.get(OUTPUT_ROOT_ENV, "bnsjump_out")
-        path = Path(root) / subcommand
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return Path(args.out)
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, "bnsjump_out")) / subcommand
 
 
 def _echo_config(out_dir: Path, opts: dict, stages, **extra: dict) -> None:
@@ -394,10 +390,11 @@ def _simulate(run) -> dict:
     grid = TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
 
     paths_dir = run.out_dir / "paths"
-    paths_dir.mkdir(exist_ok=True)
     results = []  # each path's stats; its CSV text is written as it arrives and dropped
     one = partial(_simulate_one, opts, grid, params)
     for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), opts["threads"])):
+        if not i:
+            paths_dir.mkdir(parents=True, exist_ok=True)
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
         results.append(path_stats)
 
@@ -600,6 +597,7 @@ def run_data_command(args) -> int:
     for name in stages:
         attr, fn = STAGES[name]
         setattr(run, attr, _stage(name, fn, run))
+    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir, run.opts, stages, hyperparams=run.hp, external=run.external,
                  run={"subcommand": args.subcommand, "input": args.input} if "ingest" in stages else {},
                  splits={s.name: _split_text(s) for s in run.splits})
@@ -644,7 +642,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
             if set(readers) & set(stages):
                 p.add_argument(flag, **kwargs)
         for _, option, (section, typ, *_) in _options(stages):
-            kwargs = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+            kwargs = {"action": "store_const", "const": "true"} if typ is bool else {}
             p.add_argument(_flag(option), dest=option, help=f"config: [{section}] {option}", **kwargs)
     return parser
 

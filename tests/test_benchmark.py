@@ -95,6 +95,28 @@ class TestRunBenchmark:
         cells = run_benchmark(ds, [spec], algorithms=[], external=external)
         assert [c.algorithm for c in cells] == ["external:all_ones"]
 
+    @pytest.mark.parametrize("names", [("A", "A"), ("S2", None)], ids=["named", "defaulted"])
+    def test_repeated_split_name_rejected(self, names):
+        """Two splits of one name, given or defaulted to S<position>, are
+        refused before any cell runs, with the external rows as well."""
+        ds = noisy_dataset()
+        splits = [SplitSpec(train=(0, 199), test=(200, 299), name=names[0]),
+                  SplitSpec(train=(0, 299), test=(300, 399), name=names[1])]
+        with pytest.raises(InvalidParameterError, match=f"^split name {names[0]} repeated$"):
+            run_benchmark(ds, splits, algorithms=["knn"],
+                          external={"all_ones": {i: 1 for i in range(200, 400)}})
+
+    def test_each_split_lists_its_built_ins_then_its_external_rows(self):
+        ds = noisy_dataset()
+        splits = [SplitSpec(train=(0, 199), test=(200, 299), name="B"),
+                  SplitSpec(train=(0, 299), test=(300, 399), name="A")]
+        external = {"ones": {i: 1 for i in range(200, 400)}, "zeros": {i: 0 for i in range(200, 400)}}
+        cells = run_benchmark(ds, splits, algorithms=["knn", "decision_tree"], external=external,
+                              max_workers=2)
+        assert [(c.split_name, c.algorithm) for c in cells] == [
+            (name, alg) for name in ("B", "A")
+            for alg in ("knn", "decision_tree", "external:ones", "external:zeros")]
+
     def test_empty_split_rejected(self):
         ds = noisy_dataset()
         with pytest.raises(InvalidParameterError):

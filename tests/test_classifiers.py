@@ -5,6 +5,7 @@ import pytest
 
 from bnsjump.classifiers import (
     ALGORITHM_IDS,
+    DEFAULT_HYPERPARAMS,
     evaluate,
     predict,
     resolve_hyperparams,
@@ -92,13 +93,30 @@ class TestTrainBasics:
         with pytest.raises(InvalidParameterError):
             resolve_hyperparams("knn", {"kk": 3})
 
-    @pytest.mark.parametrize("algorithm,key", [("knn", "k"), ("random_forest", "trees")])
+    @pytest.mark.parametrize("algorithm,key", [("knn", "k"), ("random_forest", "trees"),
+                                               ("kmeans", "k"), ("kmeans", "restarts"),
+                                               ("neural_net", "hidden_width")])
     def test_counts_must_be_integers_from_one(self, algorithm, key):
+        message = rf"^{algorithm}\.{key} must be an integer >= 1, got "
         for value in (0, -3, 2.5, "3", True):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError, match=message):
                 resolve_hyperparams(algorithm, {key: value})
         for value in (1, np.int64(3)):
             assert resolve_hyperparams(algorithm, {key: value})[key] == value
+
+    def test_integer_defaults_take_only_integers(self):
+        """Every integer default refuses a float, a text and a bool; the
+        float and bool defaults take what they are given."""
+        for algorithm, defaults in DEFAULT_HYPERPARAMS.items():
+            for key, default in defaults.items():
+                if type(default) is int:
+                    message = rf"^{algorithm}\.{key} must be an integer( >= 1)?, got "
+                    for value in (1.5, 2.0, "3", True):
+                        with pytest.raises(InvalidParameterError, match=message):
+                            resolve_hyperparams(algorithm, {key: value})
+                    assert resolve_hyperparams(algorithm, {key: np.int64(7)})[key] == 7
+                else:
+                    assert resolve_hyperparams(algorithm, {key: 1})[key] == 1
 
     def test_single_class_degenerate(self):
         X = np.random.default_rng(0).normal(size=(20, 4))

@@ -9,6 +9,7 @@ import pytest
 
 from bnsjump import cli, synthetic, tables
 from bnsjump.classifiers import ALGORITHM_IDS
+from bnsjump.classifiers.api import AT_LEAST_ONE
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
 from bnsjump.labeling import (
@@ -58,7 +59,8 @@ OUT_OF_DOMAIN = {
     "a_strong": "inf", "t_end": "0", "dt": "-0.01", "noise_std": "-1", "threads": "0",
     "trim_minutes": "-1", "interval": "0", "window": "0", "lookahead": "-3",
     "threshold_pct": "nan", "min_jumps": "0", "stride": "0", "algorithms": "knn,bogus",
-    "calendar": "bogus", "outlier_sigma": "0",
+    "calendar": "bogus", "outlier_sigma": "0", "group_by": "sideways", "direction": "sideways",
+    "algorithm": "knearest",
 }
 
 # (reading stage, option, config section, subcommand, flag or config) for each
@@ -70,6 +72,34 @@ DOMAIN_CASES = [
     for subcommand, (_, stages, _) in cli.DATA_COMMANDS.items() if stage in stages
     for via in ("flag", "config")
 ]
+
+# the same for each number or boolean option and the first subcommand that
+# reads it, with the word its text must be; a boolean flag takes no text
+TYPE_CASES = [
+    pytest.param(stage, name, section, subcommand, via, kind, id=f"{subcommand}-{name}-{via}")
+    for stage, table in cli.OPTIONS.items()
+    for name, (section, typ, _, _) in table.items()
+    if typ is not str
+    for subcommand in [next(c for c, (_, stages, _) in cli.DATA_COMMANDS.items() if stage in stages)]
+    for via in (("config",) if typ is bool else ("flag", "config"))
+    for kind in [{int: "an integer", float: "a number", bool: "true or false"}[typ]]
+]
+
+
+def refused_argv(tmp_path, subcommand: str, name: str, section: str, via: str, text: str) -> list[str]:
+    """A run of ``subcommand`` whose option ``name`` is ``text``, given as a
+    flag or in a config file, and whose input does not exist."""
+    missing = str(tmp_path / "missing.csv")
+    argv = {"simulate": [],
+            "train": ["--dataset", missing, "--train", "0:5"]
+            + ([] if name == "algorithm" else ["--algorithm", "knn"]),
+            "report": ["--dataset", missing, "--split", "T=0:5/6:10"]}.get(
+        subcommand, ["--input", missing])
+    if via == "flag":
+        return argv + [f"{cli._flag(name)}={text}"]  # '=' so that argparse takes '-inf' as a value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{name} = {text}\n", encoding="utf-8")
+    return argv + ["--config", str(cfg)]
 
 
 class TestSimulate:
@@ -177,6 +207,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'simulate': ")
         assert "Traceback" not in err
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("dt,n_steps", [("0.0002", 5000), ("0.005", 200), ("0.001", 1000),
                                             ("0.01", 100)])
@@ -461,38 +492,31 @@ class TestDataCommands:
                 "--theta", "0.4", "--rho", "-0.5", "--noise-std", "0.01", "--threads", "2"]
         assert vars(one.parse_args(line)) == vars(cli.build_parser().parse_args(line))
 
+    def test_option_flags_are_read_as_text(self):
+        """argparse converts no option; `_resolve` reads each text as its type."""
+        for p in cli.build_parser()._subparsers._group_actions[0].choices.values():
+            assert all(action.type is None for action in p._actions)
+
     def test_train_flags_come_from_its_option_table(self):
         train = cli.build_parser()._subparsers._group_actions[0].choices["train"]
         flags = {flag for action in train._actions for flag in action.option_strings}
         assert flags == {"-h", "--help", "--out", "--config", "--dataset", "--hp",
                          "--algorithm", "--train", "--test", "--seed"}
 
-    @pytest.mark.parametrize("config", [
-        "[train]\nalgorithm = knn\n",
-        "[train]\nalgorithm = knearest\ntrain = 7:800\n",
-        "[train]\nalgorithm = knn\ntrain = 7:800\nseed = x\n",
+    @pytest.mark.parametrize("config,line", [
+        ("[train]\nalgorithm = knn\n", "--train or [train] train is required"),
+        ("[train]\nalgorithm = knearest\ntrain = 7:800\n",
+         "stage 'fit': algorithm must be one of " + ", ".join(ALGORITHM_IDS) + ", got knearest"),
+        ("[train]\nalgorithm = knn\ntrain = 7:800\nseed = x\n",
+         "stage 'fit': seed must be an integer, got x"),
     ], ids=["missing-train", "unknown-algorithm", "bad-seed"])
-    def test_bad_train_options_are_config_errors(self, tmp_path, capsys, config):
+    def test_bad_train_options_are_config_errors(self, tmp_path, capsys, config, line):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(config, encoding="utf-8")
         code = main(["train", "--dataset", str(tmp_path / "unread.csv"), "--out", str(tmp_path / "o"),
                      "--config", str(cfg)])
         assert code == EXIT_CONFIG
-        assert "[train]" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand,section,option,flags", [
-        ("label", "labeling", "direction", ["--interval", "1"]),
-        ("stats", "benchmark", "group_by", []),
-    ])
-    def test_choices_checked_for_flags_and_config(self, tmp_path, bars_csv, subcommand, section,
-                                                  option, flags):
-        argv = [subcommand, "--input", str(bars_csv), "--out", str(tmp_path / "o")] + flags
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [cli._flag(option), "sideways"])
-        assert exc.value.code == EXIT_CONFIG
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[{section}]\n{option} = sideways\n", encoding="utf-8")
-        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     @pytest.mark.parametrize("text,line", [
         ("", 1),
@@ -640,9 +664,12 @@ class TestDataCommands:
         assert capsys.readouterr().err == "error: stage 'ingest': outlier_sigma must be finite, got nan\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("hp", ["knn.k=0", "knn.k=-3", "knn.k=2.5", "random_forest.trees=0"])
+    @pytest.mark.parametrize("hp", ["knn.k=0", "knn.k=-3", "knn.k=2.5", "random_forest.trees=0",
+                                    "kmeans.restarts=0", "kmeans.k=0", "neural_net.hidden_width=0",
+                                    "neural_net.epochs=1.5"])
     def test_count_hyperparams_below_one_are_config_errors(self, tmp_path, capsys, hp):
-        """Checked with the other hyperparameters, before any stage runs."""
+        """Checked with the other hyperparameters, before any stage runs: an
+        integer one must be an integer, and a count at least 1."""
         dataset = tmp_path / "labeled.csv"
         dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
                            encoding="utf-8")
@@ -650,7 +677,8 @@ class TestDataCommands:
         assert main(["report", "--dataset", str(dataset), "--out", str(out), "--split", "T=0:5/6:10",
                      "--algorithms", "knn,random_forest", "--hp", hp]) == EXIT_CONFIG
         key, value = hp.split("=")
-        assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
+        rule = "an integer >= 1" if key.split(".")[1] in AT_LEAST_ONE else "an integer"
+        assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("stage,name,section,subcommand,via", DOMAIN_CASES)
@@ -658,23 +686,53 @@ class TestDataCommands:
                                                    subcommand, via):
         """Each option with a domain, out of it as a flag or as a config value,
         fails as the stage that reads it, before a missing input is found."""
-        missing = str(tmp_path / "missing.csv")
-        argv = {"simulate": [],
-                "train": ["--dataset", missing, "--algorithm", "knn", "--train", "0:5"],
-                "report": ["--dataset", missing, "--split", "T=0:5/6:10"]}.get(
-            subcommand, ["--input", missing])
-        bad = OUT_OF_DOMAIN[name]
-        if via == "flag":
-            argv += [f"{cli._flag(name)}={bad}"]  # '=' so that argparse takes '-inf' as a value
-        else:
-            cfg = tmp_path / "bad.cfg"
-            cfg.write_text(f"[{section}]\n{name} = {bad}\n", encoding="utf-8")
-            argv += ["--config", str(cfg)]
         out = tmp_path / "o"
+        argv = refused_argv(tmp_path, subcommand, name, section, via, OUT_OF_DOMAIN[name])
         assert main([subcommand, "--out", str(out)] + argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage '{stage}': {name} ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage,name,section,subcommand,via,kind", TYPE_CASES)
+    def test_every_text_read_as_its_type(self, tmp_path, capsys, stage, name, section, subcommand,
+                                         via, kind):
+        """A text that is not of its option's type fails as the stage that
+        reads it, with one line, as a flag and as a config value alike."""
+        out = tmp_path / "o"
+        argv = refused_argv(tmp_path, subcommand, name, section, via, "x")
+        assert main([subcommand, "--out", str(out)] + argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: stage '{stage}': {name} must be {kind}, got x\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["simulate", "--t-end", "1", "--dt", "0.3"], EXIT_CONFIG),
+        (["simulate", "--nu-base", "3", "--nu-strong", "2"], EXIT_CONFIG),
+        (["simulate", "--nu-base", "1e10", "--nu-strong", "1e10", "--lam", "1e10", "--paths", "1",
+          "--t-end", "1", "--dt", "0.1"], EXIT_CONFIG),
+        (["report", "--split", "T1=bogus"], EXIT_CONFIG),
+        (["train", "--algorithm", "knn", "--train", "5"], EXIT_CONFIG),
+        (["report", "--split", "T1=0:5/6:10", "--algorithms", "knn", "--external", "e=missing.csv"],
+         EXIT_IO),
+    ], ids=["partial-last-step", "strong-below-base", "poisson-limit", "bad-split", "bad-train-range",
+            "missing-external"])
+    def test_refused_run_leaves_no_out(self, tmp_path, capsys, argv, code):
+        """A run refused inside a stage, before it writes a file, makes no --out."""
+        dataset = tmp_path / "labeled.csv"
+        dataset.write_text("index,f1,theta\n" + "".join(f"{i},0.{i},{i % 2}\n" for i in range(11)),
+                           encoding="utf-8")
+        source = [] if argv[0] == "simulate" else ["--dataset", str(dataset)]
+        out = tmp_path / "o"
+        assert main(argv + source + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "ingest"])
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, bars_csv, subcommand):
+        """An --out under a file fails when the run first writes."""
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        source = ["--paths", "1"] if subcommand == "simulate" else ["--input", str(bars_csv)]
+        assert main([subcommand, "--out", str(tmp_path / "file" / "o")] + source) == EXIT_IO
+        assert "Not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,line", [
         (["ingest", "--trim-minutes", "-1"], "stage 'ingest': trim_minutes must be at least 0, got -1"),
