@@ -10,6 +10,9 @@ constant predictor flagged as degenerate.
 
 from __future__ import annotations
 
+import inspect
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -23,55 +26,60 @@ from .neighbors import KMeansLabeler, KNearestClassifier
 from .neural import NeuralNetClassifier
 from .tree import DecisionTreeClassifier
 
-# algorithm -> (estimator class, whether its fit takes the seed); each
-# constructor takes the algorithm's hyperparameters but `standardize` by name
+# algorithm -> estimator class.  A class's constructor keywords are the
+# algorithm's hyperparameters, and their defaults are the documented defaults.
 LEARNERS = {
-    "logistic_regression": (LogisticRegressionGD, False),
-    "svm_linear": (LinearSVMClassifier, False),
-    "knn": (KNearestClassifier, False),
-    "kmeans": (KMeansLabeler, True),
-    "naive_bayes_gaussian": (GaussianNaiveBayes, False),
-    "gradient_boost": (GradientBoostClassifier, False),
-    "decision_tree": (DecisionTreeClassifier, False),
-    "random_forest": (RandomForestClassifier, True),
-    "neural_net": (NeuralNetClassifier, True),
+    "logistic_regression": LogisticRegressionGD,
+    "svm_linear": LinearSVMClassifier,
+    "knn": KNearestClassifier,
+    "kmeans": KMeansLabeler,
+    "naive_bayes_gaussian": GaussianNaiveBayes,
+    "gradient_boost": GradientBoostClassifier,
+    "decision_tree": DecisionTreeClassifier,
+    "random_forest": RandomForestClassifier,
+    "neural_net": NeuralNetClassifier,
 }
 ALGORITHM_IDS = tuple(LEARNERS)
 
 DEFAULT_HYPERPARAMS: dict[str, dict] = {
-    "logistic_regression": {"learning_rate": 0.1, "epochs": 500, "l2": 1e-4, "standardize": True},
-    "svm_linear": {"c": 1.0, "epochs": 500, "standardize": True},
-    "knn": {"k": 5, "standardize": True},
-    "kmeans": {"k": 2, "iterations": 100, "restarts": 10, "standardize": True},
-    "naive_bayes_gaussian": {"variance_floor": 1e-9, "standardize": True},
-    "gradient_boost": {"rounds": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1,
-                       "standardize": True},
-    "decision_tree": {"max_depth": 6, "min_leaf": 5, "standardize": True},
-    "random_forest": {"trees": 100, "max_depth": 6, "min_leaf": 5, "standardize": True},
-    "neural_net": {"hidden_width": 32, "epochs": 200, "learning_rate": 0.01, "threshold": 0.3,
-                   "standardize": True},
+    algorithm: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
+    | {"standardize": True}
+    for algorithm, cls in LEARNERS.items()
 }
 
+# the numeric hyperparameters that may be 0; every other one must be positive
+MAY_BE_ZERO = ("l2", "max_depth", "min_leaf")
 
-# the integer hyperparameters that count something a learner needs at least one of
-AT_LEAST_ONE = ("k", "trees", "restarts", "hidden_width")
+
+def _checked(algorithm: str, key: str, default, value):
+    """``value`` if it may override ``default``: a bool for a bool, and for a
+    number a finite one of its type (a bool is none) above 0, or from 0 for
+    ``MAY_BE_ZERO``, returned as a Python number."""
+    zero = key in MAY_BE_ZERO
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        rule = "true or false"
+    else:
+        kind = numbers.Integral if isinstance(default, int) else numbers.Real
+        if isinstance(value, kind) and not isinstance(value, bool) and (
+                0 <= value < math.inf if zero else 0 < value < math.inf):
+            return int(value) if isinstance(value, numbers.Integral) else float(value)
+        rule = (f"an integer >= {0 if zero else 1}" if kind is numbers.Integral
+                else f"a finite number {'>=' if zero else '>'} 0")
+    raise InvalidParameterError(f"{algorithm}.{key} must be {rule}, got {value!r}")
 
 
 def resolve_hyperparams(algorithm: str, overrides: dict | None = None) -> dict:
-    """Merge overrides into the documented defaults.  Unknown keys are
-    rejected, and so is an override of an integer default that is not an
-    integer (a bool is not), or one of ``AT_LEAST_ONE`` below 1."""
+    """Merge overrides into the defaults.  Unknown keys are rejected, and
+    so is a value ``_checked`` refuses."""
     if algorithm not in DEFAULT_HYPERPARAMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_IDS}")
     merged = dict(DEFAULT_HYPERPARAMS[algorithm])
     for key, value in (overrides or {}).items():
         if key not in merged:
             raise InvalidParameterError(f"unknown hyperparameter {key!r} for {algorithm}")
-        if type(merged[key]) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                                         or (key in AT_LEAST_ONE and value < 1)):
-            rule = "an integer >= 1" if key in AT_LEAST_ONE else "an integer"
-            raise InvalidParameterError(f"{algorithm}.{key} must be {rule}, got {value!r}")
-        merged[key] = value
+        merged[key] = _checked(algorithm, key, merged[key], value)
     return merged
 
 
@@ -138,8 +146,9 @@ def train(algorithm: str, train_set, hyperparams: dict | None = None, seed=0) ->
     scaler = _fit_scaler(X) if hp["standardize"] else None
     Xs = _apply_scaler(scaler, X)
 
-    cls, takes_seed = LEARNERS[algorithm]
+    cls = LEARNERS[algorithm]
     est = cls(**{name: value for name, value in hp.items() if name != "standardize"})
+    takes_seed = "seed" in inspect.signature(cls.fit).parameters
     est = est.fit(Xs, y, seed=seed) if takes_seed else est.fit(Xs, y)
     return Model(algorithm=algorithm, estimator=est, scaler=scaler, metadata=metadata)
 

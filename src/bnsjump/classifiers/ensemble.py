@@ -36,9 +36,8 @@ class RandomForestClassifier:
         for i in range(self.n_trees):
             rng = substream(seed, i)
             boot = rng.integers(0, n, n)
-            tree = DecisionTreeClassifier(max_depth=self.max_depth, min_leaf=self.min_leaf,
-                                          max_features=max_features, rng=rng)
-            tree.fit(X, y, boot, order)
+            tree = DecisionTreeClassifier(max_depth=self.max_depth, min_leaf=self.min_leaf)
+            tree.fit(X, y, boot, order, max_features, rng)
             self.trees.append(tree)
         return self
 

@@ -109,34 +109,31 @@ def _best_gini_split(X, w, wy, order, n, features, min_leaf):
 
 
 class DecisionTreeClassifier:
-    """Binary CART with Gini impurity.
+    """Binary CART with Gini impurity."""
 
-    max_features, when set, draws that many candidate features per split
-    from ``rng`` (random-forest usage).
-    """
-
-    def __init__(self, max_depth: int = 6, min_leaf: int = 5,
-                 max_features: int | None = None, rng: np.random.Generator | None = None):
+    def __init__(self, max_depth: int = 6, min_leaf: int = 5):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.rng = rng
         self.root: _Node | None = None
         self.n_features = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray, boot: np.ndarray | None = None,
-            order: np.ndarray | None = None) -> "DecisionTreeClassifier":
+            order: np.ndarray | None = None, max_features: int | None = None,
+            rng: np.random.Generator | None = None) -> "DecisionTreeClassifier":
         """Grow on the drawn rows ``X[boot]`` (default: every row once).
 
         Each drawn row is held once, with its draw count, in the order of
         ``_presort(X)``; ``order`` is that presort, passed in when many
         trees share one X.  ``boot`` only sets the draw counts, so a zero
         threshold may carry the other sign than on ``X[boot]``, which
-        ``x <= threshold`` does not tell apart.
+        ``x <= threshold`` does not tell apart.  ``max_features``, when set,
+        draws that many candidate features per split from ``rng``
+        (random-forest usage).
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         n, self.n_features = X.shape
+        self.max_features, self.rng = max_features, rng
         boot = np.arange(n) if boot is None else boot
         order = _presort(X) if order is None else order
         w = np.bincount(boot, minlength=n)
@@ -198,7 +195,7 @@ class RegressionTree:
     step for logistic loss used by gradient boosting.
     """
 
-    def __init__(self, max_depth: int = 3, min_leaf: int = 1):
+    def __init__(self, max_depth: int, min_leaf: int):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.root: _Node | None = None

@@ -104,16 +104,6 @@ def _minute_of_day(stamps: np.ndarray) -> np.ndarray:
     return (stamps - stamps.astype("datetime64[D]")) // _MINUTE
 
 
-def _to_stamps(datetimes: Iterable[datetime]) -> np.ndarray:
-    """Naive datetimes as datetime64[us], exactly.  Aware ones are refused: numpy
-    would shift them to UTC and so move bars between sessions."""
-    try:
-        micros = np.fromiter(((ts - _EPOCH) // _MICROSECOND for ts in datetimes), dtype=np.int64)
-    except TypeError:
-        raise InvalidParameterError("timestamps must be naive local datetimes") from None
-    return micros.view("datetime64[us]")
-
-
 def _block_starts(series) -> np.ndarray:
     """True at every row that opens a (day, session) block."""
     starts = np.ones(len(series), dtype=bool)
@@ -159,11 +149,12 @@ class BarSeries(_Stamped):
     calendar: SessionCalendar
 
     @classmethod
-    def build(cls, timestamps: np.ndarray | Iterable[datetime], closes: Iterable[float],
+    def build(cls, timestamps: np.ndarray, closes: Iterable[float],
               calendar: SessionCalendar) -> "BarSeries":
-        """Bars from a datetime64 column or naive datetimes, checked for order and sessions."""
-        column = isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M"
-        stamps = timestamps.astype("datetime64[us]") if column else _to_stamps(timestamps)
+        """Bars from a datetime64 column, checked for order and sessions."""
+        if not (isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M"):
+            raise InvalidParameterError("timestamps must be a datetime64 column")
+        stamps = timestamps.astype("datetime64[us]")
         values = np.asarray(list(closes), dtype=float)
         if len(stamps) != len(values):
             raise InvalidParameterError("timestamps and closes differ in length")
@@ -202,7 +193,8 @@ def _parse_stamps(texts: list[str]) -> np.ndarray:
             warnings.simplefilter("error")
             return np.array(texts, dtype="datetime64[us]")
     except (ValueError, Warning):
-        return _to_stamps(datetime.fromisoformat(text) for text in texts)
+        micros = ((datetime.fromisoformat(text) - _EPOCH) // _MICROSECOND for text in texts)
+        return np.fromiter(micros, dtype=np.int64).view("datetime64[us]")
 
 
 # loadtxt cuts a longer text short without a word, so a stamp that fills the

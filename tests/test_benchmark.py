@@ -1,8 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
+from bnsjump import tables
 from bnsjump.classifiers import (
     evaluate,
     format_benchmark_text,
@@ -138,6 +140,18 @@ class TestSerialization:
         assert lines[0] == ("split,algorithm,precision0,recall0,f1_0,support0,"
                             "precision1,recall1,f1_1,support1")
         assert len(lines) == 1 + len(cells)
+
+    def test_numpy_hyperparams_dump_as_json(self):
+        """A numpy integer override is held as an ``int``, so the cells'
+        hyperparameters dump as hyperparams_used.json does."""
+        ds = noisy_dataset(seed=2)
+        bank = {"knn": {"k": np.int64(3)}, "naive_bayes_gaussian": {"variance_floor": np.float32(0.5)}}
+        cells = run_benchmark(ds, [SplitSpec(train=(0, 299), test=(300, 399), name="T1")],
+                              algorithms=list(bank), hyperparams_bank=bank)
+        assert type(cells[0].hyperparams["k"]) is int
+        assert json.loads(tables.dumps({c.algorithm: c.hyperparams for c in cells})) == {
+            "knn": {"k": 3, "standardize": True},
+            "naive_bayes_gaussian": {"variance_floor": 0.5, "standardize": True}}
 
     def test_text_table_contains_all_algorithms(self):
         cells = self._cells()

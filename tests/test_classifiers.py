@@ -89,6 +89,28 @@ class TestTrainBasics:
         with pytest.raises(InvalidParameterError):
             resolve_hyperparams("perceptron")
 
+    def test_defaults_are_the_constructors(self):
+        """Read from each estimator's constructor, plus ``standardize``."""
+        expected = {
+            "logistic_regression": {"learning_rate": 0.1, "epochs": 500, "l2": 1e-4,
+                                    "standardize": True},
+            "svm_linear": {"c": 1.0, "epochs": 500, "standardize": True},
+            "knn": {"k": 5, "standardize": True},
+            "kmeans": {"k": 2, "iterations": 100, "restarts": 10, "standardize": True},
+            "naive_bayes_gaussian": {"variance_floor": 1e-9, "standardize": True},
+            "gradient_boost": {"rounds": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1,
+                               "standardize": True},
+            "decision_tree": {"max_depth": 6, "min_leaf": 5, "standardize": True},
+            "random_forest": {"trees": 100, "max_depth": 6, "min_leaf": 5, "standardize": True},
+            "neural_net": {"hidden_width": 32, "epochs": 200, "learning_rate": 0.01,
+                           "threshold": 0.3, "standardize": True},
+        }
+        assert DEFAULT_HYPERPARAMS == expected
+
+        def types(bank):
+            return {alg: {key: type(value) for key, value in hp.items()} for alg, hp in bank.items()}
+        assert types(DEFAULT_HYPERPARAMS) == types(expected)
+
     def test_unknown_hyperparameter(self):
         with pytest.raises(InvalidParameterError):
             resolve_hyperparams("knn", {"kk": 3})
@@ -106,15 +128,21 @@ class TestTrainBasics:
 
     def test_integer_defaults_take_only_integers(self):
         """Every integer default refuses a float, a text and a bool; the
-        float and bool defaults take what they are given."""
+        float defaults take a number, and ``standardize`` takes only a bool."""
         for algorithm, defaults in DEFAULT_HYPERPARAMS.items():
             for key, default in defaults.items():
                 if type(default) is int:
-                    message = rf"^{algorithm}\.{key} must be an integer( >= 1)?, got "
+                    message = rf"^{algorithm}\.{key} must be an integer >= [01], got "
                     for value in (1.5, 2.0, "3", True):
                         with pytest.raises(InvalidParameterError, match=message):
                             resolve_hyperparams(algorithm, {key: value})
                     assert resolve_hyperparams(algorithm, {key: np.int64(7)})[key] == 7
+                elif type(default) is bool:
+                    for value in (1, 0, "true", None):
+                        with pytest.raises(InvalidParameterError,
+                                           match=rf"^{algorithm}\.{key} must be true or false, got "):
+                            resolve_hyperparams(algorithm, {key: value})
+                    assert resolve_hyperparams(algorithm, {key: False})[key] is False
                 else:
                     assert resolve_hyperparams(algorithm, {key: 1})[key] == 1
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from bnsjump import cli, synthetic, tables
-from bnsjump.classifiers import ALGORITHM_IDS
-from bnsjump.classifiers.api import AT_LEAST_ONE
+from bnsjump.classifiers import ALGORITHM_IDS, DEFAULT_HYPERPARAMS
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
 from bnsjump.labeling import (
@@ -84,6 +83,36 @@ TYPE_CASES = [
     for via in (("config",) if typ is bool else ("flag", "config"))
     for kind in [{int: "an integer", float: "a number", bool: "true or false"}[typ]]
 ]
+
+
+# every hyperparameter with each text of a fixed pool, and the small sizes the
+# swept algorithm's other keys run at
+HP_TEXTS = ("0", "-1", "1", "2.5", "NaN", "Infinity", "true", "x")
+HP_CASES = [pytest.param(alg, key, text, id=f"{alg}.{key}={text}")
+            for alg, defaults in DEFAULT_HYPERPARAMS.items() for key in defaults for text in HP_TEXTS]
+HP_SMOKE = {"logistic_regression": {"epochs": 5}, "svm_linear": {"epochs": 5},
+            "kmeans": {"iterations": 5, "restarts": 1}, "gradient_boost": {"rounds": 3},
+            "random_forest": {"trees": 3}, "neural_net": {"hidden_width": 4, "epochs": 5}}
+
+
+def hp_accepted(default, key: str, text: str) -> bool:
+    """The rule, stated here: a bool takes ``true``; a number takes a finite
+    one of its type above 0, and ``l2``, ``max_depth`` and ``min_leaf`` take 0."""
+    if isinstance(default, bool):
+        return text == "true"
+    texts = {"1"} | ({"2.5"} if isinstance(default, float) else set())
+    return text in texts | ({"0"} if key in ("l2", "max_depth", "min_leaf") else set())
+
+
+@pytest.fixture(scope="module")
+def small_labeled_csv(tmp_path_factory):
+    """80 labeled rows of three features, both classes in every split part."""
+    rng = np.random.default_rng(4)
+    path = tmp_path_factory.mktemp("labeled") / "labeled.csv"
+    path.write_text("index,f1,f2,f3,theta\n" + "".join(
+        f"{i},{a:.4f},{b:.4f},{c:.4f},{int(a + b > 0)}\n"
+        for i, (a, b, c) in enumerate(rng.normal(size=(80, 3)))), encoding="utf-8")
+    return path
 
 
 def refused_argv(tmp_path, subcommand: str, name: str, section: str, via: str, text: str) -> list[str]:
@@ -677,9 +706,30 @@ class TestDataCommands:
         assert main(["report", "--dataset", str(dataset), "--out", str(out), "--split", "T=0:5/6:10",
                      "--algorithms", "knn,random_forest", "--hp", hp]) == EXIT_CONFIG
         key, value = hp.split("=")
-        rule = "an integer >= 1" if key.split(".")[1] in AT_LEAST_ONE else "an integer"
-        assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
+        assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("alg,key,text", HP_CASES)
+    def test_every_hyperparameter_text_trains_or_is_refused(self, small_labeled_csv, tmp_path,
+                                                            capsys, alg, key, text):
+        """Each text either trains a model that gets its row, or is refused
+        with one line before any stage runs, leaving no --out."""
+        out = tmp_path / "o"
+        hp = [f"{alg}.{name}={value}" for name, value in HP_SMOKE.get(alg, {}).items() if name != key]
+        argv = ["report", "--dataset", str(small_labeled_csv), "--out", str(out),
+                "--split", "T=0:59/60:79", "--algorithms", alg]
+        for item in hp + [f"{alg}.{key}={text}"]:
+            argv += ["--hp", item]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if hp_accepted(DEFAULT_HYPERPARAMS[alg][key], key, text):
+            assert code == EXIT_OK, err
+            assert len((out / "reports.csv").read_text(encoding="utf-8").splitlines()) == 2
+        else:
+            assert code == EXIT_CONFIG
+            assert err.startswith(f"error: {alg}.{key} must be ") and ", got " in err, err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
 
     @pytest.mark.parametrize("stage,name,section,subcommand,via", DOMAIN_CASES)
     def test_every_domain_checked_before_any_stage(self, tmp_path, capsys, stage, name, section,

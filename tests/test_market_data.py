@@ -69,14 +69,18 @@ class TestLoadBars:
         assert err.value.line_number == 3
 
     def test_build_rejects_timezone_aware_stamps(self):
+        """Only a datetime64 column is taken, so a list of datetimes, aware or
+        naive, is refused.  The loader's own timezone refusal is the
+        ``aware-stamp`` case of tests/test_bulk_read.py."""
         aware = datetime(2021, 1, 4, 9, 31, tzinfo=timezone(timedelta(hours=8)))
-        with pytest.raises(InvalidParameterError):
-            BarSeries.build([aware], [5000.0], SessionCalendar())
+        for stamps in ([aware], [aware.replace(tzinfo=None)], np.array([1.0])):
+            with pytest.raises(InvalidParameterError, match="datetime64 column"):
+                BarSeries.build(stamps, [5000.0], SessionCalendar())
 
     def test_build_rejects_repeated_stamp(self):
-        ts = datetime(2021, 1, 4, 9, 31)
+        ts = np.datetime64("2021-01-04T09:31")
         with pytest.raises(OrderingError):
-            BarSeries.build([ts, ts], [5000.0, 5001.0], SessionCalendar())
+            BarSeries.build(np.array([ts, ts]), [5000.0, 5001.0], SessionCalendar())
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
@@ -127,7 +131,7 @@ class TestPreprocess:
         stamps = [base + timedelta(minutes=i) for i in range(101)]
         closes = [5000.0] * 101
         closes[40] = 0.0
-        series = BarSeries.build(stamps, closes, SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), closes, SessionCalendar())
         cleaned, rate = preprocess(series)
         assert len(cleaned) == 100
         assert rate == pytest.approx(1.0 / 101.0)
@@ -158,7 +162,7 @@ class TestResample:
         base = datetime(2021, 1, 4, 9, 31)
         stamps = [base + timedelta(minutes=i) for i in range(120)]
         closes = [float(i + 1) for i in range(120)]
-        series = BarSeries.build(stamps, closes, SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), closes, SessionCalendar())
         out = resample(series, 30)
         assert len(out) == 4
         assert list(out.closes) == [30.0, 60.0, 90.0, 120.0]
@@ -188,22 +192,24 @@ class TestPctChange:
         series = single_day_bars()
         base = datetime(2021, 1, 4, 9, 31)
         stamps = [base + timedelta(minutes=i) for i in range(3)]
-        series = BarSeries.build(stamps, [100.0, 101.0, 99.9 * 1.01], SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), [100.0, 101.0, 99.9 * 1.01],
+                                 SessionCalendar())
         out = pct_change(series)
         assert len(out) == 2
         assert out.values[0] == pytest.approx(1.0)
 
     def test_downward_tick_is_threshold_candidate(self):
         base = datetime(2021, 1, 4, 9, 31)
-        series = BarSeries.build([base, base + timedelta(minutes=1)], [100.0, 99.9],
-                                 SessionCalendar())
+        series = BarSeries.build(np.array([base, base + timedelta(minutes=1)], "datetime64[us]"),
+                                 [100.0, 99.9], SessionCalendar())
         out = pct_change(series)
         assert out.values[0] == pytest.approx(-0.1)
 
     def test_no_return_across_lunch(self):
         stamps = [datetime(2021, 1, 4, 11, 29), datetime(2021, 1, 4, 11, 30),
                   datetime(2021, 1, 4, 13, 1), datetime(2021, 1, 4, 13, 2)]
-        series = BarSeries.build(stamps, [100.0, 101.0, 150.0, 151.5], SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), [100.0, 101.0, 150.0, 151.5],
+                                 SessionCalendar())
         out = pct_change(series)
         assert len(out) == 2  # one per session; no 101 -> 150 return
         assert out.values[0] == pytest.approx(1.0)
@@ -211,7 +217,7 @@ class TestPctChange:
 
     def test_no_overnight_return(self):
         stamps = [datetime(2021, 1, 4, 15, 0), datetime(2021, 1, 5, 13, 1)]
-        series = BarSeries.build(stamps, [100.0, 120.0], SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), [100.0, 120.0], SessionCalendar())
         assert len(pct_change(series)) == 0
 
     def test_every_return_in_one_session(self, small_market):
@@ -227,7 +233,7 @@ class TestDescriptiveStats:
     def _bars(self, closes):
         base = datetime(2021, 1, 4, 10, 0)
         stamps = [base + timedelta(minutes=i) for i in range(len(closes))]
-        return BarSeries.build(stamps, closes, SessionCalendar())
+        return BarSeries.build(np.array(stamps, "datetime64[us]"), closes, SessionCalendar())
 
     def test_symmetric_hand_example(self):
         report = descriptive_stats(self._bars([1.0, 2.0, 3.0, 4.0, 5.0]))["overall"]
@@ -258,7 +264,7 @@ class TestDescriptiveStats:
             if minute >= 119:
                 minute = 0
                 day += 1
-        series = BarSeries.build(stamps, list(x), SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), list(x), SessionCalendar())
         report = descriptive_stats(series)["overall"]
         assert abs(report.excess_kurtosis) < 0.3
         assert abs(report.skewness) < 0.2
@@ -266,7 +272,8 @@ class TestDescriptiveStats:
     def test_month_grouping(self):
         stamps = [datetime(2021, 1, 4, 10, 0), datetime(2021, 1, 4, 10, 1),
                   datetime(2021, 2, 3, 10, 0), datetime(2021, 2, 3, 10, 1)]
-        series = BarSeries.build(stamps, [1.0, 2.0, 3.0, 4.0], SessionCalendar())
+        series = BarSeries.build(np.array(stamps, "datetime64[us]"), [1.0, 2.0, 3.0, 4.0],
+                                 SessionCalendar())
         reports = descriptive_stats(series, group_by="month")
         assert sorted(reports) == ["2021-01", "2021-02"]
         assert reports["2021-01"].count == 2

@@ -90,8 +90,8 @@ def test_decision_tree_matches_oracle(seed):
     n, d = X.shape
     depth, min_leaf = int(rng.integers(1, 7)), random_min_leaf(rng, n)
     max_features = None if seed % 2 else int(rng.integers(1, d + 1))
-    tree = DecisionTreeClassifier(max_depth=depth, min_leaf=min_leaf, max_features=max_features,
-                                  rng=np.random.default_rng(seed)).fit(X, y)
+    tree = DecisionTreeClassifier(max_depth=depth, min_leaf=min_leaf).fit(
+        X, y, max_features=max_features, rng=np.random.default_rng(seed))
     oracle = brute_force_gini_tree(X, y, depth, min_leaf, max_features,
                                    np.random.default_rng(seed))
     assert_same_tree(tree, oracle)

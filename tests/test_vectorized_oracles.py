@@ -100,7 +100,7 @@ def random_bars(rng, calendar) -> BarSeries:
                 close = 0.0 if u < 0.03 else -price if u < 0.05 else 1.5 * price if u < 0.07 else price
             stamps.append(minutes[j])
             closes.append(close)
-    return BarSeries.build(stamps, closes, calendar)
+    return BarSeries.build(np.array(stamps, "datetime64[us]"), closes, calendar)
 
 
 def random_series(seed, count):
@@ -181,7 +181,7 @@ def test_resample(interval):
         assert same(sampled.closes, series.closes[rows])
         assert same(sampled.session, series.session[rows])
         assert same(sampled.day, series.day[rows])
-    empty = BarSeries.build([], [], SessionCalendar())
+    empty = BarSeries.build(np.array([], "datetime64[us]"), [], SessionCalendar())
     assert len(resample(empty, interval)) == 0
 
 
@@ -256,8 +256,8 @@ def test_build_dataset_and_csv(monkeypatch):
 
 def test_empty_and_too_short_series():
     calendar = SessionCalendar()
-    empty = BarSeries.build([], [], calendar)
-    one = BarSeries.build([datetime(2021, 1, 4, 9, 45)], [5000.0], calendar)
+    empty = BarSeries.build(np.array([], "datetime64[us]"), [], calendar)
+    one = BarSeries.build(np.array(["2021-01-04T09:45"], "datetime64[us]"), [5000.0], calendar)
     for series in (empty, one):
         assert same(outlier_mask(series, 10.0), brute_force_outlier_mask(series, 10.0))
         returns = pct_change(series)
@@ -338,13 +338,14 @@ def test_bars_csv(monkeypatch):
     and bar counts around a block of ``tables.float_lines``, at the
     package's block size and at 3 values."""
     calendar = SessionCalendar()
-    odd = BarSeries.build(
+    odd = BarSeries.build(np.array(
         [datetime(2021, 1, 4, 9, 45, 0, 5), datetime(2021, 1, 4, 9, 45, 1),
          datetime(2021, 1, 4, 9, 46, 0, 999999), datetime(2021, 1, 4, 10, 0, 0, 500000),
          datetime(2021, 1, 4, 13, 1), datetime(2021, 1, 4, 13, 2), datetime(2021, 1, 4, 14, 0),
          datetime(2021, 1, 4, 14, 1), datetime(2021, 1, 4, 14, 2), datetime(2021, 1, 4, 14, 3)],
-        [0.0, -0.0, np.nan, np.inf, 5e-324, 1e16, 0.1, -np.inf, 2.0**60, 1e-05], calendar)
-    cases = [series for _, series in random_series(8, 20)] + [odd, BarSeries.build([], [], calendar)]
+        "datetime64[us]"), [0.0, -0.0, np.nan, np.inf, 5e-324, 1e16, 0.1, -np.inf, 2.0**60, 1e-05], calendar)
+    empty = BarSeries.build(np.array([], "datetime64[us]"), [], calendar)
+    cases = [series for _, series in random_series(8, 20)] + [odd, empty]
     for block in (tables.REPR_BLOCK, 3):
         sizes = [block - 1, block, block + 1, 2 * block + 1]
         bars = synthetic_bars(days=sizes[-1] // 240 + 1, seed=8)  # 240 bars a day
