@@ -52,22 +52,21 @@ MAY_BE_ZERO = ("l2", "max_depth", "min_leaf")
 
 
 def _checked(algorithm: str, key: str, default, value):
-    """``value`` if it may override ``default``: a bool for a bool, and for a
-    number a finite one of its type (a bool is none) above 0, or from 0 for
-    ``MAY_BE_ZERO``, returned as a Python number."""
+    """``value`` as its default's type, if it may override ``default``: a
+    bool for a bool, and for a number a finite one of its type (a bool is
+    none) above 0, or from 0 for ``MAY_BE_ZERO``."""
     zero = key in MAY_BE_ZERO
     if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        rule = "true or false"
+        ok, rule = isinstance(value, bool), "true or false"
     else:
         kind = numbers.Integral if isinstance(default, int) else numbers.Real
-        if isinstance(value, kind) and not isinstance(value, bool) and (
-                0 <= value < math.inf if zero else 0 < value < math.inf):
-            return int(value) if isinstance(value, numbers.Integral) else float(value)
+        ok = isinstance(value, kind) and not isinstance(value, bool) and (
+            0 <= value < math.inf if zero else 0 < value < math.inf)
         rule = (f"an integer >= {0 if zero else 1}" if kind is numbers.Integral
                 else f"a finite number {'>=' if zero else '>'} 0")
-    raise InvalidParameterError(f"{algorithm}.{key} must be {rule}, got {value!r}")
+    if ok:
+        return type(default)(value)
+    raise InvalidParameterError(f"{algorithm}.{key} must be {rule}, got {value}")
 
 
 def resolve_hyperparams(algorithm: str, overrides: dict | None = None) -> dict:

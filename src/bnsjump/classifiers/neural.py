@@ -24,10 +24,23 @@ import numpy as np
 from ..seeding import substream
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _forward(X, params, a1, a2, z3, row) -> np.ndarray:
+    """The class probabilities ``z3`` of X -> ReLU -> ReLU -> softmax, into the
+    caller's buffers.  The row max and sum over the two columns are one
+    elementwise op each; exp never returns -0.0, so the sum equals np.sum's."""
+    w1, c1, w2, c2, w3, c3 = params
+    np.matmul(X, w1, out=a1)
+    a1 += c1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, w2, out=a2)
+    a2 += c2
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, w3, out=z3)
+    z3 += c3
+    z3 -= np.maximum(z3[:, :1], z3[:, 1:], out=row)
+    np.exp(z3, out=z3)
+    z3 /= np.add(z3[:, :1], z3[:, 1:], out=row)
+    return z3
 
 
 def _layers(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -74,20 +87,8 @@ class NeuralNetClassifier:
         z3, row = np.empty((n, 2)), np.empty((n, 1))
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, self.epochs + 1):
-            np.matmul(X, w1, out=a1)
-            a1 += c1
-            np.maximum(a1, 0.0, out=a1)
-            np.matmul(a1, w2, out=a2)
-            a2 += c2
-            np.maximum(a2, 0.0, out=a2)
-            np.matmul(a2, w3, out=z3)
-            z3 += c3
-            # softmax, then the cross-entropy gradient dz3 = (probs - onehot) / n.
-            # The row max and sum over the two columns are one elementwise op
-            # each; exp never returns -0.0, so the sum equals np.sum's.
-            z3 -= np.maximum(z3[:, :1], z3[:, 1:], out=row)
-            np.exp(z3, out=z3)
-            z3 /= np.add(z3[:, :1], z3[:, 1:], out=row)
+            _forward(X, params, a1, a2, z3, row)
+            # the cross-entropy gradient dz3 = (probs - onehot) / n
             z3 -= onehot
             z3 /= n
             # back through the two ReLU layers
@@ -119,10 +120,10 @@ class NeuralNetClassifier:
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
-        w1, c1, w2, c2, w3, c3 = self.params
-        a1 = np.maximum(np.asarray(X, dtype=float) @ w1 + c1, 0.0)
-        a2 = np.maximum(a1 @ w2 + c2, 0.0)
-        return _softmax(a2 @ w3 + c3)[:, 1]
+        n = len(X)
+        a1, a2 = np.empty((2, n, self.hidden_width))
+        probs = _forward(np.asarray(X, dtype=float), self.params, a1, a2, np.empty((n, 2)), np.empty((n, 1)))
+        return probs[:, 1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_score(X) > self.threshold).astype(int)

@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, replace
 from datetime import datetime
 from functools import partial
@@ -45,6 +46,7 @@ import numpy as np
 from . import dynamics, market_data
 from .classifiers import (
     ALGORITHM_IDS,
+    DEFAULT_HYPERPARAMS,
     format_benchmark_text,
     load_external_predictions,
     run_benchmark,
@@ -223,6 +225,11 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
+def _read(typ, text: str):
+    """``text`` read as ``typ``, a bool as configparser reads one; KeyError or ValueError if it is not one."""
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()] if typ is bool else typ(text)
+
+
 def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> dict:
     """Each option of ``stages``: the text of its flag, or else of its config
     value, read as the option's type, or else its default (``defaults``
@@ -235,7 +242,7 @@ def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> di
             text = cfg.get(section, name, fallback=None)
         if text is not None:
             try:
-                out[name] = cfg.BOOLEAN_STATES[text.lower()] if typ is bool else typ(text)
+                out[name] = _read(typ, text)
             except (KeyError, ValueError):
                 kind = {int: "an integer", float: "a number", bool: "true or false"}[typ]
                 raise StageError(stage, ConfigError(f"{name} must be {kind}, got {text}")) from None
@@ -310,17 +317,15 @@ def _split_text(s: SplitSpec) -> str:
 
 
 def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
-    """Parse and validate ``algorithm.name = value`` pairs (values as JSON where they parse)."""
+    """Read and validate ``algorithm.name = text`` pairs, each text as its default's type or else as text."""
     bank: dict[str, dict] = {}
     for key, value in items.items():
         if "." not in key:
             raise ConfigError(f"hyperparameter {key!r} must be algorithm.name")
         algorithm, hp_name = key.split(".", 1)
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-        bank.setdefault(algorithm, {})[hp_name] = parsed
+        with suppress(KeyError, ValueError):
+            value = _read(type(DEFAULT_HYPERPARAMS.get(algorithm, {}).get(hp_name, "")), value)
+        bank.setdefault(algorithm, {})[hp_name] = value
     for algorithm, overrides in bank.items():
         resolve_hyperparams(algorithm, overrides)  # validates names
     return bank

@@ -46,6 +46,7 @@ from .subordinators import (
     TimeGrid,
     combine_paths,
     realized_jump_energy,
+    require_same_grid,
     subordinator_moments,
 )
 
@@ -72,8 +73,8 @@ class ModelParams:
     def __post_init__(self):
         if not (np.isfinite(self.mu) and np.isfinite(self.beta)):
             raise InvalidParameterError(f"mu and beta must be finite, got {self.mu} and {self.beta}")
-        if not self.rho <= 0:
-            raise InvalidParameterError(f"rho must be <= 0, got {self.rho}")
+        if not (self.rho <= 0 and np.isfinite(self.rho)):
+            raise InvalidParameterError(f"rho must be finite and <= 0, got {self.rho}")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidParameterError(f"theta must lie in [0, 1], got {self.theta}")
         if not (self.lam > 0 and np.isfinite(self.lam)):
@@ -85,8 +86,8 @@ class ModelParams:
 
     @functools.cached_property
     def _jump_weights(self) -> tuple[float, float, float, float]:
-        """rho^2, (1-theta)^2, theta^2 and (1-theta)^2 Var[Z_1] + theta^2 Var[Zb_1]:
-        the generalized correlation functional's constants, kept after the first call."""
+        """rho^2, (1-theta)^2, theta^2 and (1-theta)^2 Var[Z_1] + theta^2 Var[Zb_1]: the constants
+        of the generalized correlation and variance rate, kept after the first call."""
         _, var_z = subordinator_moments(self.spec_base)
         _, var_zb = subordinator_moments(self.spec_strong)
         w_base = (1.0 - self.theta) ** 2
@@ -122,14 +123,6 @@ class LogPricePath:
     x_true: np.ndarray
     x_observed: np.ndarray | None = None
     noise: np.ndarray | None = None
-
-
-def _require_same_grid(*objs) -> TimeGrid:
-    grid = objs[0].grid
-    for o in objs[1:]:
-        if o.grid is not grid and o.grid != grid:
-            raise GridMismatchError("inputs must share the same time grid")
-    return grid
 
 
 # `_ou_accumulate` runs the stretches between deposits as numpy running
@@ -198,7 +191,7 @@ def simulate_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> Va
     Jump sizes are weighted (1-theta) for the base and theta for the strong
     subordinator; there is no discretization error in the values.
     """
-    grid = _require_same_grid(z, zb)
+    grid = require_same_grid(z, zb)
     driving = combine_paths(z, zb, 1.0 - params.theta, params.theta)
     values = _ou_accumulate(grid, params.sigma0_sq, params.lam,
                             driving.event_times, driving.event_sizes)
@@ -218,7 +211,7 @@ def euler_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> Varia
     v_{k+1} = v_k - lam * v_k * dt + (combined jump increment over the step);
     converges to the exact solution as dt -> 0 on a fixed event set.
     """
-    grid = _require_same_grid(z, zb)
+    grid = require_same_grid(z, zb)
     driving = combine_paths(z, zb, 1.0 - params.theta, params.theta)
     values = _recur(float(params.sigma0_sq), 1.0 - params.lam * grid.dt,
                     driving.increments().tolist())
@@ -277,7 +270,7 @@ def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath,
     ``diffusion=False`` switches the Brownian term off (deterministic-drift
     and pure-jump configurations).
     """
-    grid = _require_same_grid(var_path, z, zb)
+    grid = require_same_grid(var_path, z, zb)
     dm = z.increments()
     dm *= 1.0 - params.theta
     strong = zb.increments()
@@ -290,7 +283,7 @@ def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath,
 def simulate_log_price_classical(params: ModelParams, var_path: VariancePath, z: JumpPath,
                                  seed, diffusion: bool = True) -> LogPricePath:
     """Classical-model log price: jumps come from the base subordinator alone."""
-    grid = _require_same_grid(var_path, z)
+    grid = require_same_grid(var_path, z)
     x = _euler_log_price(grid, params, var_path.values, z.increments(), seed, diffusion)
     return LogPricePath(grid=grid, x_true=x)
 
@@ -314,13 +307,10 @@ def price_series(path: LogPricePath, s0: float = 100.0) -> np.ndarray:
 def instantaneous_variance_rate(params: ModelParams, sigma_sq: float) -> float:
     """Instantaneous variance rate of log returns.
 
-    sigma_t^2 + rho^2 (1-theta)^2 lam Var[Z_1] + rho^2 theta^2 lam Var[Zb_1].
+    sigma_t^2 + rho^2 lam ((1-theta)^2 Var[Z_1] + theta^2 Var[Zb_1]).
     """
-    _, var_base = subordinator_moments(params.spec_base)
-    _, var_strong = subordinator_moments(params.spec_strong)
-    rho2 = params.rho**2
-    return sigma_sq + rho2 * (1.0 - params.theta) ** 2 * params.lam * var_base \
-        + rho2 * params.theta**2 * params.lam * var_strong
+    rho2, _, _, var_eff = params._jump_weights
+    return sigma_sq + rho2 * params.lam * var_eff
 
 
 def integrate_variance(var_path: VariancePath, upto: float) -> float:
@@ -414,7 +404,7 @@ def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:
     which bounds its temporary arrays whatever the path's length; the
     ``t`` column is formatted once for all the paths on a grid.
     """
-    grid = _require_same_grid(var_path, price_path)
+    grid = require_same_grid(var_path, price_path)
     cols = [None if a is None else np.asarray(a, dtype=float)
             for a in (var_path.values, price_path.x_true, price_path.x_observed, price_path.noise)]
     parts = [(",".join(PATH_CSV_HEADER) + "\n").encode("ascii")]

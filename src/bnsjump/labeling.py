@@ -53,22 +53,19 @@ class LabelingConfig:
 
 @dataclass(frozen=True)
 class IndexedReturns:
-    """Return rows with a dense chronological index attached."""
+    """Return rows in chronological order; a row's index is its position."""
 
-    index: np.ndarray
     values: np.ndarray
     stamps: np.ndarray  # datetime64[us]
     session_key: np.ndarray  # constant within one (day, session) block
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.values)
 
 
 def index_series(returns: ReturnSeries) -> IndexedReturns:
-    """Attach the dense index 0..n-1 in chronological order."""
-    n = len(returns)
+    """The return rows with their (day, session) block keys attached."""
     return IndexedReturns(
-        index=np.arange(n, dtype=int),
         values=np.asarray(returns.values, dtype=float),
         stamps=returns.stamps,
         session_key=returns.session_keys(),
@@ -147,7 +144,7 @@ def build_dataset(returns: IndexedReturns, marks: np.ndarray, cfg: LabelingConfi
     anchors = anchors[keys[anchors - cfg.window_len + 1] == keys[anchors + cfg.lookahead]]
     counts = prefix[anchors + cfg.lookahead + 1] - prefix[anchors + 1]
     window = anchors[:, None] + np.arange(1 - cfg.window_len, 1)
-    return LabeledDataset(anchor_index=returns.index[anchors].astype(int),
+    return LabeledDataset(anchor_index=anchors,
                           features=returns.values[window],
                           theta=(counts >= cfg.min_jumps).astype(int), source_length=n)
 

@@ -192,6 +192,14 @@ def subordinator_moments(spec: SubordinatorSpec) -> tuple[float, float]:
     return nu / a, 2.0 * nu / a**2
 
 
+def require_same_grid(*objs) -> TimeGrid:
+    grid = objs[0].grid
+    for o in objs[1:]:
+        if o.grid is not grid and o.grid != grid:
+            raise GridMismatchError("inputs must share the same time grid")
+    return grid
+
+
 def combine_paths(p1: JumpPath, p2: JumpPath, w1: float, w2: float) -> JumpPath:
     """Weighted superposition of two paths sharing a grid.
 
@@ -201,8 +209,7 @@ def combine_paths(p1: JumpPath, p2: JumpPath, w1: float, w2: float) -> JumpPath:
     only one path contributes events, its ascending times are the merged
     times as they are.
     """
-    if p1.grid is not p2.grid and p1.grid != p2.grid:
-        raise GridMismatchError("paths must share the same time grid")
+    require_same_grid(p1, p2)
     if w1 < 0 or w2 < 0:
         raise InvalidParameterError("weights must be nonnegative")
     use1 = w1 > 0 and len(p1.event_times) > 0

@@ -252,7 +252,7 @@ def brute_force_build_dataset(returns, marks, cfg):
         lo, hi = i - w + 1, i + cfg.lookahead
         if returns.session_key[lo] != returns.session_key[hi]:
             continue
-        anchors.append(int(returns.index[i]))
+        anchors.append(i)
         rows.append(returns.values[lo:i + 1])
         targets.append(1 if int(prefix[hi + 1] - prefix[i + 1]) >= cfg.min_jumps else 0)
     if not anchors:
@@ -681,3 +681,17 @@ def brute_force_neural_net_fit(X, y, hidden_width, epochs, learning_rate, seed):
             v_hat = v[j] / (1 - b2**t)
             params[j] = params[j] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def brute_force_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def brute_force_neural_net_score(params, X):
+    """Class-1 softmax probability of each row, every activation a fresh array."""
+    w1, c1, w2, c2, w3, c3 = params
+    a1 = np.maximum(np.asarray(X, dtype=float) @ w1 + c1, 0.0)
+    a2 = np.maximum(a1 @ w2 + c2, 0.0)
+    return brute_force_softmax(a2 @ w3 + c3)[:, 1]

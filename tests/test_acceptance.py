@@ -253,8 +253,7 @@ def test_c08_labeling_oracle():
         values = rng.normal(0.0, 0.12, n).round(4)
         keys = np.cumsum(rng.uniform(size=n) < 0.03).astype(int)
         stamps = np.full(n, np.datetime64("2021-01-04", "us"))
-        indexed = IndexedReturns(index=np.arange(n), values=values,
-                                 stamps=stamps, session_key=keys)
+        indexed = IndexedReturns(values=values, stamps=stamps, session_key=keys)
         cfg = LabelingConfig(window_len=int(rng.integers(2, 12)),
                              lookahead=int(rng.integers(1, 12)),
                              threshold_pct=float(rng.uniform(0.05, 0.2)),

@@ -15,6 +15,7 @@ from bnsjump.classifiers.api import _apply_scaler
 from bnsjump.classifiers.neural import NeuralNetClassifier
 from bnsjump.errors import InvalidParameterError
 
+from brute_force import brute_force_neural_net_score
 from conftest import as_dataset, separable_blobs
 
 FAST_HP = {
@@ -208,6 +209,18 @@ class TestAlgorithmBehavior:
 
         assert rigged(0.31) == 1
         assert rigged(0.29) == 0
+
+    @pytest.mark.parametrize("n", [1200, 28_500])
+    def test_neural_scores_match_fresh_forward_pass(self, n):
+        """``predict_score`` runs the fit's forward pass, bit for bit the
+        formula with fresh temporaries and the general softmax; 28.5k rows
+        is where another GEMM layout would change the bits."""
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 10))
+        y = (rng.random(n) < 0.3).astype(int)
+        net = NeuralNetClassifier(epochs=5).fit(X, y, seed=1)
+        got, want = net.predict_score(X), brute_force_neural_net_score(net.params, X)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_monotone_invariance_of_trees(self):
         X_train, y_train = separable_blobs(60, seed=12)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from bnsjump import cli, synthetic, tables
-from bnsjump.classifiers import ALGORITHM_IDS, DEFAULT_HYPERPARAMS
+from bnsjump.classifiers import ALGORITHM_IDS, DEFAULT_HYPERPARAMS, resolve_hyperparams
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
 from bnsjump.labeling import (
@@ -87,7 +88,7 @@ TYPE_CASES = [
 
 # every hyperparameter with each text of a fixed pool, and the small sizes the
 # swept algorithm's other keys run at
-HP_TEXTS = ("0", "-1", "1", "2.5", "NaN", "Infinity", "true", "x")
+HP_TEXTS = ("0", "-1", "1", "2.5", ".5", "+3", "1e3", "NaN", "Infinity", "true", "yes", "x")
 HP_CASES = [pytest.param(alg, key, text, id=f"{alg}.{key}={text}")
             for alg, defaults in DEFAULT_HYPERPARAMS.items() for key in defaults for text in HP_TEXTS]
 HP_SMOKE = {"logistic_regression": {"epochs": 5}, "svm_linear": {"epochs": 5},
@@ -96,12 +97,16 @@ HP_SMOKE = {"logistic_regression": {"epochs": 5}, "svm_linear": {"epochs": 5},
 
 
 def hp_accepted(default, key: str, text: str) -> bool:
-    """The rule, stated here: a bool takes ``true``; a number takes a finite
-    one of its type above 0, and ``l2``, ``max_depth`` and ``min_leaf`` take 0."""
+    """The rule, stated here: a switch takes configparser's words; a number
+    takes Python's text of its default's type, finite and above 0, and
+    ``l2``, ``max_depth`` and ``min_leaf`` take 0."""
     if isinstance(default, bool):
-        return text == "true"
-    texts = {"1"} | ({"2.5"} if isinstance(default, float) else set())
-    return text in texts | ({"0"} if key in ("l2", "max_depth", "min_leaf") else set())
+        return text.lower() in ("true", "false", "yes", "no", "on", "off", "1", "0")
+    try:
+        value = type(default)(text)
+    except ValueError:
+        return False
+    return 0 <= value < math.inf if key in ("l2", "max_depth", "min_leaf") else 0 < value < math.inf
 
 
 @pytest.fixture(scope="module")
@@ -708,6 +713,19 @@ class TestDataCommands:
         key, value = hp.split("=")
         assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
         assert not out.exists()
+
+    def test_hyperparameter_kept_as_its_default_type(self, small_labeled_csv, tmp_path):
+        """A float hyperparameter given as integer text is stored as a float;
+        config_used.cfg echoes the text, and a rerun from it writes the same bytes."""
+        assert type(resolve_hyperparams("svm_linear", {"c": 1})["c"]) is float
+        first, second = tmp_path / "a", tmp_path / "b"
+        common = ["report", "--dataset", str(small_labeled_csv), "--algorithms", "svm_linear"]
+        assert main(common + ["--out", str(first), "--split", "T=0:59/60:79",
+                              "--hp", "svm_linear.c=1", "--hp", "svm_linear.epochs=5"]) == EXIT_OK
+        assert '"c": 1.0,' in (first / "hyperparams_used.json").read_text(encoding="utf-8")
+        assert "svm_linear.c = 1\n" in (first / "config_used.cfg").read_text(encoding="utf-8")
+        assert main(common + ["--out", str(second), "--config", str(first / "config_used.cfg")]) == EXIT_OK
+        assert tree_bytes(first) == tree_bytes(second)
 
     @pytest.mark.parametrize("alg,key,text", HP_CASES)
     def test_every_hyperparameter_text_trains_or_is_refused(self, small_labeled_csv, tmp_path,

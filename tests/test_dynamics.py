@@ -42,7 +42,8 @@ def single_event_path(tau, size, grid=GRID):
 class TestVariancePath:
     @pytest.mark.parametrize("kwargs", [
         {"mu": math.inf}, {"mu": math.nan}, {"beta": math.nan}, {"beta": -math.inf},
-        {"rho": math.nan}, {"rho": 0.5}, {"theta": math.nan}, {"lam": 0.0}, {"sigma0_sq": math.inf},
+        {"rho": math.nan}, {"rho": -math.inf}, {"rho": 0.5}, {"theta": math.nan}, {"lam": 0.0},
+        {"sigma0_sq": math.inf},
     ], ids=repr)
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -29,8 +29,7 @@ def indexed_from_values(values, session_keys=None):
     n = len(values)
     keys = np.zeros(n, dtype=int) if session_keys is None else np.asarray(session_keys)
     stamps = np.full(n, np.datetime64("2021-01-04T09:31", "us"))
-    return IndexedReturns(index=np.arange(n), values=np.asarray(values, dtype=float),
-                          stamps=stamps, session_key=keys)
+    return IndexedReturns(values=np.asarray(values, dtype=float), stamps=stamps, session_key=keys)
 
 
 def random_indexed(rng, max_len=200):
@@ -53,7 +52,7 @@ class TestIndexSeries:
 
     def test_three_rows(self):
         out = index_series(make_returns([0.1, -0.2, 0.3]))
-        assert list(out.index) == [0, 1, 2]
+        assert len(out) == 3
         assert np.array_equal(out.session_key, [0, 0, 0])
 
     def test_session_keys_change_on_boundaries(self):

@@ -288,7 +288,7 @@ def windows(values, keys, window_len) -> LabeledDataset:
     """The dataset of ``values`` in the session blocks ``keys``, lookahead 1."""
     n = len(values)
     indexed = labeling.IndexedReturns(
-        index=np.arange(n), values=np.asarray(values, dtype=float),
+        values=np.asarray(values, dtype=float),
         stamps=np.datetime64("2021-01-04T09:31") + np.arange(n) * np.timedelta64(1, "m"),
         session_key=np.asarray(keys))
     cfg = LabelingConfig(window_len=window_len, lookahead=1, threshold_pct=0.5, min_jumps=1,
