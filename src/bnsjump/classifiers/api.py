@@ -73,11 +73,12 @@ def resolve_hyperparams(algorithm: str, overrides: dict | None = None) -> dict:
     """Merge overrides into the defaults.  Unknown keys are rejected, and
     so is a value ``_checked`` refuses."""
     if algorithm not in DEFAULT_HYPERPARAMS:
-        raise InvalidParameterError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_IDS}")
+        raise InvalidParameterError(f"unknown algorithm {algorithm}; "
+                                    f"expected one of {', '.join(ALGORITHM_IDS)}")
     merged = dict(DEFAULT_HYPERPARAMS[algorithm])
     for key, value in (overrides or {}).items():
         if key not in merged:
-            raise InvalidParameterError(f"unknown hyperparameter {key!r} for {algorithm}")
+            raise InvalidParameterError(f"unknown hyperparameter {key} for {algorithm}")
         merged[key] = _checked(algorithm, key, merged[key], value)
     return merged
 

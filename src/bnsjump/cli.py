@@ -17,9 +17,10 @@ stage runs.  Every run echoes the options it resolved to
 ``config_used.cfg`` in the output directory, each under the section it is
 read from; re-running from that file (with the same ``--input`` or
 ``--dataset``) reproduces the outputs byte for byte, regardless of
-``--threads``: the number of threads that run a command's independent
-seeded units (simulated paths, benchmark cells) through
-``seeding.ordered_map``.
+``--threads``: the most threads that run a command's independent seeded
+units (simulated paths, benchmark cells) through ``seeding.ordered_map``,
+which runs no more of them than the CPUs the process may run on, and
+none on one CPU.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
@@ -252,7 +253,8 @@ def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> di
             out[name] = default
         reason = domain and domain(out[name])
         if reason:
-            raise StageError(stage, ConfigError(f"{name} {reason}, got {out[name]}"))
+            given = out[name] if text is None else text
+            raise StageError(stage, ConfigError(f"{name} {reason}, got {given}"))
     return out
 
 
@@ -317,17 +319,20 @@ def _split_text(s: SplitSpec) -> str:
 
 
 def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
-    """Read and validate ``algorithm.name = text`` pairs, each text as its default's type or else as text."""
+    """Read and validate ``algorithm.name = text`` pairs: each text read as its
+    default's type, if that value is accepted, or else kept as text, which
+    ``resolve_hyperparams`` refuses, quoting it."""
     bank: dict[str, dict] = {}
     for key, value in items.items():
         if "." not in key:
-            raise ConfigError(f"hyperparameter {key!r} must be algorithm.name")
+            raise ConfigError(f"hyperparameter {key} must be algorithm.name")
         algorithm, hp_name = key.split(".", 1)
-        with suppress(KeyError, ValueError):
-            value = _read(type(DEFAULT_HYPERPARAMS.get(algorithm, {}).get(hp_name, "")), value)
+        with suppress(KeyError, ValueError, InvalidParameterError):
+            read = _read(type(DEFAULT_HYPERPARAMS[algorithm][hp_name]), value)
+            value = resolve_hyperparams(algorithm, {hp_name: read})[hp_name]
         bank.setdefault(algorithm, {})[hp_name] = value
     for algorithm, overrides in bank.items():
-        resolve_hyperparams(algorithm, overrides)  # validates names
+        resolve_hyperparams(algorithm, overrides)
     return bank
 
 

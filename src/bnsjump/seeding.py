@@ -8,11 +8,14 @@ seed.
 
 ``ordered_map`` is the one place such independent seeded units fan out
 over threads; each unit owns its stream, so results never depend on the
-worker count.
+worker count.  It runs no more workers than the process has CPUs to run
+on (``usable_cpus``): the units hold the GIL, so a pool larger than that
+costs time and memory and saves nothing, and on one CPU it runs none.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,13 +40,23 @@ def substream(seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ordered_map(fn, items, workers: int):
     """``fn`` over ``items``, yielding results in item order as they are ready.
 
-    With ``workers`` <= 1 this is the lazy builtin ``map``: nothing runs
-    before the first ``next``, and each call runs when its result is asked
-    for.  Otherwise the calls run on a pool of ``workers`` threads.
+    ``workers`` is capped at ``usable_cpus()``.  With one worker or none
+    this is the lazy builtin ``map``: nothing runs before the first
+    ``next``, and each call runs on the calling thread when its result is
+    asked for.  Otherwise the calls run on a pool of that many threads.
     """
+    workers = min(workers, usable_cpus())
     if workers <= 1:
         yield from map(fn, items)
         return

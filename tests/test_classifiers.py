@@ -87,7 +87,8 @@ class TestEvaluate:
 
 class TestTrainBasics:
     def test_unknown_algorithm(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^unknown algorithm perceptron; expected one of "
+                           + ", ".join(ALGORITHM_IDS) + "$"):
             resolve_hyperparams("perceptron")
 
     def test_defaults_are_the_constructors(self):
@@ -113,7 +114,7 @@ class TestTrainBasics:
         assert types(DEFAULT_HYPERPARAMS) == types(expected)
 
     def test_unknown_hyperparameter(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^unknown hyperparameter kk for knn$"):
             resolve_hyperparams("knn", {"kk": 3})
 
     @pytest.mark.parametrize("algorithm,key", [("knn", "k"), ("random_forest", "trees"),

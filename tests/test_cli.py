@@ -253,7 +253,7 @@ class TestSimulate:
         assert grid == {"dt": float(dt), "n_steps": n_steps, "t_end": 1.0}
 
     @pytest.mark.parametrize("flags,message", [
-        (["--noise-std", "-1"], "noise_std must be at least 0, got -1.0"),
+        (["--noise-std", "-1"], "noise_std must be at least 0, got -1"),
         (["--noise-std", "nan"], "noise_std must be finite, got nan"),
         (["--noise-std", "inf"], "noise_std must be finite, got inf"),
         (["--dt", "nan"], "dt must be finite, got nan"),
@@ -679,14 +679,14 @@ class TestDataCommands:
         assert err.startswith("error: stage 'mark': ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf", "Infinity", "1e999"])
     def test_outlier_sigma_must_be_finite_and_positive(self, tmp_path, capsys, bars_csv, sigma):
         out = tmp_path / "o"
         assert main(["pipeline", "--input", str(bars_csv), "--out", str(out),
                      "--outlier-sigma", sigma] + PIPELINE_FLAGS) == EXIT_CONFIG
-        reason = "must be finite" if sigma in ("nan", "inf") else "must be positive"
+        reason = "must be finite" if sigma in ("nan", "inf", "Infinity", "1e999") else "must be positive"
         err = capsys.readouterr().err
-        assert err == f"error: stage 'ingest': outlier_sigma {reason}, got {float(sigma)}\n"
+        assert err == f"error: stage 'ingest': outlier_sigma {reason}, got {sigma}\n"
         assert not out.exists()
 
     def test_outlier_sigma_checked_with_no_outliers(self, tmp_path, capsys, bars_csv):
@@ -712,6 +712,21 @@ class TestDataCommands:
                      "--algorithms", "knn,random_forest", "--hp", hp]) == EXIT_CONFIG
         key, value = hp.split("=")
         assert capsys.readouterr().err == f"error: {key} must be an integer >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hp,message", [
+        ("svm_linear.c=Infinity", "svm_linear.c must be a finite number > 0, got Infinity"),
+        ("neural_net.threshold=1E400", "neural_net.threshold must be a finite number > 0, got 1E400"),
+        ("bogus.k=1", "unknown algorithm bogus; expected one of " + ", ".join(ALGORITHM_IDS)),
+        ("knn.kk=1", "unknown hyperparameter kk for knn"),
+        ("knn=1", "hyperparameter knn must be algorithm.name"),
+    ], ids=["inf-text", "overflow-text", "unknown-algorithm", "unknown-key", "no-dot"])
+    def test_hyperparameter_refusals_quote_the_text_given(self, small_labeled_csv, tmp_path, capsys,
+                                                          hp, message):
+        out = tmp_path / "o"
+        assert main(["report", "--dataset", str(small_labeled_csv), "--out", str(out),
+                     "--split", "T=0:59/60:79", "--hp", hp]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_hyperparameter_kept_as_its_default_type(self, small_labeled_csv, tmp_path):
@@ -745,7 +760,7 @@ class TestDataCommands:
             assert len((out / "reports.csv").read_text(encoding="utf-8").splitlines()) == 2
         else:
             assert code == EXIT_CONFIG
-            assert err.startswith(f"error: {alg}.{key} must be ") and ", got " in err, err
+            assert err.startswith(f"error: {alg}.{key} must be ") and err.endswith(f", got {text}\n"), err
             assert err.count("\n") == 1, err
             assert not out.exists()
 
@@ -759,6 +774,7 @@ class TestDataCommands:
         assert main([subcommand, "--out", str(out)] + argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage '{stage}': {name} ") and err.count("\n") == 1, err
+        assert err.endswith(f", got {OUT_OF_DOMAIN[name]}\n"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("stage,name,section,subcommand,via,kind", TYPE_CASES)
