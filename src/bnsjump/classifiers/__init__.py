@@ -11,6 +11,7 @@ from .api import (
 from .benchmark import (
     REPORT_COLUMNS,
     BenchmarkCell,
+    fit_and_score,
     format_benchmark_text,
     load_external_predictions,
     run_benchmark,
@@ -27,6 +28,7 @@ __all__ = [
     "train",
     "BenchmarkCell",
     "REPORT_COLUMNS",
+    "fit_and_score",
     "format_benchmark_text",
     "load_external_predictions",
     "run_benchmark",

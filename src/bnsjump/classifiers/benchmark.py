@@ -28,8 +28,9 @@ REPORT_COLUMNS = ["algorithm", "precision0", "recall0", "f1_0", "support0",
 class BenchmarkCell:
     split_name: str
     algorithm: str
-    report: ClassReport
+    report: ClassReport | None
     hyperparams: dict
+    degenerate: bool
 
 
 def load_external_predictions(source) -> dict[int, int]:
@@ -60,6 +61,21 @@ def _score_external(name: str, predictions: dict[int, int], test: LabeledDataset
     return evaluate(pred, test.theta)
 
 
+def fit_and_score(split_name: str, algorithm: str, train_set: LabeledDataset,
+                  test_set: LabeledDataset, hyperparams: dict | None, seed) -> BenchmarkCell:
+    """One cell: ``algorithm`` trained on ``train_set`` with ``seed`` and
+    scored on ``test_set``; its report is None when there are no test rows."""
+    model = train(algorithm, train_set, hyperparams, seed=seed)
+    report = evaluate(predict(model, test_set.features), test_set.theta) if len(test_set) else None
+    return BenchmarkCell(split_name=split_name, algorithm=algorithm, report=report,
+                         hyperparams=model.metadata["hyperparams"], degenerate=model.degenerate)
+
+
+def _fit_and_score_job(job: tuple) -> BenchmarkCell:
+    """``fit_and_score`` of one job; module-level, so a process pool could send it."""
+    return fit_and_score(*job)
+
+
 def run_benchmark(
     dataset: LabeledDataset,
     splits: list[SplitSpec],
@@ -69,10 +85,11 @@ def run_benchmark(
     external: dict[str, dict[int, int]] | None = None,
     max_workers: int = 1,
 ) -> list[BenchmarkCell]:
-    """One ClassReport per (split, algorithm), in deterministic order.
+    """One ``fit_and_score`` cell per (split, algorithm), in deterministic order.
 
-    Refuses two splits of one name.  Raises if the per-class supports differ across algorithms within one
-    split; supports are a function of the test rows alone.
+    Refuses two splits of one name and a split with no test range.  Raises
+    if the per-class supports differ across algorithms within one split;
+    supports are a function of the test rows alone.
     """
     algorithms = list(algorithms) if algorithms is not None else list(ALGORITHM_IDS)
     hyperparams_bank = hyperparams_bank or {}
@@ -87,29 +104,21 @@ def run_benchmark(
         name = spec.name or f"S{si + 1}"
         if any(name == seen for _, seen, _, _ in prepared):
             raise InvalidParameterError(f"split name {name} repeated")
-        train_set, test_set = split(dataset, spec)
-        if len(train_set) == 0 or len(test_set) == 0:
-            raise InvalidParameterError(f"split {name} produced an empty train or test set")
-        prepared.append((si, name, train_set, test_set))
+        if spec.test is None:
+            raise InvalidParameterError(f"split {name} has no test range")
+        prepared.append((si, name, *split(dataset, spec)))
 
-    def run_cell(args) -> BenchmarkCell:
-        si, name, train_set, test_set, ai, alg = args
-        model = train(alg, train_set, hyperparams_bank.get(alg), seed=(seed, si, ai))
-        report = evaluate(predict(model, test_set.features), test_set.theta)
-        return BenchmarkCell(split_name=name, algorithm=alg, report=report,
-                             hyperparams=model.metadata["hyperparams"])
-
-    jobs = [(si, name, train_set, test_set, ai, alg)
+    jobs = [(name, alg, train_set, test_set, hyperparams_bank.get(alg), (seed, si, ai))
             for si, name, train_set, test_set in prepared
             for ai, alg in enumerate(algorithms)]
-    built_in = list(ordered_map(run_cell, jobs, max_workers))
+    built_in = list(ordered_map(_fit_and_score_job, jobs, max_workers))
     n = len(algorithms)
     cells = []  # each split's built-in cells, then its external rows
     for si, name, _, test_set in prepared:
         cells += built_in[si * n:(si + 1) * n]
         cells += [BenchmarkCell(split_name=name, algorithm=f"external:{ext_name}",
                                 report=_score_external(ext_name, external[ext_name], test_set),
-                                hyperparams={})
+                                hyperparams={}, degenerate=False)
                   for ext_name in sorted(external)]
 
     by_split: dict[str, set[tuple[int, int]]] = {}

@@ -48,13 +48,15 @@ from . import dynamics, market_data
 from .classifiers import (
     ALGORITHM_IDS,
     DEFAULT_HYPERPARAMS,
+    fit_and_score,
     format_benchmark_text,
     load_external_predictions,
     run_benchmark,
     write_benchmark_csv,
 )
-from .classifiers.api import predict, resolve_hyperparams, train as train_model
-from .classifiers.metrics import evaluate
+# predict, train_model and evaluate are bound only for bench/tracer.py, which patches them here
+from .classifiers.api import predict, resolve_hyperparams, train as train_model  # noqa: F401
+from .classifiers.metrics import evaluate  # noqa: F401
 from .errors import InvalidParameterError, NumericOverflowError, ParseError
 from .labeling import (
     DIRECTIONS,
@@ -512,12 +514,12 @@ def _fit(run) -> dict:
     opts = run.opts
     spec = _parse_split("cli", f"{opts['train']}/{opts['test']}" if opts["test"] else opts["train"])
     train_set, test_set = split(run.dataset, spec)
-    model = train_model(opts["algorithm"], train_set, run.bank.get(opts["algorithm"]), seed=opts["seed"])
-    payload = {"algorithm": opts["algorithm"], "train_rows": len(train_set),
-               "hyperparams": model.metadata["hyperparams"], "degenerate": model.degenerate}
-    if len(test_set):
-        report = evaluate(predict(model, test_set.features), test_set.theta)
-        payload["test"] = asdict(report)
+    cell = fit_and_score(spec.name, opts["algorithm"], train_set, test_set,
+                         run.bank.get(opts["algorithm"]), opts["seed"])
+    payload = {"algorithm": cell.algorithm, "train_rows": len(train_set),
+               "hyperparams": cell.hyperparams, "degenerate": cell.degenerate}
+    if cell.report is not None:
+        payload["test"] = asdict(cell.report)
     return payload
 
 

@@ -163,7 +163,7 @@ def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Lab
 
     Ranges live in the indexed return space: they may start before the
     first existing anchor (windowing removes early anchors) but must not
-    extend past the data.
+    extend past the data, and each given range must hold an anchor.
     """
     if len(dataset) == 0:
         raise InvalidParameterError("cannot split an empty dataset")
@@ -187,18 +187,20 @@ def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, Lab
         if spec.train[1] >= spec.test[0]:
             raise InvalidParameterError("train range must precede the test range without overlap")
 
-    def take(rng: tuple[int, int] | None) -> LabeledDataset:
+    def take(rng: tuple[int, int] | None, label: str) -> LabeledDataset:
         if rng is None:
             return LabeledDataset(anchor_index=np.empty(0, dtype=int),
                                   features=np.empty((0, dataset.window_len)),
                                   theta=np.empty(0, dtype=int),
                                   source_length=dataset.source_length)
         mask = (dataset.anchor_index >= rng[0]) & (dataset.anchor_index <= rng[1])
+        if not mask.any():
+            raise InvalidParameterError(f"{label} range {rng[0]}..{rng[1]} selects no anchors")
         return LabeledDataset(anchor_index=dataset.anchor_index[mask],
                               features=dataset.features[mask], theta=dataset.theta[mask],
                               source_length=dataset.source_length)
 
-    return take(spec.train), take(spec.test)
+    return take(spec.train, "train"), take(spec.test, "test")
 
 
 def _dataset_header(window_len: int) -> list[str]:

@@ -1,19 +1,22 @@
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from bnsjump import tables
 from bnsjump.classifiers import (
+    benchmark,
     evaluate,
+    fit_and_score,
     format_benchmark_text,
     load_external_predictions,
     run_benchmark,
     write_benchmark_csv,
 )
 from bnsjump.errors import InvalidParameterError, ParseError
-from bnsjump.labeling import LabeledDataset, SplitSpec
+from bnsjump.labeling import LabeledDataset, SplitSpec, split
 
 FAST_ALGS = ["knn", "naive_bayes_gaussian", "decision_tree"]
 FAST_HP = {"random_forest": {"trees": 10}, "gradient_boost": {"rounds": 10},
@@ -119,11 +122,76 @@ class TestRunBenchmark:
             (name, alg) for name in ("B", "A")
             for alg in ("knn", "decision_tree", "external:ones", "external:zeros")]
 
-    def test_empty_split_rejected(self):
+    @pytest.mark.parametrize("spec,line", [
+        (SplitSpec(train=(0, 399), test=None, name="T"), "split T has no test range"),
+        (SplitSpec(train=(0, 299), test=(300, 319), name="T"), "test range 300..319 selects no anchors"),
+    ], ids=["no-test-range", "no-test-anchors"])
+    def test_empty_split_rejected(self, spec, line):
         ds = noisy_dataset()
-        with pytest.raises(InvalidParameterError):
-            run_benchmark(ds, [SplitSpec(train=(0, 399), test=None, name="T")],
-                          algorithms=["knn"])
+        ds = LabeledDataset(anchor_index=np.r_[0:300, 320:400], features=ds.features[:380],
+                            theta=ds.theta[:380])
+        with pytest.raises(InvalidParameterError, match=f"^{line}$"):
+            run_benchmark(ds, [spec], algorithms=["knn"])
+
+
+class TestCell:
+    """``run_benchmark`` cells are ``fit_and_score`` calls, one per job."""
+
+    SPLITS = [SplitSpec(train=(0, 199), test=(200, 299), name="A"),
+              SplitSpec(train=(0, 299), test=(300, 399), name="B")]
+    ALGS = ["random_forest", "knn", "neural_net"]
+    HP = {"random_forest": {"trees": 3}, "neural_net": {"epochs": 5}}
+
+    def test_each_cell_is_fit_and_score_with_its_derived_seed(self):
+        """Seeded learners see ``(seed, split position, algorithm position)``."""
+        ds = noisy_dataset(seed=9)
+        cells = run_benchmark(ds, self.SPLITS, self.ALGS, self.HP, seed=4, max_workers=2)
+        assert len(cells) == len(self.SPLITS) * len(self.ALGS)
+        for si, spec in enumerate(self.SPLITS):
+            train_set, test_set = split(ds, spec)
+            for ai, alg in enumerate(self.ALGS):
+                want = fit_and_score(spec.name, alg, train_set, test_set, self.HP.get(alg),
+                                     (4, si, ai))
+                assert cells[si * len(self.ALGS) + ai] == want, (spec.name, alg)
+        # the derived seed matters: the forest scores differently under another one
+        other = fit_and_score("A", "random_forest", *split(ds, self.SPLITS[0]),
+                              self.HP["random_forest"], (4, 1, 0))
+        assert other.report != cells[0].report
+
+    def test_no_test_rows_give_no_report(self):
+        ds = noisy_dataset()
+        train_set, test_set = split(ds, SplitSpec(train=(0, 399)))
+        cell = fit_and_score("T", "knn", train_set, test_set, None, 0)
+        assert cell.report is None
+        assert cell.hyperparams["k"] == 5
+        assert cell.degenerate is False
+
+    def test_single_class_training_range_is_flagged_degenerate(self):
+        ds = noisy_dataset()
+        ds = LabeledDataset(anchor_index=ds.anchor_index, features=ds.features,
+                            theta=np.r_[np.zeros(100, dtype=int), ds.theta[100:]])
+        spec = SplitSpec(train=(0, 99), test=(100, 399), name="T")
+        with pytest.warns(UserWarning, match="contains only class 0"):
+            cells = run_benchmark(ds, [spec], algorithms=["knn", "decision_tree"])
+        assert [c.degenerate for c in cells] == [True, True]
+        assert cells[0].report.class1.recall == 0.0
+        assert not any(c.degenerate for c in run_benchmark(ds, self.SPLITS[:1], ["knn"]))
+
+    def test_mapped_function_and_jobs_pickle(self, monkeypatch):
+        """A process pool can send what ``run_benchmark`` maps; a closure
+        could not be sent."""
+        seen = []
+
+        def spy(fn, items, workers):
+            seen.append((fn, list(items)))
+            return map(fn, seen[-1][1])
+
+        monkeypatch.setattr(benchmark, "ordered_map", spy)
+        cells = run_benchmark(noisy_dataset(), self.SPLITS, ["knn"], seed=2)
+        (fn, jobs), = seen
+        assert len(jobs) == len(cells) == 2
+        assert pickle.loads(pickle.dumps(fn)) is fn
+        assert pickle.loads(pickle.dumps(fn))(pickle.loads(pickle.dumps(jobs[1]))) == cells[1]
 
 
 class TestSerialization:

@@ -110,6 +110,15 @@ def hp_accepted(default, key: str, text: str) -> bool:
 
 
 @pytest.fixture(scope="module")
+def labeled_csv(tmp_path_factory, bars_csv):
+    """The 6-day seed-7 labels: the first anchor is 9, and none lies in 218..236."""
+    out = tmp_path_factory.mktemp("lb")
+    assert main(["label", "--input", str(bars_csv), "--out", str(out),
+                 "--interval", "1", "--min-jumps", "1"]) == EXIT_OK
+    return out / "labeled.csv"
+
+
+@pytest.fixture(scope="module")
 def small_labeled_csv(tmp_path_factory):
     """80 labeled rows of three features, both classes in every split part."""
     rng = np.random.default_rng(4)
@@ -389,6 +398,57 @@ class TestDataCommands:
         payload = json.loads((out / "train_report.json").read_text())
         assert payload["test"]["n"] > 0
         assert payload["hyperparams"]["k"] == 3
+
+    @pytest.mark.parametrize("algorithm", ["decision_tree", "knn"])
+    def test_train_scores_a_cell_like_report(self, tmp_path, labeled_csv, algorithm):
+        """Learners whose fit takes no seed score the same in ``train`` as in
+        the ``report`` row of the same split."""
+        tr, rp = tmp_path / "tr", tmp_path / "rp"
+        assert main(["train", "--dataset", str(labeled_csv), "--out", str(tr), "--algorithm", algorithm,
+                     "--train", "7:800", "--test", "801:1000"]) == EXIT_OK
+        assert main(["report", "--dataset", str(labeled_csv), "--out", str(rp), "--algorithms", algorithm,
+                     "--split", "T=7:800/801:1000"]) == EXIT_OK
+        test = json.loads((tr / "train_report.json").read_text())["test"]
+        header, row = (line.split(",") for line in (rp / "reports.csv").read_text().splitlines())
+        written = dict(zip(header, row))
+        assert written["algorithm"] == algorithm
+        for c in (0, 1):
+            want = test[f"class{c}"]
+            assert [float(written[f"precision{c}"]), float(written[f"recall{c}"]),
+                    float(written[f"f1_{c}"]), int(written[f"support{c}"])] == [
+                want["precision"], want["recall"], want["f1"], want["support"]]
+
+    def test_train_flags_a_single_class_range_degenerate(self, tmp_path, labeled_csv):
+        """Anchors 10..29 are all class 0 in the 6-day seed-7 labels."""
+        out = tmp_path / "tr"
+        with pytest.warns(UserWarning, match="contains only class 0"):
+            assert main(["train", "--dataset", str(labeled_csv), "--out", str(out), "--algorithm", "knn",
+                         "--train", "10:29", "--test", "30:900"]) == EXIT_OK
+        payload = json.loads((out / "train_report.json").read_text())
+        assert payload["degenerate"] is True
+        assert payload["test"]["class1"]["recall"] == 0.0
+
+    @pytest.mark.parametrize("argv,line", [
+        (["train", "--algorithm", "knn", "--train", "0:200", "--test", "219:225"],
+         "stage 'fit': test range 219..225 selects no anchors"),
+        (["train", "--algorithm", "knn", "--train", "0:8", "--test", "9:900"],
+         "stage 'fit': train range 0..8 selects no anchors"),
+        (["train", "--algorithm", "knn", "--train", "218:236"],
+         "stage 'fit': train range 218..236 selects no anchors"),
+        (["report", "--split", "T=0:200/219:225"],
+         "stage 'benchmark': test range 219..225 selects no anchors"),
+        (["report", "--split", "T=0:8/9:900"],
+         "stage 'benchmark': train range 0..8 selects no anchors"),
+        (["report", "--split", "T=0:900"], "stage 'benchmark': split T has no test range"),
+    ], ids=["train-test", "train-train", "train-only", "report-test", "report-train",
+            "report-no-test"])
+    def test_range_without_anchors_is_refused(self, tmp_path, capsys, labeled_csv, argv, line):
+        """``train`` and ``report`` refuse a range with no anchors alike: exit
+        2, one line naming the range, and no --out."""
+        out = tmp_path / "o"
+        assert main(argv + ["--dataset", str(labeled_csv), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not out.exists()
 
     def test_report_subcommand(self, tmp_path, bars_csv):
         lb = tmp_path / "lb"

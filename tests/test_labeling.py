@@ -243,6 +243,21 @@ class TestSplit:
         with pytest.raises(InvalidParameterError):
             split(self._dataset(), SplitSpec(train=(0, 120), test=None))
 
+    @pytest.mark.parametrize("spec,line", [
+        (SplitSpec(train=(0, 49), test=(60, 69)), "test range 60..69 selects no anchors"),
+        (SplitSpec(train=(50, 59), test=(70, 99)), "train range 50..59 selects no anchors"),
+        (SplitSpec(train=(55, 59)), "train range 55..59 selects no anchors"),
+    ], ids=["test", "train", "train-only"])
+    def test_range_without_anchors_rejected(self, spec, line):
+        """A given range inside the bounds that holds no anchor is refused;
+        only an absent test range gives an empty test set."""
+        ds = self._dataset()
+        keep = (ds.anchor_index < 50) | (ds.anchor_index >= 70)
+        gapped = LabeledDataset(anchor_index=ds.anchor_index[keep], features=ds.features[keep],
+                                theta=ds.theta[keep], source_length=100)
+        with pytest.raises(InvalidParameterError, match=f"^{line}$"):
+            split(gapped, spec)
+
     def test_ranges_inclusive(self):
         ds = self._dataset(10)
         train, test = split(ds, SplitSpec(train=(2, 4), test=(5, 5)))
