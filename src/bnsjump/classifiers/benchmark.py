@@ -87,9 +87,10 @@ def run_benchmark(
 ) -> list[BenchmarkCell]:
     """One ``fit_and_score`` cell per (split, algorithm), in deterministic order.
 
-    Refuses two splits of one name and a split with no test range.  Raises
-    if the per-class supports differ across algorithms within one split;
-    supports are a function of the test rows alone.
+    Refuses two splits of one name and a split with no test range, and
+    names the split in ``split``'s refusals.  Raises if the per-class
+    supports differ across algorithms within one split; supports are a
+    function of the test rows alone.
     """
     algorithms = list(algorithms) if algorithms is not None else list(ALGORITHM_IDS)
     hyperparams_bank = hyperparams_bank or {}
@@ -106,7 +107,10 @@ def run_benchmark(
             raise InvalidParameterError(f"split name {name} repeated")
         if spec.test is None:
             raise InvalidParameterError(f"split {name} has no test range")
-        prepared.append((si, name, *split(dataset, spec)))
+        try:
+            prepared.append((si, name, *split(dataset, spec)))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"split {name}: {exc}") from None
 
     jobs = [(name, alg, train_set, test_set, hyperparams_bank.get(alg), (seed, si, ai))
             for si, name, train_set, test_set in prepared

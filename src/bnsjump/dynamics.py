@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tables
 from .errors import GridMismatchError, InvalidParameterError, NumericOverflowError
 from .seeding import BROWNIAN_STREAM, NOISE_STREAM, substream
 from .subordinators import (
@@ -388,6 +387,8 @@ def _time_texts(grid: TimeGrid, rows: int) -> tuple[tables.Formatted, ...]:
     """The grid's times formatted ``rows`` at a time.  Every path on a grid
     has the same ``t`` column, so the last grid's is kept (32 bytes a grid
     point); threads that ask for it at once may each compute it."""
+    from . import tables
+
     times = grid.times()
     return tuple(tables.formatted(times[lo:lo + rows]) for lo in range(0, len(times), rows))
 
@@ -404,6 +405,8 @@ def dumps_path_csv(var_path: VariancePath, price_path: LogPricePath) -> str:
     which bounds its temporary arrays whatever the path's length; the
     ``t`` column is formatted once for all the paths on a grid.
     """
+    from . import tables  # only path CSVs need the writers; C05's ensemble never loads them
+
     grid = require_same_grid(var_path, price_path)
     cols = [None if a is None else np.asarray(a, dtype=float)
             for a in (var_path.values, price_path.x_true, price_path.x_observed, price_path.noise)]

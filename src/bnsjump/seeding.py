@@ -16,7 +16,6 @@ costs time and memory and saves nothing, and on one CPU it runs none.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,5 +59,7 @@ def ordered_map(fn, items, workers: int):
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only runs that start a pool pay its import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)

@@ -124,7 +124,8 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("spec,line", [
         (SplitSpec(train=(0, 399), test=None, name="T"), "split T has no test range"),
-        (SplitSpec(train=(0, 299), test=(300, 319), name="T"), "test range 300..319 selects no anchors"),
+        (SplitSpec(train=(0, 299), test=(300, 319), name="T"),
+         "split T: test range 300..319 selects no anchors"),
     ], ids=["no-test-range", "no-test-anchors"])
     def test_empty_split_rejected(self, spec, line):
         ds = noisy_dataset()
@@ -132,6 +133,14 @@ class TestRunBenchmark:
                             theta=ds.theta[:380])
         with pytest.raises(InvalidParameterError, match=f"^{line}$"):
             run_benchmark(ds, [spec], algorithms=["knn"])
+
+    def test_refusal_names_the_bad_split(self):
+        """Of two splits, only the second is out of bounds; the refusal names it."""
+        splits = [SplitSpec(train=(0, 199), test=(200, 299), name="A"),
+                  SplitSpec(train=(0, 299), test=(300, 999), name="B")]
+        with pytest.raises(InvalidParameterError,
+                           match=r"^split B: test range 300\.\.999 outside index bounds 0\.\.399$"):
+            run_benchmark(noisy_dataset(), splits, algorithms=["knn"])
 
 
 class TestCell:

@@ -436,12 +436,14 @@ class TestDataCommands:
         (["train", "--algorithm", "knn", "--train", "218:236"],
          "stage 'fit': train range 218..236 selects no anchors"),
         (["report", "--split", "T=0:200/219:225"],
-         "stage 'benchmark': test range 219..225 selects no anchors"),
+         "stage 'benchmark': split T: test range 219..225 selects no anchors"),
         (["report", "--split", "T=0:8/9:900"],
-         "stage 'benchmark': train range 0..8 selects no anchors"),
+         "stage 'benchmark': split T: train range 0..8 selects no anchors"),
         (["report", "--split", "T=0:900"], "stage 'benchmark': split T has no test range"),
+        (["report", "--split", "A=0:200/201:300", "--split", "B=0:300/301:99999"],
+         "stage 'benchmark': split B: test range 301..99999 outside index bounds 0..1367"),
     ], ids=["train-test", "train-train", "train-only", "report-test", "report-train",
-            "report-no-test"])
+            "report-no-test", "report-second-split"])
     def test_range_without_anchors_is_refused(self, tmp_path, capsys, labeled_csv, argv, line):
         """``train`` and ``report`` refuse a range with no anchors alike: exit
         2, one line naming the range, and no --out."""

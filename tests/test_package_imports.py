@@ -1,0 +1,112 @@
+"""``import bnsjump`` loads a submodule only when one of its names is used.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import bnsjump
+
+SRC = str(Path(bnsjump.__file__).resolve().parent.parent)
+
+# Every name ``bnsjump`` exports, by the module that defines it.
+EXPORTS = {
+    "dynamics": ["LogPricePath", "ModelParams", "NoiseSpec", "VariancePath", "apply_noise",
+                 "correlation_classical", "correlation_generalized", "euler_variance_path",
+                 "instantaneous_variance_rate", "price_series", "simulate_log_price",
+                 "simulate_log_price_classical", "simulate_variance_path",
+                 "simulate_variance_path_classical"],
+    "labeling": ["IndexedReturns", "LabeledDataset", "LabelingConfig", "SplitSpec", "build_dataset",
+                 "index_series", "mark_big_jumps", "split"],
+    "market_data": ["BarSeries", "ReturnSeries", "RVSeries", "SessionCalendar", "StatsReport",
+                    "descriptive_stats", "load_bars", "pct_change", "preprocess",
+                    "realized_measures", "resample"],
+    "subordinators": ["JumpPath", "SubordinatorSpec", "TimeGrid", "combine_paths",
+                      "realized_jump_energy", "sample_ensemble", "sample_subordinator_path",
+                      "subordinator_moments", "terminal_samples"],
+}
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``bnsjump``; returns the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    loaded = fresh("""
+        import json, sys
+        import bnsjump
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("bnsjump."))))
+    """)
+    assert loaded == []
+
+
+def test_a_correlation_pair_loads_only_the_simulation_modules():
+    """One C05 pair, as the corr_mc workload runs it, loads neither the
+    file writers, the market-data stack, the learners, the CLI nor a pool."""
+    loaded = fresh("""
+        import json, sys
+        from bnsjump import dynamics, subordinators
+
+        spec1 = subordinators.SubordinatorSpec(4.0, 8.0)
+        spec2 = subordinators.SubordinatorSpec(8.0, 8.0)
+        grid = subordinators.TimeGrid(0.0, 0.02, 100)
+        params = dynamics.ModelParams(mu=0.0, beta=0.0, rho=-0.3, lam=1.0, theta=0.5,
+                                      sigma0_sq=1.0, spec_base=spec1, spec_strong=spec2)
+        z = subordinators.sample_subordinator_path(spec1, params.lam, grid, seed=(7, 0, 0))
+        zb = subordinators.sample_subordinator_path(spec2, params.lam, grid, seed=(7, 0, 1))
+        vp = dynamics.simulate_variance_path(params, z, zb)
+        lp = dynamics.simulate_log_price(params, vp, z, zb, seed=(7, 0, 2))
+        dynamics.correlation_generalized(vp, z, zb, params, t=2.0, s=1.0)
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    for module in ("bnsjump.tables", "bnsjump.market_data", "bnsjump.labeling",
+                   "bnsjump.classifiers", "bnsjump.cli", "concurrent.futures"):
+        assert module not in loaded, module
+    assert {"bnsjump.dynamics", "bnsjump.subordinators"} <= set(loaded)
+
+
+def test_every_exported_name_is_its_modules_object():
+    checked = fresh(f"""
+        import importlib, json
+        import bnsjump
+
+        exports = {EXPORTS!r}
+        same = {{name: getattr(bnsjump, name) is getattr(importlib.import_module("bnsjump." + module), name)
+                for module, names in exports.items() for name in names}}
+        print(json.dumps({{"all": bnsjump.__all__, "same": same}}))
+    """)
+    names = [name for group in EXPORTS.values() for name in group]
+    assert len(names) == 42
+    assert sorted(checked["all"]) == sorted(names)
+    assert all(checked["same"].values()) and sorted(checked["same"]) == sorted(names)
+
+
+def test_star_import_and_an_unknown_name():
+    result = fresh("""
+        import json
+        import bnsjump
+        from bnsjump import *
+        from bnsjump import ModelParams, load_bars
+
+        try:
+            bnsjump.no_such_name
+        except AttributeError as exc:
+            unknown = str(exc)
+        print(json.dumps({"star": sorted(n for n in bnsjump.__all__ if n in globals()),
+                          "unknown": unknown, "in_dir": "split" in dir(bnsjump)}))
+    """)
+    assert result["star"] == sorted(name for group in EXPORTS.values() for name in group)
+    assert result["unknown"] == "module 'bnsjump' has no attribute 'no_such_name'"
+    assert result["in_dir"]
