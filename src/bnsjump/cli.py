@@ -22,6 +22,10 @@ units (simulated paths, benchmark cells) through ``seeding.ordered_map``,
 which runs no more of them than the CPUs the process may run on, and
 none on one CPU.
 
+``market_data``, ``labeling`` and ``classifiers`` are imported when a run
+first reads one of their names: ``simulate`` and ``--help`` load only
+``dynamics``, ``subordinators``, ``seeding``, ``tables`` and ``errors``.
+
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import json
 import math
 import os
@@ -44,37 +49,52 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import dynamics, market_data
-from .classifiers import (
-    ALGORITHM_IDS,
-    DEFAULT_HYPERPARAMS,
-    fit_and_score,
-    format_benchmark_text,
-    load_external_predictions,
-    run_benchmark,
-    write_benchmark_csv,
-)
-# predict, train_model and evaluate are bound only for bench/tracer.py, which patches them here
-from .classifiers.api import predict, resolve_hyperparams, train as train_model  # noqa: F401
-from .classifiers.metrics import evaluate  # noqa: F401
+from . import dynamics
 from .errors import InvalidParameterError, NumericOverflowError, ParseError
-from .labeling import (
-    DIRECTIONS,
-    LabeledDataset,
-    LabelingConfig,
-    SplitSpec,
-    build_dataset,
-    index_for_timestamp,
-    index_series,
-    mark_big_jumps,
-    read_dataset_csv,
-    split,
-    write_dataset_csv,
-)
-from .market_data import SessionCalendar
 from .seeding import ordered_map
 from .subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path, subordinator_moments
 from .tables import dumps
+
+
+class _OnUse:
+    """A module of this package, imported when one of its names is first
+    read; every read goes to the module, so a name replaced there is what
+    the caller gets."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(f"{__package__}.{self._name}"), attr)
+
+
+# the data stages' modules, which a `simulate` run and `--help` never import
+classifiers = _OnUse("classifiers")
+labeling = _OnUse("labeling")
+market_data = _OnUse("market_data")
+
+# bench/tracer.py patches these names on this module as well as on the modules
+# that define them, where they are called from; ROADMAP item 2 deletes this table.
+_TRACED = {
+    "index_series": ("labeling", "index_series"),
+    "mark_big_jumps": ("labeling", "mark_big_jumps"),
+    "build_dataset": ("labeling", "build_dataset"),
+    "write_dataset_csv": ("labeling", "write_dataset_csv"),
+    "split": ("labeling", "split"),
+    "train_model": ("classifiers.api", "train"),
+    "predict": ("classifiers.api", "predict"),
+    "evaluate": ("classifiers.metrics", "evaluate"),
+    "run_benchmark": ("classifiers.benchmark", "run_benchmark"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _TRACED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(_OnUse(module), attr)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,10 +129,11 @@ EXIT_CODES = (
 # ---------------------------------------------------------------------------
 # option resolution: flags > config file > defaults
 
-def _one_of(*values: str):
-    """Domain: one of the texts ``values``."""
+def _one_of(values):
+    """Domain: one of the texts that ``values()`` returns."""
     def check(text: str) -> str | None:
-        return None if text in values else f"must be one of {', '.join(values)}"
+        allowed = values()
+        return None if text in allowed else f"must be one of {', '.join(allowed)}"
     return check
 
 
@@ -135,7 +156,7 @@ def _positive(value) -> str | None:
 def _calendar(spec: str) -> str | None:
     """Domain: a session calendar spec that ``SessionCalendar.from_spec`` reads."""
     try:
-        SessionCalendar.from_spec(spec)
+        market_data.SessionCalendar.from_spec(spec)
     except InvalidParameterError as exc:
         return f"must be sessions like 09:30-11:30,13:00-15:00 ({exc})"
     return None
@@ -143,15 +164,18 @@ def _calendar(spec: str) -> str | None:
 
 def _algorithm_list(text: str) -> str | None:
     """Domain: a comma list of algorithm ids."""
-    unknown = {a.strip() for a in text.split(",")} - set(ALGORITHM_IDS) - {""}
-    return f"must be a comma list of {', '.join(ALGORITHM_IDS)}" if unknown else None
+    ids = classifiers.api.ALGORITHM_IDS
+    unknown = {a.strip() for a in text.split(",")} - set(ids) - {""}
+    return f"must be a comma list of {', '.join(ids)}" if unknown else None
 
 
 # stage -> the options it reads: name -> (section, type, default, domain).  A
 # flag's or config value's text is read as the type (a bool as configparser
-# reads one); the default None marks a required option.  A domain says what is
-# wrong with a value, or returns None.  A text not of the type, or a value
-# outside the domain, fails as the stage that reads it, before any stage runs.
+# reads one); the default None marks a required option, and a default that is
+# a function is called for the value.  A domain says what is wrong with a
+# value, or returns None.  A text not of the type, or a value outside the
+# domain, fails as the stage that reads it, before any stage runs.  Defaults
+# and domains taken from the data stages' modules read them only when called.
 OPTIONS = {
     "simulate": {
         "paths": ("simulate", int, 4, _number(1)),
@@ -172,30 +196,30 @@ OPTIONS = {
         "threads": ("simulate", int, 1, _number(1)),
     },
     "ingest": {
-        "calendar": ("calendar", str, SessionCalendar().to_spec(), _calendar),
+        "calendar": ("calendar", str, lambda: market_data.SessionCalendar().to_spec(), _calendar),
         "trim_minutes": ("preprocess", int, 10, _number(0)),
         "trim_reopen": ("preprocess", bool, False, None),
         "outlier_sigma": ("preprocess", float, 10.0, _positive),
         "no_outliers": ("preprocess", bool, False, None),
     },
     "resample": {"interval": ("preprocess", int, 5, _number(1))},
-    "stats": {"group_by": ("benchmark", str, "overall", _one_of(*market_data.STATS_GROUPINGS))},
+    "stats": {"group_by": ("benchmark", str, "overall", _one_of(lambda: market_data.STATS_GROUPINGS))},
     "mark": {
         "window": ("labeling", int, 10, _number(1)),
         "lookahead": ("labeling", int, 10, _number(1)),
         "threshold_pct": ("labeling", float, 0.1, _positive),
         "min_jumps": ("labeling", int, 2, _number(1)),
-        "direction": ("labeling", str, "down", _one_of(*DIRECTIONS)),
+        "direction": ("labeling", str, "down", _one_of(lambda: labeling.DIRECTIONS)),
         "stride": ("labeling", int, 1, _number(1)),
     },
     "fit": {
-        "algorithm": ("train", str, None, _one_of(*ALGORITHM_IDS)),
+        "algorithm": ("train", str, None, _one_of(lambda: classifiers.api.ALGORITHM_IDS)),
         "train": ("train", str, None, None),  # a:b
         "test": ("train", str, "", None),  # c:d, or none
         "seed": ("train", int, 0, _number(0)),
     },
     "benchmark": {
-        "algorithms": ("benchmark", str, ",".join(ALGORITHM_IDS), _algorithm_list),
+        "algorithms": ("benchmark", str, lambda: ",".join(classifiers.api.ALGORITHM_IDS), _algorithm_list),
         "seed": ("benchmark", int, 0, _number(0)),
         "threads": ("benchmark", int, 1, _number(1)),
     },
@@ -252,7 +276,7 @@ def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> di
         elif default is None:
             raise ConfigError(f"{_flag(name)} or [{section}] {name} is required")
         else:
-            out[name] = default
+            out[name] = default() if callable(default) else default
         reason = domain and domain(out[name])
         if reason:
             given = out[name] if text is None else text
@@ -285,10 +309,10 @@ def _parse_split_token(token: str, indexed=None) -> int:
         ts = datetime.fromisoformat(token)
     except ValueError:
         raise ConfigError(f"split point {token!r} is neither an index nor an ISO datetime") from None
-    return index_for_timestamp(indexed, ts)
+    return labeling.index_for_timestamp(indexed, ts)
 
 
-def _parse_split(name: str, text: str, indexed=None) -> SplitSpec:
+def _parse_split(name: str, text: str, indexed=None) -> labeling.SplitSpec:
     """Parse 'a:b/c:d' (inclusive index ranges) or 'a..b/c..d'.
 
     The '..' form is required for ISO-datetime endpoints, which are
@@ -303,17 +327,17 @@ def _parse_split(name: str, text: str, indexed=None) -> SplitSpec:
         if len(bits) != 2:
             raise ConfigError(f"split {name!r}: bad range {part!r}")
         ranges.append((_parse_split_token(bits[0], indexed), _parse_split_token(bits[1], indexed)))
-    return SplitSpec(train=ranges[0], test=ranges[1] if len(ranges) == 2 else None, name=name)
+    return labeling.SplitSpec(train=ranges[0], test=ranges[1] if len(ranges) == 2 else None, name=name)
 
 
-def _collect_splits(args, cfg: configparser.ConfigParser, indexed=None) -> list[SplitSpec]:
+def _collect_splits(args, cfg: configparser.ConfigParser, indexed=None) -> list[labeling.SplitSpec]:
     raw = _named_items(args, cfg, "splits", "split")
     if not raw:
         raise ConfigError("no splits given; use --split NAME=a:b/c:d or a [splits] config section")
     return [_parse_split(name, text, indexed) for name, text in raw.items()]
 
 
-def _split_text(s: SplitSpec) -> str:
+def _split_text(s: labeling.SplitSpec) -> str:
     text = f"{s.train[0]}:{s.train[1]}"
     if s.test is not None:
         text += f"/{s.test[0]}:{s.test[1]}"
@@ -324,17 +348,18 @@ def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
     """Read and validate ``algorithm.name = text`` pairs: each text read as its
     default's type, if that value is accepted, or else kept as text, which
     ``resolve_hyperparams`` refuses, quoting it."""
+    api = classifiers.api
     bank: dict[str, dict] = {}
     for key, value in items.items():
         if "." not in key:
             raise ConfigError(f"hyperparameter {key} must be algorithm.name")
         algorithm, hp_name = key.split(".", 1)
         with suppress(KeyError, ValueError, InvalidParameterError):
-            read = _read(type(DEFAULT_HYPERPARAMS[algorithm][hp_name]), value)
-            value = resolve_hyperparams(algorithm, {hp_name: read})[hp_name]
+            read = _read(type(api.DEFAULT_HYPERPARAMS[algorithm][hp_name]), value)
+            value = api.resolve_hyperparams(algorithm, {hp_name: read})[hp_name]
         bank.setdefault(algorithm, {})[hp_name] = value
     for algorithm, overrides in bank.items():
-        resolve_hyperparams(algorithm, overrides)
+        api.resolve_hyperparams(algorithm, overrides)
     return bank
 
 
@@ -457,7 +482,7 @@ def _load_and_clean(run):
     """The bars inside the calendar's sessions, cleaned; records the row
     counts in ``run.info``."""
     opts = run.opts
-    calendar = SessionCalendar.from_spec(opts["calendar"])
+    calendar = market_data.SessionCalendar.from_spec(opts["calendar"])
     sigma = None if opts["no_outliers"] else opts["outlier_sigma"]
     bars, rejected = market_data.load_bars(run.args.input, calendar)
     clean, rate = market_data.preprocess(bars, trim_minutes=opts["trim_minutes"],
@@ -472,20 +497,20 @@ def _load_and_clean(run):
     return clean
 
 
-def _label_config(opts: dict) -> LabelingConfig:
-    return LabelingConfig(window_len=opts["window"], lookahead=opts["lookahead"],
+def _label_config(opts: dict) -> labeling.LabelingConfig:
+    return labeling.LabelingConfig(window_len=opts["window"], lookahead=opts["lookahead"],
                           threshold_pct=opts["threshold_pct"], min_jumps=opts["min_jumps"],
                           direction=opts["direction"], stride=opts["stride"])
 
 
-def _read_labeled(path: str) -> LabeledDataset:
+def _read_labeled(path: str) -> labeling.LabeledDataset:
     """The labeled CSV, bounded like ``pipeline`` bounds its splits.
 
     Split ranges are checked against the length of the return series, which
     the CSV does not hold; ``label`` records it as ``n_returns`` in the
     ``label.json`` it writes beside the CSV.
     """
-    dataset = read_dataset_csv(path)
+    dataset = labeling.read_dataset_csv(path)
     info = Path(path).with_name("label.json")
     if not info.exists():
         return dataset
@@ -501,11 +526,12 @@ def _benchmark(run):
     external = {}
     for name, path in sorted(run.external.items()):
         try:
-            external[name] = load_external_predictions(path)
+            external[name] = classifiers.benchmark.load_external_predictions(path)
         except ParseError as exc:  # name the file among several --external
             raise ParseError(f"{name}={path}: {exc}") from None
-    return run_benchmark(run.dataset, run.splits, algorithms, run.bank, seed=run.opts["seed"],
-                         external=external, max_workers=run.opts["threads"])
+    return classifiers.benchmark.run_benchmark(run.dataset, run.splits, algorithms, run.bank,
+                                               seed=run.opts["seed"], external=external,
+                                               max_workers=run.opts["threads"])
 
 
 def _fit(run) -> dict:
@@ -513,9 +539,9 @@ def _fit(run) -> dict:
     the payload of ``train_report.json``."""
     opts = run.opts
     spec = _parse_split("cli", f"{opts['train']}/{opts['test']}" if opts["test"] else opts["train"])
-    train_set, test_set = split(run.dataset, spec)
-    cell = fit_and_score(spec.name, opts["algorithm"], train_set, test_set,
-                         run.bank.get(opts["algorithm"]), opts["seed"])
+    train_set, test_set = labeling.split(run.dataset, spec)
+    cell = classifiers.benchmark.fit_and_score(spec.name, opts["algorithm"], train_set, test_set,
+                                               run.bank.get(opts["algorithm"]), opts["seed"])
     payload = {"algorithm": cell.algorithm, "train_rows": len(train_set),
                "hyperparams": cell.hyperparams, "degenerate": cell.degenerate}
     if cell.report is not None:
@@ -543,9 +569,9 @@ STAGES = {
     "pct_change": ("returns", lambda r: market_data.pct_change(r.sampled)),
     "stats": ("stats", lambda r: market_data.descriptive_stats(r.sampled, r.opts["group_by"])),
     "realized_measures": ("rv", lambda r: market_data.realized_measures(r.returns, "day")),
-    "index": ("indexed", lambda r: index_series(r.returns)),
-    "mark": ("marks", lambda r: mark_big_jumps(r.indexed, _label_config(r.opts))),
-    "label": ("dataset", lambda r: build_dataset(r.indexed, r.marks, _label_config(r.opts))),
+    "index": ("indexed", lambda r: labeling.index_series(r.returns)),
+    "mark": ("marks", lambda r: labeling.mark_big_jumps(r.indexed, _label_config(r.opts))),
+    "label": ("dataset", lambda r: labeling.build_dataset(r.indexed, r.marks, _label_config(r.opts))),
     "load_labeled": ("dataset", lambda r: _read_labeled(r.args.dataset)),
     "splits": ("splits", lambda r: _collect_splits(r.args, r.cfg, r.indexed)),
     "fit": ("trained", _fit),
@@ -563,10 +589,10 @@ OUTPUTS = {
     "stats.json": lambda fh, r: fh.write(market_data.stats_to_json(r.stats)),
     "rv_day.csv": lambda fh, r: market_data.write_rv_csv(fh, r.rv),
     "rv_day.json": lambda fh, r: fh.write(market_data.rv_to_json(r.rv)),
-    "labeled.csv": lambda fh, r: write_dataset_csv(fh, r.dataset),
+    "labeled.csv": lambda fh, r: labeling.write_dataset_csv(fh, r.dataset),
     "label.json": lambda fh, r: fh.write(dumps(_label_counts(r))),
-    "reports.csv": lambda fh, r: write_benchmark_csv(fh, r.cells),
-    "reports.txt": lambda fh, r: fh.write(format_benchmark_text(r.cells)),
+    "reports.csv": lambda fh, r: classifiers.benchmark.write_benchmark_csv(fh, r.cells),
+    "reports.txt": lambda fh, r: fh.write(classifiers.benchmark.format_benchmark_text(r.cells)),
     "hyperparams_used.json": lambda fh, r: fh.write(
         dumps({c.algorithm: c.hyperparams for c in r.cells if c.hyperparams})),
     "summary.json": lambda fh, r: fh.write(dumps(r.summary)),

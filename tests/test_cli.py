@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnsjump import cli, synthetic, tables
+from bnsjump import cli, labeling, synthetic, tables
 from bnsjump.classifiers import ALGORITHM_IDS, DEFAULT_HYPERPARAMS, resolve_hyperparams
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
@@ -971,7 +971,7 @@ class TestPipeline:
         def overflow(*args, **kwargs):
             raise NumericOverflowError("non-finite value")
 
-        monkeypatch.setattr(cli, "build_dataset", overflow)
+        monkeypatch.setattr(labeling, "build_dataset", overflow)
         code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o")]
                     + PIPELINE_FLAGS)
         assert code == EXIT_INTERNAL
@@ -980,7 +980,7 @@ class TestPipeline:
         def fail(*args, **kwargs):
             raise ValueError("unusable labeling choice")
 
-        monkeypatch.setattr(cli, "build_dataset", fail)
+        monkeypatch.setattr(labeling, "build_dataset", fail)
         code = main(["pipeline", "--input", str(bars_csv), "--out", str(tmp_path / "o")]
                     + PIPELINE_FLAGS)
         assert code == EXIT_CONFIG

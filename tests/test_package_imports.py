@@ -1,4 +1,5 @@
-"""``import bnsjump`` loads a submodule only when one of its names is used.
+"""``import bnsjump`` loads a submodule only when one of its names is used,
+and ``bnsjump.cli`` loads the data stages' modules only when they run.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every module.
@@ -12,6 +13,8 @@ import textwrap
 from pathlib import Path
 
 import bnsjump
+from bnsjump.market_data import write_bars_csv
+from bnsjump.synthetic import synthetic_bars
 
 SRC = str(Path(bnsjump.__file__).resolve().parent.parent)
 
@@ -75,6 +78,62 @@ def test_a_correlation_pair_loads_only_the_simulation_modules():
                    "bnsjump.classifiers", "bnsjump.cli", "concurrent.futures"):
         assert module not in loaded, module
     assert {"bnsjump.dynamics", "bnsjump.subordinators"} <= set(loaded)
+
+
+# what a `simulate` run and the command's help never load
+NOT_FOR_SIMULATE = ("bnsjump.classifiers", "bnsjump.labeling", "bnsjump.market_data", "logging",
+                    "concurrent.futures")
+
+
+def test_simulate_and_help_load_no_data_stage_module(tmp_path):
+    """numpy itself loads ``inspect``, so it is not among the checked modules."""
+    loaded = fresh(f"""
+        import json, sys
+        from contextlib import redirect_stdout
+        from io import StringIO
+
+        def unwanted():
+            return [m for m in {NOT_FOR_SIMULATE!r} if m in sys.modules]
+
+        from bnsjump import cli
+        after = {{"import": unwanted()}}
+        try:
+            with redirect_stdout(StringIO()):
+                cli.main(["--help"])
+        except SystemExit as exc:
+            after["help"] = unwanted()
+            after["help_exit"] = exc.code
+        with redirect_stdout(StringIO()):
+            after["simulate_exit"] = cli.main(["simulate", "--paths", "2", "--dt", "0.01",
+                                               "--threads", "1", "--out", {str(tmp_path / "sim")!r}])
+        after["simulate"] = unwanted()
+        print(json.dumps(after))
+    """)
+    assert loaded == {"import": [], "help": [], "help_exit": 0, "simulate": [], "simulate_exit": 0}
+
+
+def test_pipeline_in_a_fresh_interpreter(tmp_path):
+    """The data stages import their modules when they first run."""
+    bars = tmp_path / "bars.csv"
+    with open(bars, "w", encoding="utf-8", newline="") as fh:
+        write_bars_csv(fh, synthetic_bars(days=3, seed=7))
+    result = fresh(f"""
+        import json, sys
+        from contextlib import redirect_stdout
+        from io import StringIO
+
+        from bnsjump import cli
+
+        with redirect_stdout(StringIO()):
+            code = cli.main(["pipeline", "--input", {str(bars)!r}, "--out", {str(tmp_path / "pipe")!r},
+                             "--interval", "1", "--min-jumps", "1",
+                             "--algorithms", "naive_bayes_gaussian,decision_tree",
+                             "--split", "T1=0:400/401:600", "--threads", "1"])
+        print(json.dumps({{"code": code, "loaded": [m for m in {NOT_FOR_SIMULATE[:3]!r}
+                                                    if m in sys.modules]}}))
+    """)
+    assert result == {"code": 0, "loaded": list(NOT_FOR_SIMULATE[:3])}
+    assert (tmp_path / "pipe" / "reports.csv").is_file()
 
 
 def test_every_exported_name_is_its_modules_object():
