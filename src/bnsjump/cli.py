@@ -499,8 +499,8 @@ def _load_and_clean(run):
 
 def _label_config(opts: dict) -> labeling.LabelingConfig:
     return labeling.LabelingConfig(window_len=opts["window"], lookahead=opts["lookahead"],
-                          threshold_pct=opts["threshold_pct"], min_jumps=opts["min_jumps"],
-                          direction=opts["direction"], stride=opts["stride"])
+                                   threshold_pct=opts["threshold_pct"], min_jumps=opts["min_jumps"],
+                                   direction=opts["direction"], stride=opts["stride"])
 
 
 def _read_labeled(path: str) -> labeling.LabeledDataset:
