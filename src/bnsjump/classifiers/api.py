@@ -6,6 +6,11 @@ Per-feature z-scoring fitted on the training rows is applied by default
 affects the distance- and margin-based learners and is recorded in the
 model metadata.  A training set containing a single class yields a
 constant predictor flagged as degenerate.
+
+``train`` and ``predict`` are the only code that converts and checks
+inputs: they hand every learner a 2-D float64 ``X`` (at ``predict``, of the
+trained width) and, at ``train``, an int ``y``, and the learners use them as
+given.
 """
 
 from __future__ import annotations

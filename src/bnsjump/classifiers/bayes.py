@@ -15,8 +15,6 @@ class GaussianNaiveBayes:
         self.variances: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNaiveBayes":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, d = X.shape
         self.log_priors = np.empty(2)
         self.means = np.empty((2, d))
@@ -29,7 +27,6 @@ class GaussianNaiveBayes:
         return self
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         out = np.empty((len(X), 2))
         for c in (0, 1):
             var = self.variances[c]

@@ -27,8 +27,6 @@ class RandomForestClassifier:
         self.trees: list[DecisionTreeClassifier] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed=0) -> "RandomForestClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, d = X.shape
         max_features = max(1, int(round(math.sqrt(d))))
         order = _presort(X)  # every tree grows on its drawn rows of this one presort
@@ -68,8 +66,6 @@ class GradientBoostClassifier:
         self.trees: list[RegressionTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
         p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
         self.base_score = math.log(p0 / (1.0 - p0))
         margin = np.full(len(y), self.base_score)

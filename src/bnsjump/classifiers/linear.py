@@ -22,8 +22,6 @@ class LogisticRegressionGD:
         self.bias = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionGD":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
         n, d = X.shape
         self.weights = np.zeros(d)
         self.bias = 0.0
@@ -36,7 +34,7 @@ class LogisticRegressionGD:
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(np.asarray(X, dtype=float) @ self.weights + self.bias)
+        return _sigmoid(X @ self.weights + self.bias)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_score(X) > 0.5).astype(int)
@@ -57,8 +55,7 @@ class LinearSVMClassifier:
         self.bias = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVMClassifier":
-        X = np.asarray(X, dtype=float)
-        y_pm = 2.0 * np.asarray(y, dtype=float) - 1.0
+        y_pm = 2.0 * y - 1.0
         y_x = y_pm[:, None] * X  # each epoch sums the rows of this inside the margin
         n, d = X.shape
         lam = 1.0 / (self.c * n)
@@ -84,7 +81,7 @@ class LinearSVMClassifier:
         return self
 
     def decision_value(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights + self.bias
+        return X @ self.weights + self.bias
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_value(X) > 0.0).astype(int)

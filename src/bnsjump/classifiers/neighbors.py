@@ -38,13 +38,11 @@ class KNearestClassifier:
         self.sq_norms: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNearestClassifier":
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=int)
+        self.X, self.y = X, y
         self.sq_norms = _sq_norms(self.X)
         return self
 
     def predict_score(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         k = min(self.k, len(self.y))
         scores = np.empty(len(X))
         rows = max(1, min(len(X), KNN_CHUNK_ELEMENTS // len(self.y)))
@@ -78,8 +76,6 @@ class KMeansLabeler:
         self.cluster_labels: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed=0) -> "KMeansLabeler":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n = len(X)
         k = min(self.k, n)
         x_sq, twice_x = _sq_norms(X), 2.0 * X
@@ -108,20 +104,14 @@ class KMeansLabeler:
                 best_centroids = centroids.copy()
         self.centroids = best_centroids
         assign = np.argmin(distances(self.centroids), axis=1)
+        # each cluster's majority label; an empty cluster takes the overall one
+        size = np.bincount(assign, minlength=k)
+        ones = np.bincount(assign, weights=y, minlength=k)
         overall = 1 if 2 * int(y.sum()) > n else 0
-        labels = np.empty(k, dtype=int)
-        for c in range(k):
-            members = y[assign == c]
-            if len(members) == 0:
-                labels[c] = overall
-            else:
-                ones = int(members.sum())
-                labels[c] = 1 if 2 * ones > len(members) else 0
-        self.cluster_labels = labels
+        self.cluster_labels = np.where(size > 0, 2 * ones > size, overall).astype(int)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         assign = np.argmin(_sq_distances(_sq_norms(X), 2.0 * X, self.centroids,
                                          _sq_norms(self.centroids)), axis=1)
         return self.cluster_labels[assign]

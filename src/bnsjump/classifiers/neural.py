@@ -63,8 +63,6 @@ class NeuralNetClassifier:
         self.params: list[np.ndarray] | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed=0) -> "NeuralNetClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, d = X.shape
         h = self.hidden_width
         lr = self.learning_rate
@@ -122,7 +120,7 @@ class NeuralNetClassifier:
     def predict_score(self, X: np.ndarray) -> np.ndarray:
         n = len(X)
         a1, a2 = np.empty((2, n, self.hidden_width))
-        probs = _forward(np.asarray(X, dtype=float), self.params, a1, a2, np.empty((n, 2)), np.empty((n, 1)))
+        probs = _forward(X, self.params, a1, a2, np.empty((n, 2)), np.empty((n, 1)))
         return probs[:, 1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 Split thresholds are actual training feature values and routing uses
 ``x <= threshold``, so predictions are invariant under any strictly
 increasing per-feature transform applied consistently to train and test
-data.  The same node machinery backs the Gini classification tree and the
-squared-error regression tree used by gradient boosting.
+data.  One grower and router, ``_Tree``, backs the Gini classification tree
+and the squared-error regression tree used by gradient boosting; each holds
+its criterion in ``_leaf`` (the node's value, and the total its split search
+reads, or None when the node stays a leaf) and ``_split`` (the best cut, or
+None).
 """
 
 from __future__ import annotations
@@ -108,14 +111,44 @@ def _best_gini_split(X, w, wy, order, n, features, min_leaf):
     return _first_best(weighted, valid, xs, features)
 
 
-class DecisionTreeClassifier:
-    """Binary CART with Gini impurity."""
+class _Tree:
+    """The grower and router of both trees.  ``stats`` is the pair of
+    per-row arrays a criterion reads; ``value_dtype`` is its predictions'."""
 
-    def __init__(self, max_depth: int = 6, min_leaf: int = 5):
+    value_dtype = float
+
+    def __init__(self, max_depth: int, min_leaf: int):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.root: _Node | None = None
-        self.n_features = 0
+
+    def _grow(self, X, stats, idx, order, depth) -> _Node:
+        node = _Node()
+        node.value, total = self._leaf(stats, idx)
+        if total is None or depth >= self.max_depth:
+            return node
+        best = self._split(X, stats, idx, order, total)
+        if best is None:
+            return node
+        _, node.feature, node.threshold = best
+        left, right = _partition(X, idx, order, node.feature, node.threshold)
+        node.left = self._grow(X, stats, *left, depth + 1)
+        node.right = self._grow(X, stats, *right, depth + 1)
+        return node
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(X), dtype=self.value_dtype)
+        _route(self.root, X, np.arange(len(X)), out)
+        return out
+
+
+class DecisionTreeClassifier(_Tree):
+    """Binary CART with Gini impurity."""
+
+    value_dtype = int
+
+    def __init__(self, max_depth: int = 6, min_leaf: int = 5):
+        super().__init__(max_depth, min_leaf)
 
     def fit(self, X: np.ndarray, y: np.ndarray, boot: np.ndarray | None = None,
             order: np.ndarray | None = None, max_features: int | None = None,
@@ -130,8 +163,6 @@ class DecisionTreeClassifier:
         draws that many candidate features per split from ``rng``
         (random-forest usage).
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, self.n_features = X.shape
         self.max_features, self.rng = max_features, rng
         boot = np.arange(n) if boot is None else boot
@@ -140,7 +171,7 @@ class DecisionTreeClassifier:
         idx = np.flatnonzero(w)
         flat = order.ravel()
         order = flat.compress(w[flat] > 0).reshape(self.n_features, idx.size)
-        self.root = self._grow(X, w, w * y, idx, order, depth=0)
+        self.root = self._grow(X, (w, w * y), idx, order, depth=0)
         return self
 
     def _candidate_features(self) -> np.ndarray:
@@ -148,37 +179,25 @@ class DecisionTreeClassifier:
             return np.arange(self.n_features)
         return np.sort(self.rng.choice(self.n_features, self.max_features, replace=False))
 
-    def _grow(self, X, w, wy, idx, order, depth) -> _Node:
-        node = _Node()
+    def _leaf(self, stats, idx):
+        w, wy = stats
         ones = int(wy[idx].sum())
         n = int(w[idx].sum())
-        node.value = 1 if 2 * ones > n else 0
-        if depth >= self.max_depth or n < 2 * self.min_leaf or ones == 0 or ones == n:
-            return node
-        best = _best_gini_split(X, w, wy, order, n, self._candidate_features(), self.min_leaf)
-        if best is None:
-            return node
-        _, node.feature, node.threshold = best
-        left, right = _partition(X, idx, order, node.feature, node.threshold)
-        node.left = self._grow(X, w, wy, *left, depth + 1)
-        node.right = self._grow(X, w, wy, *right, depth + 1)
-        return node
+        stays = n < 2 * self.min_leaf or ones == 0 or ones == n
+        return (1 if 2 * ones > n else 0), (None if stays else n)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(len(X), dtype=int)
-        _route(self.root, X, np.arange(len(X)), out)
-        return out
+    def _split(self, X, stats, idx, order, n):
+        return _best_gini_split(X, *stats, order, n, self._candidate_features(), self.min_leaf)
 
 
-def _best_mse_split(X, g, idx, order, min_leaf):
-    """Best squared-error split: maximize L^2/k + R^2/(n-k) of target sums.
+def _best_mse_split(X, g, idx, order, total, min_leaf):
+    """Best squared-error split: maximize L^2/k + R^2/(n-k) of target sums,
+    with ``total`` the node's target sum.
 
     All features are scored in one 2-D pass over their presorted rows.
     Returns (-gain, feature, threshold), or None: the gain is negated so
     the shared lowest-score search picks the same cut as a highest-gain one.
     """
-    total = float(g[idx].sum())
     features = np.arange(order.shape[0])
     xs = X[order, features[:, None]]
     left = np.cumsum(g[order], axis=1)[:, :-1]
@@ -188,42 +207,25 @@ def _best_mse_split(X, g, idx, order, min_leaf):
     return _first_best(np.where(valid, -gain, np.inf), valid, xs, features)
 
 
-class RegressionTree:
+class RegressionTree(_Tree):
     """Squared-error tree over pseudo-residuals with Newton leaf values.
 
     Leaf value = sum(residuals) / (sum(hessians) + eps), the single Newton
     step for logistic loss used by gradient boosting.
     """
 
-    def __init__(self, max_depth: int, min_leaf: int):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.root: _Node | None = None
-
     def fit(self, X: np.ndarray, residuals: np.ndarray, hessians: np.ndarray,
             order: np.ndarray | None = None) -> "RegressionTree":
         """``order`` is ``_presort(X)``, passed in when many trees share one X."""
-        X = np.asarray(X, dtype=float)
         order = _presort(X) if order is None else order
-        self.root = self._grow(X, residuals, hessians, np.arange(len(residuals)), order, depth=0)
+        self.root = self._grow(X, (residuals, hessians), np.arange(len(residuals)), order, depth=0)
         return self
 
-    def _grow(self, X, g, h, idx, order, depth) -> _Node:
-        node = _Node()
-        node.value = float(g[idx].sum() / (h[idx].sum() + 1e-12))
-        if depth >= self.max_depth or idx.size < 2 * self.min_leaf:
-            return node
-        best = _best_mse_split(X, g, idx, order, self.min_leaf)
-        if best is None:
-            return node
-        _, node.feature, node.threshold = best
-        left, right = _partition(X, idx, order, node.feature, node.threshold)
-        node.left = self._grow(X, g, h, *left, depth + 1)
-        node.right = self._grow(X, g, h, *right, depth + 1)
-        return node
+    def _leaf(self, stats, idx):
+        g, h = stats
+        total = g[idx].sum()
+        value = float(total / (h[idx].sum() + 1e-12))
+        return value, (None if idx.size < 2 * self.min_leaf else float(total))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(len(X), dtype=float)
-        _route(self.root, X, np.arange(len(X)), out)
-        return out
+    def _split(self, X, stats, idx, order, total):
+        return _best_mse_split(X, stats[0], idx, order, total, self.min_leaf)

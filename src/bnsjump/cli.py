@@ -453,19 +453,21 @@ def _simulate(run) -> dict:
 
     slacks = np.array([s["floor_slack"] for s in results])
     terminals = np.array([s["x_terminal"] for s in results])
-    return {
-        "subordinator_mc": {
-            "base": mc_block(z_rates, params.spec_base),
-            "strong": mc_block(zb_rates, params.spec_strong),
-        },
-        "paths": {
-            "variance_floor_min_slack": float(slacks.min()),
-            "variance_floor_satisfied": bool(slacks.min() >= -1e-12),
-            "x_terminal_mean": float(terminals.mean()),
-            "x_terminal_var": float(terminals.var(ddof=1)) if n > 1 else None,
-        },
-        "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
-    }
+    # an overflowing statistic is written as null, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "subordinator_mc": {
+                "base": mc_block(z_rates, params.spec_base),
+                "strong": mc_block(zb_rates, params.spec_strong),
+            },
+            "paths": {
+                "variance_floor_min_slack": float(slacks.min()),
+                "variance_floor_satisfied": bool(slacks.min() >= -1e-12),
+                "x_terminal_mean": float(terminals.mean()),
+                "x_terminal_var": float(terminals.var(ddof=1)) if n > 1 else None,
+            },
+            "grid": {"dt": opts["dt"], "n_steps": n_steps, "t_end": opts["t_end"]},
+        }
 
 
 # ---------------------------------------------------------------------------

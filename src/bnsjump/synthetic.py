@@ -20,6 +20,10 @@ import numpy as np
 from .market_data import BarSeries, SessionCalendar, write_bars_csv
 from .seeding import substream
 
+BASE_PRICE = 5000.0  # the first bar's close moves from here
+NOISE_PCT = 0.05  # standard deviation of a quiet minute's percent change
+BURST_PROB = 0.01  # chance per quiet minute that a cluster of drops begins
+
 
 def session_minutes(calendar: SessionCalendar, day: date) -> np.ndarray:
     """Bar timestamps of one trading day, datetime64[us]: every minute after
@@ -35,13 +39,10 @@ def synthetic_bars(
     seed: int = 7,
     start: date = date(2021, 1, 4),
     calendar: SessionCalendar | None = None,
-    base_price: float = 5000.0,
-    noise_pct: float = 0.05,
-    burst_prob: float = 0.01,
 ) -> BarSeries:
     """Minute bars over ``days`` consecutive synthetic trading days.
 
-    With probability ``burst_prob`` per minute a cluster of 2-4 consecutive
+    With probability ``BURST_PROB`` per minute a cluster of 2-4 consecutive
     drops of 0.1%-0.3% begins, seeding windows where the jump labeler finds
     the positive class.
     """
@@ -50,15 +51,15 @@ def synthetic_bars(
     stamps = (session_minutes(calendar, start) + day_offsets).ravel()
     rng = substream(seed)
     closes: list[float] = []
-    price = base_price
+    price = BASE_PRICE
     burst_left = 0
     for _ in range(len(stamps)):
         if burst_left > 0:
             change = -float(rng.uniform(0.1, 0.3))
             burst_left -= 1
         else:
-            change = float(rng.normal(0.0, noise_pct))
-            if rng.uniform() < burst_prob:
+            change = float(rng.normal(0.0, NOISE_PCT))
+            if rng.uniform() < BURST_PROB:
                 burst_left = int(rng.integers(2, 5))
         price *= 1.0 + change / 100.0
         closes.append(price)

@@ -4,7 +4,8 @@ A CSV file opens with a header, matched after strip and lower-case; blank
 lines are skipped and every other row has one field per header column, or
 ParseError names its line.  Floats are written as round-trip ``repr``, NaN
 as an empty cell.  JSON has sorted keys, indent 2, a final newline, and
-NaN as ``null``, so every file is strict JSON.
+every non-finite float (NaN, +inf, -inf) as ``null``, so every file is
+strict JSON.
 
 ``csv_rows`` reads a file row by row.  ``read_table`` reads the text of a
 file named by a path once and parses every row at once with ``np.loadtxt``;
@@ -411,15 +412,15 @@ def write_rows(fileobj, header: Sequence[str], rows: Iterable[Sequence]) -> None
     writer.writerows(rows)
 
 
-def _nan_to_none(value):
+def _finite_or_none(value):
     if isinstance(value, dict):
-        return {key: _nan_to_none(item) for key, item in value.items()}
+        return {key: _finite_or_none(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_nan_to_none(item) for item in value]
-    return None if isinstance(value, float) and math.isnan(value) else value
+        return [_finite_or_none(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def dumps(payload) -> str:
-    """``payload`` as strict JSON: sorted keys, indent 2, NaN as ``null``,
-    and a final newline."""
-    return json.dumps(_nan_to_none(payload), sort_keys=True, indent=2) + "\n"
+    """``payload`` as strict JSON: sorted keys, indent 2, every non-finite
+    float as ``null``, and a final newline."""
+    return json.dumps(_finite_or_none(payload), sort_keys=True, indent=2) + "\n"

@@ -155,6 +155,19 @@ class TestSimulate:
         assert err.startswith("error: stage 'simulate': expected event count 1e+20 "), err
         assert err.count("\n") == 1
 
+    def test_overflowing_summary_is_strict_json(self, tmp_path, capsys, recwarn):
+        """A terminal-price variance that overflows is written as null, with no warning."""
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--paths", "3", "--beta", "1e200",
+                     "--t-end", "1", "--dt", "0.5"]) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["paths"]["x_terminal_var"] is None
+        assert capsys.readouterr().err == "" and not recwarn.list
+
     def test_runs_and_reports_floor(self, tmp_path):
         out = tmp_path / "sim"
         code = main(["simulate", "--out", str(out), "--paths", "3", "--seed", "1",
@@ -905,6 +918,7 @@ class TestDataCommands:
         source = [] if argv[0] == "simulate" else ["--input", str(tmp_path / "missing.csv")]
         assert main(argv + source + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_stats_json_is_strict(self, tmp_path):
         """A month of two daily closes has no skewness or kurtosis; both are written as null."""

@@ -75,8 +75,8 @@ class TestDialect:
 
 def test_float_cell_and_json_nan():
     assert [tables.cell(x) for x in (0.1, 3, math.nan, -0.0)] == ["0.1", "3.0", "", "-0.0"]
-    text = tables.dumps({"b": [math.nan, 1.5], "a": {"x": (math.nan,)}})
-    assert text == json.dumps({"a": {"x": [None]}, "b": [None, 1.5]}, indent=2) + "\n"
+    text = tables.dumps({"b": [math.nan, 1.5], "a": {"x": (math.nan, math.inf, -math.inf)}})
+    assert text == json.dumps({"a": {"x": [None, None, None]}, "b": [None, 1.5]}, indent=2) + "\n"
 
 
 
