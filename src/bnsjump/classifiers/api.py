@@ -169,6 +169,4 @@ def _check_width(model: Model, X: np.ndarray) -> np.ndarray:
 def predict(model: Model, features) -> np.ndarray:
     """Binary labels for a feature matrix of the training width."""
     X = _check_width(model, features)
-    if len(X) == 0:
-        return np.empty(0, dtype=int)
     return model.estimator.predict(_apply_scaler(model.scaler, X)).astype(int)

@@ -74,7 +74,7 @@ labeling = _OnUse("labeling")
 market_data = _OnUse("market_data")
 
 # bench/tracer.py patches these names on this module as well as on the modules
-# that define them, where they are called from; ROADMAP item 2 deletes this table.
+# that define them, where they are called from; ROADMAP item 11 deletes this table.
 _TRACED = {
     "index_series": ("labeling", "index_series"),
     "mark_big_jumps": ("labeling", "mark_big_jumps"),
@@ -104,23 +104,18 @@ EXIT_INTERNAL = 4
 OUTPUT_ROOT_ENV = "BNSJUMP_OUT"
 
 
-class ConfigError(Exception):
-    pass
-
-
 class StageError(Exception):
     """Wraps a pipeline stage failure with the stage name; keeps the cause."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
         self.cause = cause
 
 
 # Exception types -> exit code, first match wins.  A StageError is judged by
 # its cause, and a stage failing for any other reason is a configuration error.
 EXIT_CODES = (
-    ((ConfigError, InvalidParameterError), EXIT_CONFIG),
+    (InvalidParameterError, EXIT_CONFIG),
     ((OSError, ParseError), EXIT_IO),  # OrderingError is a ParseError
     ((AssertionError, NumericOverflowError), EXIT_INTERNAL),
 )
@@ -240,15 +235,15 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     cfg.optionxform = str  # keep split and external-prediction names case-sensitive
     if path:
         if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
+            raise InvalidParameterError(f"config file not found: {path}")
         if not Path(path).is_file():
-            raise ConfigError(f"config file is not a file: {path}")
+            raise InvalidParameterError(f"config file is not a file: {path}")
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 cfg.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:
             reason = " ".join(str(exc).split())  # configparser's messages span lines
-            raise ConfigError(f"bad config file {path}: {reason}") from None
+            raise InvalidParameterError(f"bad config file {path}: {reason}") from None
     return cfg
 
 
@@ -272,15 +267,15 @@ def _resolve(args, cfg: configparser.ConfigParser, stages, defaults: dict) -> di
                 out[name] = _read(typ, text)
             except (KeyError, ValueError):
                 kind = {int: "an integer", float: "a number", bool: "true or false"}[typ]
-                raise StageError(stage, ConfigError(f"{name} must be {kind}, got {text}")) from None
+                raise StageError(stage, InvalidParameterError(f"{name} must be {kind}, got {text}")) from None
         elif default is None:
-            raise ConfigError(f"{_flag(name)} or [{section}] {name} is required")
+            raise InvalidParameterError(f"{_flag(name)} or [{section}] {name} is required")
         else:
             out[name] = default() if callable(default) else default
         reason = domain and domain(out[name])
         if reason:
             given = out[name] if text is None else text
-            raise StageError(stage, ConfigError(f"{name} {reason}, got {given}"))
+            raise StageError(stage, InvalidParameterError(f"{name} {reason}, got {given}"))
     return out
 
 
@@ -290,7 +285,7 @@ def _named_items(args, cfg: configparser.ConfigParser, section: str, flag: str) 
     items = dict(cfg.items(section)) if cfg.has_section(section) else {}
     for item in getattr(args, flag, None) or []:
         if "=" not in item:
-            raise ConfigError(f"--{flag} expects NAME=VALUE, got {item!r}")
+            raise InvalidParameterError(f"--{flag} expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         items.pop(name, None)
         items[name] = value
@@ -304,11 +299,11 @@ def _parse_split_token(token: str, indexed=None) -> int:
     except ValueError:
         pass
     if indexed is None:
-        raise ConfigError(f"date-based split point {token!r} requires return data")
+        raise InvalidParameterError(f"date-based split point {token!r} requires return data")
     try:
         ts = datetime.fromisoformat(token)
     except ValueError:
-        raise ConfigError(f"split point {token!r} is neither an index nor an ISO datetime") from None
+        raise InvalidParameterError(f"split point {token!r} is neither an index nor an ISO datetime") from None
     return labeling.index_for_timestamp(indexed, ts)
 
 
@@ -320,12 +315,12 @@ def _parse_split(name: str, text: str, indexed=None) -> labeling.SplitSpec:
     """
     parts = text.split("/")
     if len(parts) not in (1, 2):
-        raise ConfigError(f"split {name!r}: expected 'a:b' or 'a:b/c:d', got {text!r}")
+        raise InvalidParameterError(f"split {name!r}: expected 'a:b' or 'a:b/c:d', got {text!r}")
     ranges = []
     for part in parts:
         bits = part.split("..") if ".." in part else part.split(":")
         if len(bits) != 2:
-            raise ConfigError(f"split {name!r}: bad range {part!r}")
+            raise InvalidParameterError(f"split {name!r}: bad range {part!r}")
         ranges.append((_parse_split_token(bits[0], indexed), _parse_split_token(bits[1], indexed)))
     return labeling.SplitSpec(train=ranges[0], test=ranges[1] if len(ranges) == 2 else None, name=name)
 
@@ -333,7 +328,7 @@ def _parse_split(name: str, text: str, indexed=None) -> labeling.SplitSpec:
 def _collect_splits(args, cfg: configparser.ConfigParser, indexed=None) -> list[labeling.SplitSpec]:
     raw = _named_items(args, cfg, "splits", "split")
     if not raw:
-        raise ConfigError("no splits given; use --split NAME=a:b/c:d or a [splits] config section")
+        raise InvalidParameterError("no splits given; use --split NAME=a:b/c:d or a [splits] config section")
     return [_parse_split(name, text, indexed) for name, text in raw.items()]
 
 
@@ -352,7 +347,7 @@ def _hyperparams(items: dict[str, str]) -> dict[str, dict]:
     bank: dict[str, dict] = {}
     for key, value in items.items():
         if "." not in key:
-            raise ConfigError(f"hyperparameter {key} must be algorithm.name")
+            raise InvalidParameterError(f"hyperparameter {key} must be algorithm.name")
         algorithm, hp_name = key.split(".", 1)
         with suppress(KeyError, ValueError, InvalidParameterError):
             read = _read(type(api.DEFAULT_HYPERPARAMS[algorithm][hp_name]), value)
@@ -417,7 +412,7 @@ def _simulate(run) -> dict:
     opts = run.opts
     n_steps = round(opts["t_end"] / opts["dt"])
     if abs(n_steps * opts["dt"] - opts["t_end"]) > 1e-9 * opts["t_end"]:
-        raise ConfigError(f"t_end {opts['t_end']} is not a whole number of dt {opts['dt']} steps")
+        raise InvalidParameterError(f"t_end {opts['t_end']} is not a whole number of dt {opts['dt']} steps")
     params = dynamics.ModelParams(
         mu=opts["mu"], beta=opts["beta"], rho=opts["rho"], lam=opts["lam"],
         theta=opts["theta"], sigma0_sq=opts["sigma0_sq"],

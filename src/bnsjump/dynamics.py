@@ -159,18 +159,15 @@ def _ou_accumulate(grid: TimeGrid, sigma0_sq: float, lam: float,
     n = grid.n_steps
     grid_times = grid.times()
     factor = math.exp(-lam * grid.dt)
-    if len(times):
-        step = grid_times[1:-1].searchsorted(times)
-        contrib = grid_times[1:].take(step)
-        contrib -= times
-        contrib *= -lam
-        np.exp(contrib, out=contrib)
-        contrib *= sizes
-        deposit = np.bincount(step, weights=contrib, minlength=n)
-        if len(times) * _OU_SPARSE_STEPS > n:
-            return _recur(float(sigma0_sq), factor, deposit.tolist())
-    else:
-        deposit = np.zeros(n)
+    step = grid_times[1:-1].searchsorted(times)
+    contrib = grid_times[1:].take(step)
+    contrib -= times
+    contrib *= -lam
+    np.exp(contrib, out=contrib)
+    contrib *= sizes
+    deposit = np.bincount(step, weights=contrib, minlength=n)
+    if len(times) * _OU_SPARSE_STEPS > n:
+        return _recur(float(sigma0_sq), factor, deposit.tolist())
     # a step without a deposit is factor * v + 0.0, which is factor * v for
     # the non-negative variance: a stretch of them is a running product
     values = np.full(n + 1, factor)

@@ -2,7 +2,8 @@
 
 
 class InvalidParameterError(ValueError):
-    """A parameter violates its documented domain."""
+    """A parameter violates its documented domain, or a run's configuration
+    is refused: a missing or malformed option, config file or split."""
 
 
 class GridMismatchError(ValueError):

@@ -10,7 +10,6 @@ anchors that would are dropped rather than padded.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -19,8 +18,6 @@ import numpy as np
 from . import tables
 from .errors import InvalidParameterError, ParseError
 from .market_data import ReturnSeries
-
-log = logging.getLogger(__name__)
 
 DIRECTIONS = ("down", "up", "both")
 CSV_CHUNK_ROWS = 4096
@@ -135,9 +132,6 @@ def build_dataset(returns: IndexedReturns, marks: np.ndarray, cfg: LabelingConfi
     marks = np.asarray(marks, dtype=bool)
     if len(marks) != n:
         raise InvalidParameterError("marks must align with the return rows")
-    if n < cfg.window_len + cfg.lookahead:
-        log.warning("series of %d rows is shorter than window_len + lookahead = %d; empty dataset",
-                    n, cfg.window_len + cfg.lookahead)
     prefix = np.concatenate([[0], np.cumsum(marks)])  # prefix[j] = marks in rows < j
     keys = returns.session_key
     anchors = np.arange(cfg.window_len - 1, n - cfg.lookahead, cfg.stride)

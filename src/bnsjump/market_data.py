@@ -19,7 +19,6 @@ Realized measures per window:
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import warnings
@@ -31,8 +30,6 @@ import numpy as np
 
 from . import tables
 from .errors import InvalidParameterError, OrderingError, ParseError
-
-log = logging.getLogger(__name__)
 
 BV_SCALE = math.pi / 2.0  # 1 / mu_1^2 for the absolute first moment of a standard normal
 _EPOCH = datetime(1970, 1, 1)  # zero of datetime64
@@ -308,11 +305,7 @@ def preprocess(series: BarSeries, trim_minutes: int = 10, outlier_sigma: float |
             & ((series.session == 0) | trim_reopen))
     drop |= series.closes <= 0.0
     if outlier_sigma is not None:
-        flagged = outlier_mask(series, outlier_sigma) & ~drop
-        if flagged.any():
-            log.info("outlier rule (|1-bar pct change| > %s x same-day std) removed %d bars",
-                     outlier_sigma, int(flagged.sum()))
-        drop |= flagged
+        drop |= outlier_mask(series, outlier_sigma)
     return series.select(~drop), (float(drop.sum()) / len(drop) if len(drop) else 0.0)
 
 

@@ -139,16 +139,10 @@ def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: Ti
     mean = _event_mean(rate_scale, spec.intensity, grid.horizon)
     rng = substream(seed, JUMP_STREAM)
     n = int(rng.poisson(mean))
-    if n == 0:
-        times = np.empty(0)
-        sizes = np.empty(0)
-        cumulative = np.zeros(grid.n_steps + 1)
-    else:
-        times = rng.uniform(grid.t0, grid.t_end, n)
-        times.sort()
-        sizes = rng.exponential(1.0 / spec.jump_rate, n)
-        cumulative = _cumulative_on_grid(grid, times, sizes)
-    return JumpPath(grid=grid, event_times=times, event_sizes=sizes, cumulative=cumulative)
+    times = rng.uniform(grid.t0, grid.t_end, n)
+    times.sort()
+    sizes = rng.exponential(1.0 / spec.jump_rate, n)
+    return JumpPath(grid=grid, event_times=times, event_sizes=sizes)
 
 
 def sample_ensemble(

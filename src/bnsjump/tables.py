@@ -366,8 +366,6 @@ def float_rows(columns: Sequence[np.ndarray | Formatted | None]) -> bytes:
     given = [isinstance(columns[k], Formatted) for k in present]
     n = len(columns[0].length if given[0] else columns[0])
     m = len(present)
-    if n == 0:
-        return b""
     # a field is its text, then the separators up to the next field's text,
     # or to the end of its row
     seps = ["," * (b - a) for a, b in zip(present, present[1:])]

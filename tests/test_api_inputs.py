@@ -26,3 +26,13 @@ def test_api_converts_inputs(algorithm, standardize):
     got = api.predict(as_given, queries)
     assert same(got, api.predict(as_float, queries.astype(float)))
     assert same(api.predict(as_given, queries.tolist()), got)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+def test_no_query_rows(algorithm):
+    """Every learner predicts an empty int array for zero query rows."""
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(60, 3))
+    model = api.train(algorithm, SimpleNamespace(features=features, theta=(features[:, 0] > 0).astype(int)),
+                      seed=1)
+    assert same(api.predict(model, features[:0]), np.empty(0, dtype=int))

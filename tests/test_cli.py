@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -399,6 +400,19 @@ class TestDataCommands:
         assert info["theta1"] > 0
         header = (out / "labeled.csv").read_text().splitlines()[0]
         assert header.startswith("index,f1,")
+
+    def test_label_of_a_series_shorter_than_a_window_is_quiet(self, tmp_path, bars_csv):
+        """No anchors is a result that ``label.json`` records, not a warning;
+        run as a script, so that nothing the test harness installs catches
+        what the run prints."""
+        out = tmp_path / "lb"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnsjump", "label", "--input", str(bars_csv), "--out", str(out),
+             "--interval", "1", "--min-jumps", "1", "--window", "2000"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert '"n_anchors": 0' in (out / "label.json").read_text()
 
     def test_train_subcommand(self, tmp_path, bars_csv):
         lb = tmp_path / "lb"

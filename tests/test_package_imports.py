@@ -113,7 +113,8 @@ def test_simulate_and_help_load_no_data_stage_module(tmp_path):
 
 
 def test_pipeline_in_a_fresh_interpreter(tmp_path):
-    """The data stages import their modules when they first run."""
+    """The data stages import their modules when they first run, and a run
+    that starts no thread pool loads no ``logging``."""
     bars = tmp_path / "bars.csv"
     with open(bars, "w", encoding="utf-8", newline="") as fh:
         write_bars_csv(fh, synthetic_bars(days=3, seed=7))
@@ -130,9 +131,10 @@ def test_pipeline_in_a_fresh_interpreter(tmp_path):
                              "--algorithms", "naive_bayes_gaussian,decision_tree",
                              "--split", "T1=0:400/401:600", "--threads", "1"])
         print(json.dumps({{"code": code, "loaded": [m for m in {NOT_FOR_SIMULATE[:3]!r}
-                                                    if m in sys.modules]}}))
+                                                    if m in sys.modules],
+                          "logging": "logging" in sys.modules}}))
     """)
-    assert result == {"code": 0, "loaded": list(NOT_FOR_SIMULATE[:3])}
+    assert result == {"code": 0, "loaded": list(NOT_FOR_SIMULATE[:3]), "logging": False}
     assert (tmp_path / "pipe" / "reports.csv").is_file()
 
 

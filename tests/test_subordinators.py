@@ -123,6 +123,12 @@ class TestPoissonLimit:
                 means.append(lam)
                 return 0
 
+            def uniform(self, low, high, size):
+                return np.empty(size)
+
+            def exponential(self, scale, size):
+                return np.empty(size)
+
         monkeypatch.setattr(subordinators, "substream", lambda *key: PoissonSpy())
         grid = TimeGrid(0.0, 0.5, 2)
         sample_subordinator_path(SubordinatorSpec(POISSON_MEAN_MAX), 1.0, grid, seed=0)
