@@ -22,9 +22,10 @@ units (simulated paths, benchmark cells) through ``seeding.ordered_map``,
 which runs no more of them than the CPUs the process may run on, and
 none on one CPU.
 
-``market_data``, ``labeling`` and ``classifiers`` are imported when a run
-first reads one of their names: ``simulate`` and ``--help`` load only
-``dynamics``, ``subordinators``, ``seeding``, ``tables`` and ``errors``.
+Every stage's module is imported when a run first reads one of its names:
+``--help`` loads only ``seeding``, ``tables`` and ``errors``, ``simulate``
+adds ``dynamics`` and ``subordinators``, and the data commands load no
+simulator module.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import importlib
 import json
 import math
 import os
@@ -49,10 +49,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import dynamics
 from .errors import InvalidParameterError, NumericOverflowError, ParseError
 from .seeding import ordered_map
-from .subordinators import SubordinatorSpec, TimeGrid, sample_subordinator_path, subordinator_moments
 from .tables import dumps
 
 
@@ -65,17 +63,25 @@ class _OnUse:
         self._name = name
 
     def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(f"{__package__}.{self._name}"), attr)
+        # through the import statement's machinery, so that -X importtime
+        # lists the module, as it does not for importlib.import_module
+        name = f"{__package__}.{self._name}"
+        __import__(name)
+        return getattr(sys.modules[name], attr)
 
 
 # the data stages' modules, which a `simulate` run and `--help` never import
 classifiers = _OnUse("classifiers")
 labeling = _OnUse("labeling")
 market_data = _OnUse("market_data")
+# the simulator's, which only `simulate` imports
+dynamics = _OnUse("dynamics")
+subordinators = _OnUse("subordinators")
 
 # bench/tracer.py patches these names on this module as well as on the modules
 # that define them, where they are called from; ROADMAP item 11 deletes this table.
 _TRACED = {
+    "sample_subordinator_path": ("subordinators", "sample_subordinator_path"),
     "index_series": ("labeling", "index_series"),
     "mark_big_jumps": ("labeling", "mark_big_jumps"),
     "build_dataset": ("labeling", "build_dataset"),
@@ -387,10 +393,10 @@ def _echo_config(out_dir: Path, opts: dict, stages, **extra: dict) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_one(opts: dict, grid: TimeGrid, params, i: int):
+def _simulate_one(opts: dict, grid, params, i: int):
     seed = opts["seed"]
-    z = sample_subordinator_path(params.spec_base, params.lam, grid, seed=(seed, i, 0))
-    zb = sample_subordinator_path(params.spec_strong, params.lam, grid, seed=(seed, i, 1))
+    z = subordinators.sample_subordinator_path(params.spec_base, params.lam, grid, seed=(seed, i, 0))
+    zb = subordinators.sample_subordinator_path(params.spec_strong, params.lam, grid, seed=(seed, i, 1))
     var_path = dynamics.simulate_variance_path(params, z, zb)
     price = dynamics.simulate_log_price(params, var_path, z, zb, seed=(seed, i, 2))
     if opts["noise_std"] > 0:
@@ -416,10 +422,10 @@ def _simulate(run) -> dict:
     params = dynamics.ModelParams(
         mu=opts["mu"], beta=opts["beta"], rho=opts["rho"], lam=opts["lam"],
         theta=opts["theta"], sigma0_sq=opts["sigma0_sq"],
-        spec_base=SubordinatorSpec(opts["nu_base"], opts["a_base"]),
-        spec_strong=SubordinatorSpec(opts["nu_strong"], opts["a_strong"]),
+        spec_base=subordinators.SubordinatorSpec(opts["nu_base"], opts["a_base"]),
+        spec_strong=subordinators.SubordinatorSpec(opts["nu_strong"], opts["a_strong"]),
     )
-    grid = TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
+    grid = subordinators.TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
 
     paths_dir = run.out_dir / "paths"
     results = []  # each path's stats; its CSV text is written as it arrives and dropped
@@ -436,8 +442,8 @@ def _simulate(run) -> dict:
     zb_rates = np.array([s["zb_total"] for s in results]) / horizon
     lam = params.lam
 
-    def mc_block(samples: np.ndarray, spec: SubordinatorSpec) -> dict:
-        mean_rate, var_rate = subordinator_moments(spec)
+    def mc_block(samples: np.ndarray, spec) -> dict:
+        mean_rate, var_rate = subordinators.subordinator_moments(spec)
         return {
             "n_paths": n,
             "sample_mean_rate": float(samples.mean() / lam),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from datetime import date
 
 import numpy as np
@@ -50,31 +51,53 @@ def synthetic_bars(
     day_offsets = np.arange(days).astype("timedelta64[D]")[:, None]
     stamps = (session_minutes(calendar, start) + day_offsets).ravel()
     rng = substream(seed)
+    # One draw at a time from one stream: whether a burst starts depends on
+    # earlier draws.  Each is numpy's own formula for the call it stands for,
+    # loc + scale * standard_normal() and low + (high - low) * random(), so
+    # every close keeps its bits, without the broadcasting scalar paths.
+    normal, uniform, integers = rng.standard_normal, rng.random, rng.integers
     closes: list[float] = []
     price = BASE_PRICE
     burst_left = 0
     for _ in range(len(stamps)):
         if burst_left > 0:
-            change = -float(rng.uniform(0.1, 0.3))
+            change = -(0.1 + (0.3 - 0.1) * uniform())
             burst_left -= 1
         else:
-            change = float(rng.normal(0.0, NOISE_PCT))
-            if rng.uniform() < BURST_PROB:
-                burst_left = int(rng.integers(2, 5))
+            change = 0.0 + NOISE_PCT * normal()
+            if uniform() < BURST_PROB:
+                burst_left = int(integers(2, 5))
         price *= 1.0 + change / 100.0
         closes.append(price)
     return BarSeries.build(stamps, closes, calendar)
+
+
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        with suppress(ValueError):
+            if int(text) >= least:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+    return parse
+
+
+def _iso_date(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an ISO date like 2021-01-04, got {text!r}") from None
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bnsjump.synthetic",
                                      description="write a synthetic minute-bar CSV fixture")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--days", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--start", default="2021-01-04", help="first day, ISO date")
+    parser.add_argument("--days", type=_at_least(1), default=5)
+    parser.add_argument("--seed", type=_at_least(0), default=7)
+    parser.add_argument("--start", type=_iso_date, default=date(2021, 1, 4), help="first day, ISO date")
     args = parser.parse_args(argv)
-    bars = synthetic_bars(days=args.days, seed=args.seed, start=date.fromisoformat(args.start))
+    bars = synthetic_bars(days=args.days, seed=args.seed, start=args.start)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_bars_csv(fh, bars)
     print(f"wrote {len(bars)} bars to {args.out}")

@@ -11,7 +11,8 @@ every activation, gradient and Adam moment afresh per layer and epoch; the
 path kernels keep the concatenate, ``np.diff`` and boolean-mask forms and
 recompute the grid times on every call; the path combination, the
 variance integral and the correlation functional keep fresh arrays, numpy
-scalars and constants recomputed per call.
+scalars and constants recomputed per call; the synthetic fixture draws
+through numpy's broadcasting ``normal`` and ``uniform`` calls.
 The row-level logic shares no code with the package implementation so the
 two can check each other; only the per-group formulas the vectorized code
 leaves untouched (skewness/kurtosis, the BV scale), the seeded streams, the
@@ -30,6 +31,7 @@ from bnsjump import tables
 from bnsjump.errors import ParseError
 from bnsjump.market_data import BV_SCALE, StatsReport, _skew_kurt
 from bnsjump.seeding import BROWNIAN_STREAM, substream
+from bnsjump.synthetic import BASE_PRICE, BURST_PROB, NOISE_PCT
 
 
 def brute_force_dataset(values, session_keys, marks, window_len, lookahead,
@@ -93,6 +95,29 @@ def brute_force_session_minutes(calendar, day):
             stamps.append(t)
             t += timedelta(minutes=1)
     return stamps
+
+
+def brute_force_synthetic_closes(days, seed, start, calendar):
+    """Closes of ``synthetic_bars(days, seed, start, calendar)``, float64: one
+    walk over every bar of every day, drawing through ``rng.normal`` and
+    ``rng.uniform``."""
+    n_bars = sum(len(brute_force_session_minutes(calendar, start + timedelta(days=d)))
+                 for d in range(days))
+    rng = substream(seed)
+    closes = []
+    price = BASE_PRICE
+    burst_left = 0
+    for _ in range(n_bars):
+        if burst_left > 0:
+            change = -float(rng.uniform(0.1, 0.3))
+            burst_left -= 1
+        else:
+            change = float(rng.normal(0.0, NOISE_PCT))
+            if rng.uniform() < BURST_PROB:
+                burst_left = int(rng.integers(2, 5))
+        price *= 1.0 + change / 100.0
+        closes.append(price)
+    return np.array(closes, dtype=np.float64)
 
 
 def brute_force_resample(series, interval_minutes):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bnsjump import cli, labeling, synthetic, tables
+from bnsjump import cli, labeling, subordinators, synthetic, tables
 from bnsjump.classifiers import ALGORITHM_IDS, DEFAULT_HYPERPARAMS, resolve_hyperparams
 from bnsjump.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from bnsjump.errors import NumericOverflowError
@@ -240,7 +240,7 @@ class TestSimulate:
     def test_each_path_is_written_before_the_next_is_simulated(self, tmp_path, monkeypatch):
         out = tmp_path / "sim"
         seen = []
-        sample = cli.sample_subordinator_path
+        sample = subordinators.sample_subordinator_path
 
         def recording(spec, rate, grid, seed):
             _, i, stream = seed
@@ -248,7 +248,7 @@ class TestSimulate:
                 seen.append((i, (out / "paths" / f"path_{i - 1:05d}.csv").exists()))
             return sample(spec, rate, grid, seed=seed)
 
-        monkeypatch.setattr(cli, "sample_subordinator_path", recording)
+        monkeypatch.setattr(subordinators, "sample_subordinator_path", recording)
         assert main(["simulate", "--out", str(out), "--paths", "3", "--threads", "1"]) == EXIT_OK
         assert seen == [(0, False), (1, True), (2, True)]
 
@@ -1072,3 +1072,20 @@ class TestPipeline:
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert "T1" in summary["supports_per_split"]
+
+
+class TestSyntheticScript:
+    @pytest.mark.parametrize("flags,line", [
+        (["--days", "0"], "argument --days: must be an integer >= 1, got '0'"),
+        (["--days", "-3"], "argument --days: must be an integer >= 1, got '-3'"),
+        (["--start", "2021-13-01"], "argument --start: must be an ISO date like 2021-01-04, got '2021-13-01'"),
+        (["--seed", "-1"], "argument --seed: must be an integer >= 0, got '-1'"),
+    ], ids=["no-days", "negative-days", "bad-start", "negative-seed"])
+    def test_bad_arguments_are_refused(self, tmp_path, capsys, flags, line):
+        out = tmp_path / "bars.csv"
+        with pytest.raises(SystemExit) as exited:
+            synthetic.main(["--out", str(out)] + flags)
+        assert exited.value.code == 2
+        errors = [text for text in capsys.readouterr().err.splitlines() if "error:" in text]
+        assert errors == [f"bnsjump.synthetic: error: {line}"]
+        assert not out.exists()

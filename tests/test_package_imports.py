@@ -171,3 +171,41 @@ def test_star_import_and_an_unknown_name():
     assert result["star"] == sorted(name for group in EXPORTS.values() for name in group)
     assert result["unknown"] == "module 'bnsjump' has no attribute 'no_such_name'"
     assert result["in_dir"]
+
+
+SIMULATOR = ("bnsjump.dynamics", "bnsjump.subordinators")
+
+
+def test_data_commands_load_no_simulator_module(tmp_path):
+    """``pipeline``, ``ingest``, ``label`` and ``report`` never import the
+    simulator's modules; ``simulate`` in the same interpreter then does."""
+    bars = tmp_path / "bars.csv"
+    with open(bars, "w", encoding="utf-8", newline="") as fh:
+        write_bars_csv(fh, synthetic_bars(days=3, seed=7))
+    data = ["--interval", "1", "--min-jumps", "1"]
+    learn = ["--algorithms", "naive_bayes_gaussian", "--split", "T1=0:400/401:600", "--threads", "1"]
+    runs = {
+        "pipeline": ["pipeline", "--input", str(bars), "--out", str(tmp_path / "pipe"), *data, *learn],
+        "ingest": ["ingest", "--input", str(bars), "--out", str(tmp_path / "ing")],
+        "label": ["label", "--input", str(bars), "--out", str(tmp_path / "lab"), *data],
+        "report": ["report", "--dataset", str(tmp_path / "lab" / "labeled.csv"),
+                   "--out", str(tmp_path / "rep"), *learn],
+        "simulate": ["simulate", "--paths", "2", "--dt", "0.01", "--threads", "1",
+                     "--out", str(tmp_path / "sim")],
+    }
+    result = fresh(f"""
+        import json, sys
+        from contextlib import redirect_stdout
+        from io import StringIO
+
+        from bnsjump import cli
+
+        after = {{}}
+        for name, argv in {runs!r}.items():
+            with redirect_stdout(StringIO()):
+                code = cli.main(argv)
+            after[name] = [code, [m for m in {SIMULATOR!r} if m in sys.modules]]
+        print(json.dumps(after))
+    """)
+    assert result == {"pipeline": [0, []], "ingest": [0, []], "label": [0, []], "report": [0, []],
+                      "simulate": [0, list(SIMULATOR)]}

@@ -65,6 +65,7 @@ from brute_force import (
     brute_force_session_index,
     brute_force_session_keys,
     brute_force_session_minutes,
+    brute_force_synthetic_closes,
     brute_force_write_bars_csv,
     brute_force_write_dataset_csv,
     brute_force_write_path_csv,
@@ -378,6 +379,33 @@ def test_session_minutes(calendar):
         assert bars.stamps.tolist() == want
         assert len(bars.closes) == len(want)
         assert bars.session.tolist() == [brute_force_session_index(calendar, ts) for ts in want]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2**32 - 1])
+@pytest.mark.parametrize("days", [1, 2, 37, 250])
+def test_synthetic_bars(days, seed):
+    """Every close bit for bit and every stamp against the loop that draws
+    through numpy's broadcasting ``normal`` and ``uniform``."""
+    bars = synthetic_bars(days=days, seed=seed)
+    want = brute_force_synthetic_closes(days, seed, date(2021, 1, 4), SessionCalendar())
+    assert bars.closes.dtype == np.float64
+    assert np.array_equal(bars.closes.view(np.int64), want.view(np.int64))
+    assert bars.stamps.tolist() == [ts for d in range(days) for ts in
+                                    brute_force_session_minutes(SessionCalendar(),
+                                                                date(2021, 1, 4) + timedelta(days=d))]
+
+
+@pytest.mark.parametrize("start,calendar", [
+    (date(2021, 1, 30), SessionCalendar()),
+    (date(2021, 1, 4), SessionCalendar.from_spec("09:30-15:00")),
+], ids=["weekend-start", "one-session"])
+def test_synthetic_bars_on_other_days_and_calendars(start, calendar):
+    for days, seed in ((4, 7), (37, 11)):
+        bars = synthetic_bars(days=days, seed=seed, start=start, calendar=calendar)
+        want = brute_force_synthetic_closes(days, seed, start, calendar)
+        assert np.array_equal(bars.closes.view(np.int64), want.view(np.int64))
+        assert bars.stamps.tolist() == [ts for d in range(days) for ts in
+                                        brute_force_session_minutes(calendar, start + timedelta(days=d))]
 
 
 def test_stamp_texts():
