@@ -15,7 +15,7 @@ The names below are imported from their module on first use (PEP 562), so
 never loads the market-data, labeling or classifier code.
 """
 
-import importlib
+import sys
 
 _EXPORTS = {
     "dynamics": ("LogPricePath", "ModelParams", "NoiseSpec", "VariancePath", "apply_noise",
@@ -45,7 +45,11 @@ def __getattr__(name: str):
         module = _MODULE_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    # through the import statement's machinery, so that -X importtime lists
+    # the module, as it does not for importlib.import_module
+    module = f"{__name__}.{module}"
+    __import__(module)
+    return getattr(sys.modules[module], name)
 
 
 def __dir__():

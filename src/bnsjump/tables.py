@@ -29,18 +29,21 @@ rows themselves (bar closes, overlapping feature windows).  Apart from
 ``cell``, these are the only float formatters.  ``repr`` is CPython's
 correctly rounded shortest conversion (Gay's dtoa, mode 0): the fewest
 significant digits that read back to the same float, and of those the
-nearest to it.  Ryu (Adams, PLDI 2018) finds the same digits with
-fixed-width integers: the value's rounding interval is scaled by an entry
-of a 5^i table (a 64x128-bit product, summed here from 32-bit halves in
-uint64 columns), then digits are cut while the interval still holds a
-number with fewer of them, rounding the last cut up from 5.  That common
-path is exact for every double except the ones it leaves to Ryu's general
-path, and those go to ``repr`` one at a time: +-0, subnormals, inf, nan,
-|x| >= 2^54 (e2 >= 0), q <= 1 and a scaled value that is itself a whole
-number (mv a multiple of 2^q), where a tie or an interval end may be
-exact.  The layout is repr's: exponent notation below 1e-4 and from 1e16
-up, with a sign and at least two exponent digits, and ``.0`` after a
-whole number.
+nearest to it.  Dragonbox (Jeon, 2020) finds the same digits with
+fixed-width integers: one 64x128-bit product a value (summed here from
+32-bit halves in uint64 columns) by a power of ten chosen by the exponent
+scales the upper end of the value's rounding interval to z, and its width
+to delta, between 100 and 1000.  If a multiple of 1000 lies within delta
+below z, z // 1000 without its trailing zeros is the answer; else it is
+the multiple of 100 nearest the value.  Where the value or an interval end
+may fall exactly on such a multiple, Dragonbox reads the product's lower
+bits; those values (r = z mod 1000 equal to delta, r = 0 from an exact
+product and an odd significand, and a nearest multiple found on a cut) go
+to ``repr`` one at a time instead, which measured faster for the one in a
+hundred or so that they are.  So do +-0, subnormals, inf, nan and a zero
+mantissa field (an interval narrower below the value).  The layout is
+repr's: exponent notation below 1e-4 and from 1e16 up, with a sign and at
+least two exponent digits, and ``.0`` after a whole number.
 """
 
 from __future__ import annotations
@@ -157,110 +160,104 @@ def cell(x: float) -> str:
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-_HALF = np.array([1] + [5 * 10**(r - 1) for r in range(1, 20)], dtype=np.uint64)  # 10^r / 2; 1 cuts none
 _W = 24  # the longest repr, -2.2250738585072014e-308
 
 
-def _pow5_limbs() -> np.ndarray:
-    """5^i for i < 326 scaled to exactly 125 bits, truncated (Ryu's
-    DOUBLE_POW5_SPLIT), as four 32-bit limbs, the lowest first: shape (4, 326)."""
-    rows = []
-    for i in range(326):
-        shift = (5**i).bit_length() - 125
-        p = 5**i >> shift if shift >= 0 else 5**i << -shift
-        rows.append([p >> (32 * k) & 0xFFFFFFFF for k in range(4)])
-    return np.array(rows, dtype=np.uint64).T.copy()
+def _cache() -> np.ndarray:
+    """Dragonbox's constants for each biased exponent, as the rows of a
+    (7, 2048) uint64 table: the four 32-bit limbs of phi_k = ceil(10^k *
+    2^(127 - floor(k log2 10))), the lowest first; beta; delta, phi_k's
+    top 64 bits >> (63 - beta); and -k, two's complement.  5^k and
+    floor(2^m / 5^k) are walked one multiply or divide by 5 a step."""
+    e2 = np.maximum(np.arange(2048), 1) - 1075  # a subnormal scales as the least normal value
+    minus_k = (e2 * 315653 >> 20) - 2  # floor(e2 log10 2) - kappa, kappa = 2
+    k = -minus_k
+    beta = e2 + (k * 1741647 >> 19)  # e2 + floor(k log2 10), 6 to 9
+    lo, hi = int(k.min()), int(k.max())
+
+    def shift(k):  # phi_k = ceil(5^k * 2^shift(k))
+        return 127 + k - (k * 1741647 >> 19)
+
+    phi, five = {}, 1
+    for i in range(hi + 1):
+        phi[i] = five << shift(i) if shift(i) >= 0 else ((five - 1) >> -shift(i)) + 1
+        five *= 5
+    scaled = 1 << shift(lo)
+    for i in range(1, 1 - lo):
+        scaled //= 5  # floor(2^shift(lo) / 5^i), exactly: floors compose
+        phi[-i] = (scaled >> (shift(lo) - shift(-i))) + 1  # 5^i divides no power of 2
+    limbs = np.frombuffer(b"".join(phi[i].to_bytes(16, "little") for i in range(lo, hi + 1)), dtype="<u4")
+    limbs = limbs.reshape(-1, 4).astype(np.uint64).take(k - lo, axis=0).T
+    delta = (limbs[3] << _U(32) | limbs[2]) >> (63 - beta).astype(np.uint64)
+    return np.vstack([limbs, beta.astype(np.uint64), delta, minus_k.astype(np.uint64)])
 
 
-_POW5 = _pow5_limbs()
+_CACHE = _cache()
 
 
-def _split(bits: np.ndarray):
-    """Biased exponent, mantissa field, -e2 (clipped to the normal range) and
-    q = floor(log10 5^-e2) - (-e2 > 1) of float64 bit patterns."""
-    exps = bits >> _U(52) & _U(0x7FF)
-    mant = bits & _U((1 << 52) - 1)
-    e2neg = np.clip(1077 - exps.astype(np.int64), 2, 1076)
-    q = (e2neg * 732923 >> 20) - (e2neg > 1)
-    return exps, mant, e2neg, q
-
-
-# computed in place of a value left to repr: Ryu's common path takes it, and
-# its text is no longer than any repr, so it stays inside the field it fills
-_SUBSTITUTE = _split(np.array([0.1]).view(np.uint64))
-
-
-def _mul_shift(m, limbs, j):
-    """floor(m * 5^i-table / 2^j), exactly, for m < 2^56 and 118 <= j <= 121,
+def _upper(x, t0, t1, t2, t3):
+    """floor(x * phi / 2^128) for x < 2^63 and phi the 128-bit number of
+    limbs t0..t3, exactly, and whether bits 64-127 of x * phi are all zero,
     summing the eight 32x32-bit partial products column by column."""
-    m0 = m & _M32
-    m1 = m >> _U(32)
-    t0, t1, t2, t3 = limbs
-    c1 = m0 * t0 >> _U(32)
-    p = m0 * t1
+    x0 = x & _M32
+    x1 = x >> _U(32)
+    c1 = x0 * t0 >> _U(32)
+    p = x0 * t1
     c2 = p >> _U(32)
     c1 += p & _M32
-    p = m1 * t0
+    p = x1 * t0
     c2 += p >> _U(32)
     c1 += p & _M32
     c2 += c1 >> _U(32)
-    p = m0 * t2
+    p = x0 * t2
     c3 = p >> _U(32)
     c2 += p & _M32
-    p = m1 * t1
+    p = x1 * t1
     c3 += p >> _U(32)
     c2 += p & _M32
     c3 += c2 >> _U(32)
-    p = m0 * t3
+    p = x0 * t3
     c4 = p >> _U(32)
     c3 += p & _M32
-    p = m1 * t2
+    p = x1 * t2
     c4 += p >> _U(32)
     c3 += p & _M32
     c4 += c3 >> _U(32)
-    p = m1 * t3
-    c5 = p >> _U(32)
-    c4 += p & _M32
-    c5 += c4 >> _U(32)
-    return (c3 & _M32) >> (j - _U(96)) | (c4 & _M32) << (_U(128) - j) | c5 << (_U(160) - j)
+    return c4 + x1 * t3, (c2 | c3) & _M32 == 0
 
 
 def _shortest(bits: np.ndarray):
-    """Ryu's shortest digits of float64 bit patterns: ``(out, e, odd)`` with
-    each value equal to ``out * 10^e`` when printed, and ``odd`` the indices
-    of the values outside Ryu's common path (see the module docstring); their
+    """Dragonbox's shortest digits of float64 bit patterns: ``(out, e, odd)``
+    with each value equal to ``out * 10^e`` when printed, and ``odd`` the
+    indices of the values left to ``repr`` (see the module docstring); their
     ``out`` and ``e`` are those of 0.1."""
-    exps, mant, e2neg, q = _split(bits)
-    mv = (mant | _U(1 << 52)) << _U(2)
-    trailing = mv & ((_U(1) << np.minimum(q, 63).astype(np.uint64)) - _U(1)) == 0
-    odd = np.flatnonzero((exps == 0) | (exps >= 1077) | (q <= 1) | trailing)
-    if odd.size:
-        for part, sub in zip((exps, mant, e2neg, q), _SUBSTITUTE):
-            part[odd] = sub[0]
-        mv = (mant | _U(1 << 52)) << _U(2)
-    i = e2neg - q  # 5^i scales the interval to q decimal digits, e10 = -i
-    j = (q - (i * 1217359 >> 19) + 124).astype(np.uint64)
-    limbs = _POW5.take(i, axis=1)
-    vr = _mul_shift(mv, limbs, j)
-    vp = _mul_shift(mv + _U(2), limbs, j)
-    vm = _mul_shift(mv - _U(1) - ((mant != 0) | (exps == 1)).astype(np.uint64), limbs, j)
-    width = vp - vm
-    # r digits go while a multiple of 10^r lies in (vm, vp]: that holds from
-    # r = 0 up to the answer, which is at most 19 (vr has at most 20 digits),
-    # and for every r with 10^r <= width; it holds one step further for some
-    # of the values, and two or more for a few, often short decimals
-    lo = np.searchsorted(_POW10, width, side="right") - 1
-    up = np.minimum(lo + 1, 19)
-    lo = np.where(vp % _POW10.take(up) < width, up, lo)
-    rare = np.flatnonzero(vp % _POW10.take(np.minimum(lo + 1, 19)) < width)
-    if rare.size:  # count the r that hold
-        lo[rare] = (vp[rare, None] % _POW10 < width[rare, None]).sum(axis=1) - 1
-    d = _POW10.take(lo)
-    out = vr // d
-    low = out * d
-    # round up from a cut 5, or off vm, which the interval leaves out on this path
-    out += ((vr - low >= _HALF.take(lo)) | (vm >= low)).astype(np.uint64)
-    return out, lo - i, odd
+    exps = bits >> _U(52) & _U(0x7FF)
+    mant = bits & _U((1 << 52) - 1)
+    t0, t1, t2, t3, beta, delta, minus_k = _CACHE.take(exps, axis=1)
+    z, exact = _upper(((mant | _U(1 << 52)) << _U(1) | _U(1)) << beta, t0, t1, t2, t3)
+    # z is the interval's scaled upper end: a multiple of 1000 lies within
+    # delta below it when r < delta, and then q is the answer; else the
+    # answer has one more digit, the multiple of 100 nearest the value
+    q = z // _U(1000)
+    r = z - q * _U(1000)
+    small = r > delta
+    dist = r - (delta >> _U(1)) + _U(50)  # wraps where r <= delta, which takes q
+    cut = dist // _U(100)
+    out = np.where(small, q * _U(10) + cut, q)
+    e = minus_k.view(np.int64) + 3 - small
+    odd = np.flatnonzero((exps == 0) | (exps == 2047) | (mant == 0) | (r == delta)
+                         | (r == 0) & exact & (mant & _U(1) == _U(1)) | small & (cut * _U(100) == dist))
+    out[odd] = 1
+    e[odd] = -1
+    zeros = np.flatnonzero(out % _U(10) == 0)  # q's trailing zeros go
+    if zeros.size:
+        digits, power = out[zeros], e[zeros]
+        for s in (16, 8, 4, 2, 1):
+            whole = digits % _POW10[s] == 0
+            digits = np.where(whole, digits // _POW10[s], digits)
+            power += s * whole
+        out[zeros], e[zeros] = digits, power
+    return out, e, odd
 
 
 def _ascii8(x):

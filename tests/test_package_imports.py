@@ -36,14 +36,20 @@ EXPORTS = {
 }
 
 
+def run(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, given ``flags``, that imports this
+    checkout's ``bnsjump``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def fresh(code: str):
     """Run ``code`` in a new interpreter that imports this checkout's
     ``bnsjump``; returns the JSON it prints last."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(run(code).stdout.splitlines()[-1])
 
 
 def test_import_loads_no_submodule():
@@ -53,6 +59,14 @@ def test_import_loads_no_submodule():
         print(json.dumps(sorted(m for m in sys.modules if m.startswith("bnsjump."))))
     """)
     assert loaded == []
+
+
+def test_a_name_imports_its_module_where_importtime_sees_it():
+    """The first use of an exported name imports its module through the
+    import statement's machinery, so ``-X importtime`` lists it."""
+    err = run("import bnsjump; bnsjump.simulate_log_price", "-X", "importtime").stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines() if line.startswith("import time:")}
+    assert {"bnsjump", "bnsjump.dynamics", "bnsjump.subordinators"} <= listed, err
 
 
 def test_a_correlation_pair_loads_only_the_simulation_modules():

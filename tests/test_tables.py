@@ -113,12 +113,67 @@ def _expect_rows(columns) -> str:
                    for k in range(n))
 
 
+def _branch_cases(rng, keep: int = 60):
+    """Seeded float64 values, up to ``keep`` for each branch of Dragonbox's
+    digit search (kappa = 2), and how many each branch got; each value is
+    placed by exact integer arithmetic of z (the scaled upper end of its
+    rounding interval), r = z mod 1000 and delta (the scaled width)."""
+    n = 80_000
+    patterns = rng.integers(0, 2**64, n, dtype=np.uint64)
+    fc = rng.integers(2**51, 2**52, 400) * 2 + 1
+    pool = np.concatenate([
+        patterns.view(float),
+        rng.integers(1, 10**7, n // 10) / 10.0 ** rng.integers(0, 8, n // 10),  # short decimals
+        # 4 fc with fc = 7 mod 10: the upper end 4 fc + 2 is a multiple of 10, exactly
+        (4 * (fc - fc % 10 + 7)).astype(float),
+        (patterns[:400] & np.uint64(0xFFF << 52)).view(float),  # a zero mantissa field
+    ])
+    kept = {name: [] for name in ("big", "big, trailing zeros", "small", "r == delta",
+                                  "excluded right end", "dist on a cut", "zero mantissa")}
+    scale = {}  # biased exponent -> (phi, beta, delta)
+    for value in pool.tolist():
+        biased, mant = divmod(np.float64(value).view(np.uint64).item() & (2**63 - 1), 2**52)
+        if biased in (0, 2047):
+            continue
+        if biased not in scale:
+            e2 = biased - 1075
+            # k = kappa - floor(e2 log10 2); floor(k log2 10), exactly
+            k = 2 - (len(str(2**e2)) - 1 if e2 >= 0 else len(str(5**-e2)) - 1 + e2)
+            fl = (10**k).bit_length() - 1 if k >= 0 else -(10**-k).bit_length()
+            shift = 127 - fl  # phi = ceil(10^k 2^shift), in [2^127, 2^128)
+            if k < 0:
+                phi = -(-(1 << shift) // 10**-k)
+            else:
+                phi = 10**k << shift if shift >= 0 else -(-(10**k) >> -shift)
+            scale[biased] = phi, e2 + fl, (phi >> 64) >> (63 - e2 - fl)
+        phi, beta, delta = scale[biased]
+        sig = mant | 2**52
+        prod = ((2 * sig + 1) << beta) * phi
+        z, r = prod >> 128, (prod >> 128) % 1000
+        exact = (prod >> 64) % 2**64 == 0
+        if mant == 0:
+            branch = "zero mantissa"
+        elif r == delta:
+            branch = "r == delta"
+        elif r == 0 and exact and sig % 2:
+            branch = "excluded right end"
+        elif r < delta:
+            branch = "big, trailing zeros" if z // 1000 % 10 == 0 else "big"
+        else:
+            branch = "dist on a cut" if (r - delta // 2 + 50) % 100 == 0 else "small"
+        if len(kept[branch]) < keep:
+            kept[branch].append(value)
+    return np.array([v for values in kept.values() for v in values]), {b: len(v) for b, v in kept.items()}
+
+
 def test_float_rows_match_repr():
     """The kernel's fields are ``repr``'s, byte for byte, on each side of
     every branch: random bit patterns, magnitudes over 50 decades, grid
     times, powers of two and ten and their neighbours, the notation switches
-    at 1e-4 and 1e16, integers, subnormals, zeros, infinities and nan."""
+    at 1e-4 and 1e16, integers, subnormals, zeros, infinities and nan; and
+    values from each branch of the kernel's digit search."""
     rng = np.random.default_rng(14)
+    branches, got_per_branch = _branch_cases(np.random.default_rng(33))
     p2 = np.ldexp(1.0, np.arange(-1074, 1024))
     p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
     powers = np.concatenate([p2, p10])
@@ -132,6 +187,7 @@ def test_float_rows_match_repr():
         *(TimeGrid(0.0, dt, round(1 / dt)).times() for dt in (0.0002, 0.001, 0.005, 0.01)),
         powers, -np.nextafter(powers, np.inf), np.nextafter(powers, 0.0), switches, -switches,
         np.arange(5000.0), rng.integers(0, 2**53, 5000).astype(float), [2.0**53], special, -special,
+        branches,
     ])
     got = tables.float_rows([values]).decode().split("\n")
     want = [repr(v) for v in values.tolist()] + [""]
@@ -142,6 +198,7 @@ def test_float_rows_match_repr():
     assert tables.float_rows(cols).decode() == _expect_rows(cols)
     assert tables.float_rows([values[:1], None]).decode() == _expect_rows([values[:1], None])
     assert tables.float_rows([values[:0]]) == b""
+    assert min(got_per_branch.values()) >= 50, got_per_branch
 
 
 def _simulated(n_steps: int, noise: bool, grid: TimeGrid | None = None):
