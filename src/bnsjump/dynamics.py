@@ -43,6 +43,7 @@ from .subordinators import (
     JumpPath,
     SubordinatorSpec,
     TimeGrid,
+    _built,
     combine_paths,
     realized_jump_energy,
     require_same_grid,
@@ -191,14 +192,14 @@ def simulate_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> Va
     driving = combine_paths(z, zb, 1.0 - params.theta, params.theta)
     values = _ou_accumulate(grid, params.sigma0_sq, params.lam,
                             driving.event_times, driving.event_sizes)
-    return VariancePath(grid=grid, values=values, driving=driving)
+    return _built(VariancePath, grid=grid, values=values, driving=driving)
 
 
 def simulate_variance_path_classical(params: ModelParams, z: JumpPath) -> VariancePath:
     """Variance path of the classical single-subordinator model (theta ignored)."""
     values = _ou_accumulate(z.grid, params.sigma0_sq, params.lam,
                             z.event_times, z.event_sizes)
-    return VariancePath(grid=z.grid, values=values, driving=z)
+    return _built(VariancePath, grid=z.grid, values=values, driving=z)
 
 
 def euler_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> VariancePath:
@@ -211,7 +212,7 @@ def euler_variance_path(params: ModelParams, z: JumpPath, zb: JumpPath) -> Varia
     driving = combine_paths(z, zb, 1.0 - params.theta, params.theta)
     values = _recur(float(params.sigma0_sq), 1.0 - params.lam * grid.dt,
                     driving.increments().tolist())
-    return VariancePath(grid=grid, values=values, driving=driving)
+    return _built(VariancePath, grid=grid, values=values, driving=driving)
 
 
 def regrid_path(path: JumpPath, grid: TimeGrid) -> JumpPath:
@@ -273,7 +274,7 @@ def simulate_log_price(params: ModelParams, var_path: VariancePath, z: JumpPath,
     strong *= params.theta
     dm += strong
     x = _euler_log_price(grid, params, var_path.values, dm, seed, diffusion)
-    return LogPricePath(grid=grid, x_true=x)
+    return _built(LogPricePath, grid=grid, x_true=x, x_observed=None, noise=None)
 
 
 def simulate_log_price_classical(params: ModelParams, var_path: VariancePath, z: JumpPath,
@@ -281,7 +282,7 @@ def simulate_log_price_classical(params: ModelParams, var_path: VariancePath, z:
     """Classical-model log price: jumps come from the base subordinator alone."""
     grid = require_same_grid(var_path, z)
     x = _euler_log_price(grid, params, var_path.values, z.increments(), seed, diffusion)
-    return LogPricePath(grid=grid, x_true=x)
+    return _built(LogPricePath, grid=grid, x_true=x, x_observed=None, noise=None)
 
 
 def apply_noise(path: LogPricePath, noise: NoiseSpec, seed) -> LogPricePath:

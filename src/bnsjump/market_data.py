@@ -372,6 +372,16 @@ def _skew_kurt(x: np.ndarray) -> tuple[float, float]:
     return skew, kurt
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit, without its
+    masked-array check, which imports ``numpy.ma``: the mean of the middle
+    value or two, or the first NaN after the partition (NaNs sort last)."""
+    n = len(x)
+    part = np.partition(x, [(n - 1) // 2, n // 2, n - 1])
+    last = part[-1]
+    return float(last if np.isnan(last) else part[(n - 1) // 2:n // 2 + 1].mean())
+
+
 def descriptive_stats(series: BarSeries, group_by: str = "overall") -> dict[str, StatsReport]:
     """Count/mean/median/min/max/skewness/excess-kurtosis of the closes,
     either for the whole series or per calendar month."""
@@ -382,7 +392,7 @@ def descriptive_stats(series: BarSeries, group_by: str = "overall") -> dict[str,
         x = series.closes[lo:hi]
         skew, kurt = _skew_kurt(x)
         reports[key] = StatsReport(
-            count=len(x), mean=float(x.mean()), median=float(np.median(x)),
+            count=len(x), mean=float(x.mean()), median=_median(x),
             minimum=float(x.min()), maximum=float(x.max()),
             skewness=skew, excess_kurtosis=kurt,
         )

@@ -25,18 +25,25 @@ BROWNIAN_STREAM = 23
 NOISE_STREAM = 37
 
 
+# numpy 2 refuses a Python int outside uint32 with OverflowError; numpy 1 wrapped it
+_UINT32_REFUSES = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
 def substream(seed, *key: int) -> np.random.Generator:
     """Generator for (seed, *key); distinct keys give disjoint streams."""
-    if isinstance(seed, (int, np.integer)):
-        entropy = [int(seed)]
+    words = (seed, *key) if isinstance(seed, (int, np.integer)) else (*seed, *key)
+    for w in words:
+        if type(w) is not int:  # numpy integers and bools, which a uint32 array would wrap
+            break
     else:
-        entropy = [int(s) for s in seed]
-    entropy += map(int, key)
-    if min(entropy, default=0) >= 0 and max(entropy, default=0) < 2**32:
-        # the same words SeedSequence makes of the list, without its per-int coercion;
-        # other values keep the list and its errors
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.default_rng(entropy)
+        if _UINT32_REFUSES:
+            try:
+                # the same words SeedSequence makes of the list, without its per-int coercion
+                return np.random.default_rng(np.array(words, dtype=np.uint32))
+            except OverflowError:  # a negative word or one of 32 bits or more
+                pass
+    # the list keeps SeedSequence's errors and its split of a wide int into words
+    return np.random.default_rng([int(w) for w in words])
 
 
 def usable_cpus() -> int:

@@ -113,6 +113,16 @@ class JumpPath:
         return float(self.cumulative[-1])
 
 
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, made
+    without its generated ``__init__`` (one ``object.__setattr__`` a field)
+    or ``__post_init__``.  Only for results this module and `dynamics`
+    compute themselves: every field must be given, and nothing is checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _cumulative_on_grid(grid: TimeGrid, times: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     running = np.zeros(len(sizes) + 1)
     sizes.cumsum(out=running[1:])
@@ -142,7 +152,8 @@ def sample_subordinator_path(spec: SubordinatorSpec, rate_scale: float, grid: Ti
     times = rng.uniform(grid.t0, grid.t_end, n)
     times.sort()
     sizes = rng.exponential(1.0 / spec.jump_rate, n)
-    return JumpPath(grid=grid, event_times=times, event_sizes=sizes)
+    return _built(JumpPath, grid=grid, event_times=times, event_sizes=sizes,
+                  cumulative=_cumulative_on_grid(grid, times, sizes))
 
 
 def sample_ensemble(
@@ -222,7 +233,7 @@ def combine_paths(p1: JumpPath, p2: JumpPath, w1: float, w2: float) -> JumpPath:
         sizes = np.empty(0)
     cumulative = p1.cumulative * w1
     cumulative += p2.cumulative * w2
-    return JumpPath(grid=p1.grid, event_times=times, event_sizes=sizes, cumulative=cumulative)
+    return _built(JumpPath, grid=p1.grid, event_times=times, event_sizes=sizes, cumulative=cumulative)
 
 
 def realized_jump_energy(path: JumpPath, upto: float) -> float:

@@ -249,12 +249,14 @@ def _shortest(bits: np.ndarray):
                          | (r == 0) & exact & (mant & _U(1) == _U(1)) | small & (cut * _U(100) == dist))
     out[odd] = 1
     e[odd] = -1
-    zeros = np.flatnonzero(out % _U(10) == 0)  # q's trailing zeros go
+    # q's trailing zeros go; uint64 `%` costs several times `//`, so each test is `//`
+    zeros = np.flatnonzero(out // _U(10) * _U(10) == out)
     if zeros.size:
         digits, power = out[zeros], e[zeros]
         for s in (16, 8, 4, 2, 1):
-            whole = digits % _POW10[s] == 0
-            digits = np.where(whole, digits // _POW10[s], digits)
+            shorter = digits // _POW10[s]
+            whole = shorter * _POW10[s] == digits
+            digits = np.where(whole, shorter, digits)
             power += s * whole
         out[zeros], e[zeros] = digits, power
     return out, e, odd
@@ -342,8 +344,7 @@ def formatted(values: np.ndarray) -> Formatted:
         sign = np.where(power < 0, _U(ord("-")), _U(ord("+")))
         moved[:, 2] |= (_U(ord("e")) | sign << _U(8) | exponent << _U(16)) << (_U(64) - shift)
         img[x] = moved
-    minus = np.flatnonzero(neg)
-    img[minus] ^= _MINUS.take(_W - length[minus], axis=0)
+    img ^= _MINUS.take(np.where(neg, _W - length, _W), axis=0)  # row _W is all zeros
     img = img.astype("<u8", copy=False)
     if odd.size:
         texts = [repr(v) for v in values[odd].tolist()]  # a negative value's '-' is in its text

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -366,3 +368,50 @@ class TestPathCsv:
             read_path_csv(io.StringIO(text + bad_row + "\n0.03,1.0,0.0,,\n"))
         back = read_path_csv(io.StringIO(text + "\n"))
         assert np.array_equal(back["t"], [0.0, 0.01]) and back["noise"] is None
+
+
+def _field_bits(value):
+    """A field as comparable bits: arrays by dtype, shape and bytes, floats by hex."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_field_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+class TestInternalConstructor:
+    """The simulator builds its results past the dataclasses' ``__init__``;
+    each must be what the public constructor makes of the same fields."""
+
+    @staticmethod
+    def built_results():
+        params = ModelParams(rho=-0.3, theta=0.5, beta=0.1, mu=0.02,
+                             spec_base=SubordinatorSpec(4.0, 8.0), spec_strong=SubordinatorSpec(8.0, 8.0))
+        z = sample_subordinator_path(params.spec_base, params.lam, GRID, seed=(7, 0))
+        zb = sample_subordinator_path(params.spec_strong, params.lam, GRID, seed=(7, 1))
+        vp = simulate_variance_path(params, z, zb)
+        return [z, zb, vp.driving, vp, simulate_variance_path_classical(params, z),
+                euler_variance_path(params, z, zb), simulate_log_price(params, vp, z, zb, seed=3),
+                simulate_log_price_classical(params, vp, z, seed=3)]
+
+    def test_fields_equal_the_public_constructors(self):
+        results = self.built_results()
+        for built in results:
+            fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)}
+            assert set(vars(built)) == set(fields), type(built)  # every field given, nothing else
+            assert _field_bits(built) == _field_bits(type(built)(**fields))
+        for sampled in results[:2]:  # the sampler's cumulative is the one __post_init__ computes
+            again = JumpPath(grid=sampled.grid, event_times=sampled.event_times, event_sizes=sampled.event_sizes)
+            assert _field_bits(sampled) == _field_bits(again)
+
+    def test_frozen_pickled_and_replaced(self):
+        for built in self.built_results():
+            name = dataclasses.fields(built)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, None)
+            back = pickle.loads(pickle.dumps(built))
+            assert type(back) is type(built) and _field_bits(back) == _field_bits(built)
+            same = dataclasses.replace(built)
+            assert type(same) is type(built) and _field_bits(same) == _field_bits(built)

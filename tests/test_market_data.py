@@ -10,6 +10,7 @@ from bnsjump.errors import InvalidParameterError, OrderingError, ParseError
 from bnsjump.market_data import (
     BarSeries,
     SessionCalendar,
+    _median,
     descriptive_stats,
     load_bars,
     outlier_mask,
@@ -243,6 +244,19 @@ class TestDescriptiveStats:
         assert report.minimum == 1.0
         assert report.maximum == 5.0
         assert report.skewness == pytest.approx(0.0, abs=1e-12)
+
+    def test_median_is_numpys_bit_for_bit(self):
+        """Sizes 1 to 50 with ties, signed zeros, infinities and NaN."""
+        rng = np.random.default_rng(8)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+        samples = []
+        for n in range(1, 51):
+            samples += [rng.choice(pool, n) for _ in range(60)] + [rng.choice(pool[:7], n) for _ in range(30)]
+            samples += [rng.integers(-2, 3, n).astype(float), rng.normal(size=n), np.full(n, -0.0)]
+        for x in samples:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 1e308 + 1e308, as in numpy
+                want = np.float64(np.median(x)).tobytes()
+                assert np.float64(_median(x)).tobytes() == want, x
 
     def test_constant_series_conventions(self):
         report = descriptive_stats(self._bars([5.0, 5.0, 5.0, 5.0]))["overall"]

@@ -223,3 +223,26 @@ def test_data_commands_load_no_simulator_module(tmp_path):
     """)
     assert result == {"pipeline": [0, []], "ingest": [0, []], "label": [0, []], "report": [0, []],
                       "simulate": [0, list(SIMULATOR)]}
+
+
+def test_pipeline_loads_no_masked_arrays(tmp_path):
+    """``pipeline`` leaves ``numpy.ma`` unloaded (``np.median``'s NaN check
+    imports it, 16 ms of a run's start)."""
+    bars = tmp_path / "bars.csv"
+    with open(bars, "w", encoding="utf-8", newline="") as fh:
+        write_bars_csv(fh, synthetic_bars(days=3, seed=7))
+    argv = ["pipeline", "--input", str(bars), "--out", str(tmp_path / "pipe"), "--interval", "1",
+            "--min-jumps", "1", "--algorithms", "naive_bayes_gaussian", "--split", "T1=0:400/401:600",
+            "--threads", "1"]
+    result = fresh(f"""
+        import json, sys
+        from contextlib import redirect_stdout
+        from io import StringIO
+
+        from bnsjump import cli
+
+        with redirect_stdout(StringIO()):
+            code = cli.main({argv!r})
+        print(json.dumps([code, "numpy.ma" in sys.modules]))
+    """)
+    assert result == [0, False]

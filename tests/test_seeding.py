@@ -143,3 +143,21 @@ def test_substream_rejects_negative_words_as_before(seed, key):
     with pytest.raises(ValueError) as old:
         list_entropy_stream(seed, *key)
     assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("seed,key", [((np.int64(-1),), ()), (3, (np.int64(-1),)), (3, (np.int64(2**40),)),
+                                      ((np.uint64(2**32), 1), ()), (True, ()), (7, (True, False)),
+                                      ((2**31, True), (np.uint32(5),))],
+                         ids=["int64-minus-1", "key-int64-minus-1", "key-int64-2^40", "uint64-2^32",
+                              "bool-seed", "bool-keys", "mixed"])
+def test_substream_words_a_uint32_array_would_wrap_read_as_the_list(seed, key):
+    """numpy integers and bools take the list form: its stream, or its exact ValueError,
+    never the wrapped word a uint32 array would hold."""
+    try:
+        want = list_entropy_stream(seed, *key).bit_generator.state
+    except ValueError as old:
+        with pytest.raises(ValueError) as new:
+            substream(seed, *key)
+        assert str(new.value) == str(old)
+    else:
+        assert substream(seed, *key).bit_generator.state == want
