@@ -25,23 +25,16 @@ BROWNIAN_STREAM = 23
 NOISE_STREAM = 37
 
 
-# numpy 2 refuses a Python int outside uint32 with OverflowError; numpy 1 wrapped it
-_UINT32_REFUSES = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-
-
 def substream(seed, *key: int) -> np.random.Generator:
     """Generator for (seed, *key); distinct keys give disjoint streams."""
     words = (seed, *key) if isinstance(seed, (int, np.integer)) else (*seed, *key)
     for w in words:
-        if type(w) is not int:  # numpy integers and bools, which a uint32 array would wrap
+        # numpy integers and bools, which a uint32 array would wrap, and words outside uint32
+        if type(w) is not int or not 0 <= w < 2**32:
             break
     else:
-        if _UINT32_REFUSES:
-            try:
-                # the same words SeedSequence makes of the list, without its per-int coercion
-                return np.random.default_rng(np.array(words, dtype=np.uint32))
-            except OverflowError:  # a negative word or one of 32 bits or more
-                pass
+        # the same words SeedSequence makes of the list, without its per-int coercion
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
     # the list keeps SeedSequence's errors and its split of a wide int into words
     return np.random.default_rng([int(w) for w in words])
 

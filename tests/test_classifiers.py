@@ -12,7 +12,6 @@ from bnsjump.classifiers import (
     train,
 )
 from bnsjump.classifiers.api import _apply_scaler
-from bnsjump.classifiers.neighbors import _nearest
 from bnsjump.classifiers.neural import NeuralNetClassifier
 from bnsjump.errors import InvalidParameterError
 
@@ -249,18 +248,6 @@ class TestAlgorithmBehavior:
         model = train("kmeans", as_dataset(X, y))
         acc = (predict(model, X) == y).mean()
         assert acc >= 0.95
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_kmeans_nearest_centroid_is_argmin(self, k):
-        """k = 2 takes one comparison instead of argmin, with argmin's rules:
-        a tie goes to 0, and in a row with NaN the first NaN wins."""
-        special = [0.0, -0.0, 1.0, 2.0, np.inf, np.nan]
-        rows = [list(r) for r in np.array(np.meshgrid(*[special] * k)).reshape(k, -1).T]
-        rng = np.random.default_rng(3)
-        d = np.vstack([rows, rng.integers(0, 3, (200, k)).astype(float), rng.random((200, k))])
-        got = _nearest(d)
-        assert got.dtype == np.intp and np.array_equal(got, np.argmin(d, axis=1))
-        assert np.array_equal(_nearest(d[:0]), np.argmin(d[:0], axis=1))
 
     def test_standardize_switchable(self):
         X, y = separable_blobs(50, seed=15)
