@@ -129,14 +129,20 @@ def _apply_scaler(scaler, X: np.ndarray) -> np.ndarray:
 def train(algorithm: str, train_set, hyperparams: dict | None = None, seed=0) -> Model:
     """Fit one algorithm on a labeled dataset.
 
-    ``train_set`` needs ``features`` (n x d) and ``theta`` (n,) attributes.
+    ``train_set`` needs ``features`` (n x d) and ``theta`` (n,) attributes;
+    each label of ``theta`` is 0 or 1.
     Deterministic given (algorithm, data, hyperparams, seed).
     """
     hp = resolve_hyperparams(algorithm, hyperparams)
     X = np.asarray(train_set.features, dtype=float)
-    y = np.asarray(train_set.theta, dtype=int)
+    y = np.asarray(train_set.theta)
     if X.ndim != 2 or len(X) == 0:
         raise InvalidParameterError("training set must contain at least one row")
+    if y.shape != (len(X),):
+        raise InvalidParameterError(f"theta of shape {y.shape} does not label {len(X)} rows")
+    if ((y != 0) & (y != 1)).any():
+        raise InvalidParameterError("theta labels must be 0 or 1")
+    y = y.astype(int)
     metadata = {"algorithm": algorithm, "seed": seed, "n_rows": int(len(X)),
                 "n_features": int(X.shape[1]), "hyperparams": dict(hp)}
     if len(y) and y.min() == y.max():  # one class; np.unique would import numpy.ma to say so

@@ -1,8 +1,9 @@
 """Benchmark harness: train/evaluate a suite of algorithms over index splits.
 
 Each (split, algorithm) cell is trained with a seed derived from
-(master_seed, split position, algorithm position), so reports are
-identical no matter how many workers execute the grid.  Externally
+(master_seed, split position, algorithm position), so a cell's report
+depends on nothing but its own inputs; the cells run one by one, in
+order, on the calling thread.  Externally
 produced prediction files (``index,predicted_theta`` CSV) are scored
 through the same evaluator under the pseudo-algorithm ``external:<name>``.
 """
@@ -16,7 +17,6 @@ import numpy as np
 from .. import tables
 from ..errors import InvalidParameterError, ParseError
 from ..labeling import LabeledDataset, SplitSpec, split
-from ..seeding import ordered_map
 from .api import ALGORITHM_IDS, predict, resolve_hyperparams, train
 from .metrics import ClassReport, evaluate
 
@@ -71,11 +71,6 @@ def fit_and_score(split_name: str, algorithm: str, train_set: LabeledDataset,
                          hyperparams=model.metadata["hyperparams"], degenerate=model.degenerate)
 
 
-def _fit_and_score_job(job: tuple) -> BenchmarkCell:
-    """``fit_and_score`` of one job; module-level, so a process pool could send it."""
-    return fit_and_score(*job)
-
-
 def run_benchmark(
     dataset: LabeledDataset,
     splits: list[SplitSpec],
@@ -83,9 +78,8 @@ def run_benchmark(
     hyperparams_bank: dict[str, dict] | None = None,
     seed: int = 0,
     external: dict[str, dict[int, int]] | None = None,
-    max_workers: int = 1,
 ) -> list[BenchmarkCell]:
-    """One ``fit_and_score`` cell per (split, algorithm), in deterministic order.
+    """One ``fit_and_score`` cell per (split, algorithm), run in that order.
 
     Refuses two splits of one name and a split with no test range, and
     names the split in ``split``'s refusals.  Raises if the per-class
@@ -115,7 +109,7 @@ def run_benchmark(
     jobs = [(name, alg, train_set, test_set, hyperparams_bank.get(alg), (seed, si, ai))
             for si, name, train_set, test_set in prepared
             for ai, alg in enumerate(algorithms)]
-    built_in = list(ordered_map(_fit_and_score_job, jobs, max_workers))
+    built_in = [fit_and_score(*job) for job in jobs]
     n = len(algorithms)
     cells = []  # each split's built-in cells, then its external rows
     for si, name, _, test_set in prepared:

@@ -16,16 +16,15 @@ the option's type, and checks every option against its domain before any
 stage runs.  Every run echoes the options it resolved to
 ``config_used.cfg`` in the output directory, each under the section it is
 read from; re-running from that file (with the same ``--input`` or
-``--dataset``) reproduces the outputs byte for byte, regardless of
-``--threads``: the most threads that run a command's independent seeded
-units (simulated paths, benchmark cells) through ``seeding.ordered_map``,
-which runs no more of them than the CPUs the process may run on, and
-none on one CPU.
+``--dataset``) reproduces the outputs byte for byte.  A command's
+independent seeded units (simulated paths, benchmark cells) run one by one
+on the calling thread, in order; ``--threads`` is still accepted and
+checked, but changes nothing and is not echoed.
 
 Every stage's module is imported when a run first reads one of its names:
-``--help`` loads only ``seeding``, ``tables`` and ``errors``, ``simulate``
-adds ``dynamics`` and ``subordinators``, and the data commands load no
-simulator module.
+``--help`` loads only ``tables`` and ``errors``, ``simulate`` adds
+``dynamics``, ``subordinators`` and ``seeding``, and the data commands load
+no simulator module.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 configuration/usage error,
 3 I/O or input-data error, 4 internal consistency failure.
@@ -42,7 +41,6 @@ import sys
 from contextlib import suppress
 from dataclasses import asdict, replace
 from datetime import datetime
-from functools import partial
 from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,7 +48,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InvalidParameterError, NumericOverflowError, ParseError
-from .seeding import ordered_map
 from .tables import dumps
 
 
@@ -194,7 +191,7 @@ OPTIONS = {
         "t_end": ("simulate", float, 1.0, _positive),
         "dt": ("simulate", float, 0.01, _positive),
         "noise_std": ("simulate", float, 0.0, _number(0)),
-        "threads": ("simulate", int, 1, _number(1)),
+        "threads": ("simulate", int, 1, _number(1)),  # checked, but changes nothing (module docstring)
     },
     "ingest": {
         "calendar": ("calendar", str, lambda: market_data.SessionCalendar().to_spec(), _calendar),
@@ -222,7 +219,7 @@ OPTIONS = {
     "benchmark": {
         "algorithms": ("benchmark", str, lambda: ",".join(classifiers.api.ALGORITHM_IDS), _algorithm_list),
         "seed": ("benchmark", int, 0, _number(0)),
-        "threads": ("benchmark", int, 1, _number(1)),
+        "threads": ("benchmark", int, 1, _number(1)),  # as simulate's
     },
 }
 
@@ -374,9 +371,8 @@ def _out_dir(args, subcommand: str) -> Path:
 
 def _echo_config(out_dir: Path, opts: dict, stages, **extra: dict) -> None:
     """Write the effective config: each option of ``stages`` under its own
-    section, plus the ``extra`` sections that are not empty.  `threads` is
-    an execution knob that does not affect results and is deliberately not
-    part of it."""
+    section, plus the ``extra`` sections that are not empty.  `threads`
+    changes nothing a run does, so it is not part of it."""
     sections = {name: values for name, values in extra.items() if values}
     for _, name, (section, *_) in _options(stages):
         if name != "threads":
@@ -428,9 +424,9 @@ def _simulate(run) -> dict:
     grid = subordinators.TimeGrid(t0=0.0, dt=opts["dt"], n_steps=n_steps)
 
     paths_dir = run.out_dir / "paths"
-    results = []  # each path's stats; its CSV text is written as it arrives and dropped
-    one = partial(_simulate_one, opts, grid, params)
-    for i, (csv_text, path_stats) in enumerate(ordered_map(one, range(opts["paths"]), opts["threads"])):
+    results = []  # each path's stats; its CSV is written before the next path is simulated
+    for i in range(opts["paths"]):
+        csv_text, path_stats = _simulate_one(opts, grid, params, i)
         if not i:
             paths_dir.mkdir(parents=True, exist_ok=True)
         (paths_dir / f"path_{i:05d}.csv").write_text(csv_text, encoding="utf-8")
@@ -533,8 +529,7 @@ def _benchmark(run):
         except ParseError as exc:  # name the file among several --external
             raise ParseError(f"{name}={path}: {exc}") from None
     return classifiers.benchmark.run_benchmark(run.dataset, run.splits, algorithms, run.bank,
-                                               seed=run.opts["seed"], external=external,
-                                               max_workers=run.opts["threads"])
+                                               seed=run.opts["seed"], external=external)
 
 
 def _fit(run) -> dict:

@@ -384,7 +384,8 @@ PATH_CSV_CHUNK_ROWS = 1024  # rows formatted at a time; bounds the kernel's temp
 def _time_texts(grid: TimeGrid, rows: int) -> tuple[tables.Formatted, ...]:
     """The grid's times formatted ``rows`` at a time.  Every path on a grid
     has the same ``t`` column, so the last grid's is kept (32 bytes a grid
-    point); threads that ask for it at once may each compute it."""
+    point).  The package runs no threads; a caller's threads that ask for it
+    at once may each compute it."""
     from . import tables
 
     times = grid.times()

@@ -235,8 +235,11 @@ def _dataset_row(width: int) -> np.dtype:
 
 
 def _dataset_in_bulk(table: np.ndarray) -> LabeledDataset:
+    theta = table["theta"]
+    if ((theta < 0) | (theta > 1)).any():
+        raise ValueError("theta other than 0 or 1")  # the row loop names its line
     return LabeledDataset(anchor_index=table["index"].copy(), features=table["features"].copy(),
-                          theta=table["theta"].copy())
+                          theta=theta.copy())
 
 
 def _dataset_by_row(header: list[str], rows) -> LabeledDataset:
@@ -250,6 +253,8 @@ def _dataset_by_row(header: list[str], rows) -> LabeledDataset:
             targets.append(int(row[-1]))
         except ValueError:
             raise ParseError(f"non-numeric field in {','.join(row)!r}") from None
+        if targets[-1] not in (0, 1):
+            raise ParseError(f"theta must be 0 or 1, got {targets[-1]}")
     return LabeledDataset(anchor_index=np.array(anchors, dtype=int),
                           features=np.array(feats) if feats else np.empty((0, len(header) - 2)),
                           theta=np.array(targets, dtype=int))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bnsjump.classifiers import ALGORITHM_IDS, api
+from bnsjump.errors import InvalidParameterError
 
 from test_tree_presort import same
 
@@ -36,3 +37,15 @@ def test_no_query_rows(algorithm):
     model = api.train(algorithm, SimpleNamespace(features=features, theta=(features[:, 0] > 0).astype(int)),
                       seed=1)
     assert same(api.predict(model, features[:0]), np.empty(0, dtype=int))
+
+
+@pytest.mark.parametrize("theta", [
+    [0, 1] * 4 + [1], [0, 1] * 5 + [0], [[0, 1]] * 5, [0, 1, 2, 0, 1, 0, 1, 0, 1, 0], [0, 1] * 4 + [-1, 1],
+    [0, 1] * 4 + [0.5, 1], [0, 1] * 4 + [np.nan, 1],
+], ids=["short", "long", "two-d", "label-2", "label-minus-1", "label-0.5", "label-nan"])
+@pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+def test_train_refuses_labels_that_do_not_fit_the_rows(algorithm, theta):
+    """One 0/1 label a feature row, or every learner refuses the set alike."""
+    features = np.random.default_rng(4).normal(size=(10, 3))
+    with pytest.raises(InvalidParameterError, match="^theta "):
+        api.train(algorithm, SimpleNamespace(features=features, theta=theta), seed=1)

@@ -1,13 +1,11 @@
 import io
 import json
-import pickle
 
 import numpy as np
 import pytest
 
 from bnsjump import tables
 from bnsjump.classifiers import (
-    benchmark,
     evaluate,
     fit_and_score,
     format_benchmark_text,
@@ -49,15 +47,6 @@ class TestRunBenchmark:
         for name in ("A", "B"):
             supports = {c.report.supports() for c in cells if c.split_name == name}
             assert len(supports) == 1
-
-    def test_thread_count_does_not_change_reports(self):
-        ds = noisy_dataset(seed=5)
-        splits = [SplitSpec(train=(0, 249), test=(250, 399), name="T")]
-        serial = run_benchmark(ds, splits, FAST_ALGS, seed=3, max_workers=1)
-        threaded = run_benchmark(ds, splits, FAST_ALGS, seed=3, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.algorithm == b.algorithm
-            assert a.report == b.report
 
     def test_external_passthrough_scores_like_evaluate(self, tmp_path):
         ds = noisy_dataset(seed=7)
@@ -116,8 +105,7 @@ class TestRunBenchmark:
         splits = [SplitSpec(train=(0, 199), test=(200, 299), name="B"),
                   SplitSpec(train=(0, 299), test=(300, 399), name="A")]
         external = {"ones": {i: 1 for i in range(200, 400)}, "zeros": {i: 0 for i in range(200, 400)}}
-        cells = run_benchmark(ds, splits, algorithms=["knn", "decision_tree"], external=external,
-                              max_workers=2)
+        cells = run_benchmark(ds, splits, algorithms=["knn", "decision_tree"], external=external)
         assert [(c.split_name, c.algorithm) for c in cells] == [
             (name, alg) for name in ("B", "A")
             for alg in ("knn", "decision_tree", "external:ones", "external:zeros")]
@@ -154,7 +142,7 @@ class TestCell:
     def test_each_cell_is_fit_and_score_with_its_derived_seed(self):
         """Seeded learners see ``(seed, split position, algorithm position)``."""
         ds = noisy_dataset(seed=9)
-        cells = run_benchmark(ds, self.SPLITS, self.ALGS, self.HP, seed=4, max_workers=2)
+        cells = run_benchmark(ds, self.SPLITS, self.ALGS, self.HP, seed=4)
         assert len(cells) == len(self.SPLITS) * len(self.ALGS)
         for si, spec in enumerate(self.SPLITS):
             train_set, test_set = split(ds, spec)
@@ -185,22 +173,6 @@ class TestCell:
         assert [c.degenerate for c in cells] == [True, True]
         assert cells[0].report.class1.recall == 0.0
         assert not any(c.degenerate for c in run_benchmark(ds, self.SPLITS[:1], ["knn"]))
-
-    def test_mapped_function_and_jobs_pickle(self, monkeypatch):
-        """A process pool can send what ``run_benchmark`` maps; a closure
-        could not be sent."""
-        seen = []
-
-        def spy(fn, items, workers):
-            seen.append((fn, list(items)))
-            return map(fn, seen[-1][1])
-
-        monkeypatch.setattr(benchmark, "ordered_map", spy)
-        cells = run_benchmark(noisy_dataset(), self.SPLITS, ["knn"], seed=2)
-        (fn, jobs), = seen
-        assert len(jobs) == len(cells) == 2
-        assert pickle.loads(pickle.dumps(fn)) is fn
-        assert pickle.loads(pickle.dumps(fn))(pickle.loads(pickle.dumps(jobs[1]))) == cells[1]
 
 
 class TestSerialization:

@@ -73,6 +73,8 @@ DATASET_CASES = {
     "latin-letter-index": (["\u01fe5,0.5,0.25,1"], "rows"),
     "arabic-indic-digits": (["١,٢,0.5,0"], "rows"),
     "index-beyond-int64": ([ROWS[0], f"{2**63},0.5,0.25,1"], "rows"),
+    "theta-2": ([ROWS[0], "10,0.25,1e-3,2", ROWS[2]], "rows"),
+    "theta-minus-1": ([ROWS[0], "10,0.25,1e-3,-1"], "rows"),
     "short-row": ([ROWS[0], "10,0.5,1"], "rows"),
     "header-only": ([], "rows"),
 }
@@ -184,6 +186,17 @@ def test_undecodable_file_fails_as_the_row_loop_does(tmp_path, monkeypatch, read
         as_read, read_by, row_by_row = both_ways(monkeypatch, reader, source_of)
         assert as_read == row_by_row
         assert as_read[:2] == ("error", error) and read_by == "rows"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("theta", ["2", "-1", "+3"])
+def test_theta_other_than_0_or_1_is_refused_at_its_line(tmp_path, theta, newline):
+    """A bulk-read (LF) file and its row-read CRLF copy fail alike, naming the line."""
+    file = tmp_path / "table.csv"
+    file.write_bytes(text_of(DATASET_HEADER, [ROWS[0], f"10,0.25,1e-3,{theta}", ROWS[2]], newline).encode())
+    with pytest.raises(ParseError) as exc:
+        read_dataset_csv(str(file))
+    assert (str(exc.value), exc.value.line_number) == (f"line 3: theta must be 0 or 1, got {int(theta)}", 3)
 
 
 def test_zero_feature_dataset_reads_in_bulk(tmp_path, monkeypatch):

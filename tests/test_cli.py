@@ -645,7 +645,8 @@ class TestDataCommands:
         ("", 1),
         ("index,f1,theta\n9,0.5,1\n10,0.5\n", 3),
         ("index,f1,theta\n9,nope,1\n", 2),
-    ], ids=["empty", "short-row", "non-numeric"])
+        ("index,f1,theta\n" + "".join(f"{i},0.{i},{2 if i == 3 else i % 2}\n" for i in range(11)), 5),
+    ], ids=["empty", "short-row", "non-numeric", "theta-2"])
     @pytest.mark.parametrize("subcommand", ["train", "report"])
     def test_malformed_labeled_csv_is_io_error(self, tmp_path, capsys, subcommand, text, line):
         dataset = tmp_path / "labeled.csv"

@@ -12,6 +12,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import bnsjump
 from bnsjump.market_data import write_bars_csv
 from bnsjump.synthetic import synthetic_bars
@@ -99,8 +101,10 @@ NOT_FOR_SIMULATE = ("bnsjump.classifiers", "bnsjump.labeling", "bnsjump.market_d
                     "concurrent.futures")
 
 
-def test_simulate_and_help_load_no_data_stage_module(tmp_path):
-    """numpy itself loads ``inspect``, so it is not among the checked modules."""
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_and_help_load_no_data_stage_module(tmp_path, threads):
+    """No ``--threads`` starts a pool.  numpy itself loads ``inspect``, so it
+    is not among the checked modules."""
     loaded = fresh(f"""
         import json, sys
         from contextlib import redirect_stdout
@@ -119,16 +123,17 @@ def test_simulate_and_help_load_no_data_stage_module(tmp_path):
             after["help_exit"] = exc.code
         with redirect_stdout(StringIO()):
             after["simulate_exit"] = cli.main(["simulate", "--paths", "2", "--dt", "0.01",
-                                               "--threads", "1", "--out", {str(tmp_path / "sim")!r}])
+                                               "--threads", {threads!r}, "--out", {str(tmp_path / "sim")!r}])
         after["simulate"] = unwanted()
         print(json.dumps(after))
     """)
     assert loaded == {"import": [], "help": [], "help_exit": 0, "simulate": [], "simulate_exit": 0}
 
 
-def test_pipeline_in_a_fresh_interpreter(tmp_path):
-    """The data stages import their modules when they first run, and a run
-    that starts no thread pool loads no ``logging``."""
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pipeline_in_a_fresh_interpreter(tmp_path, threads):
+    """The data stages import their modules when they first run, and no
+    ``--threads`` starts a pool or loads ``logging``."""
     bars = tmp_path / "bars.csv"
     with open(bars, "w", encoding="utf-8", newline="") as fh:
         write_bars_csv(fh, synthetic_bars(days=3, seed=7))
@@ -143,12 +148,13 @@ def test_pipeline_in_a_fresh_interpreter(tmp_path):
             code = cli.main(["pipeline", "--input", {str(bars)!r}, "--out", {str(tmp_path / "pipe")!r},
                              "--interval", "1", "--min-jumps", "1",
                              "--algorithms", "naive_bayes_gaussian,decision_tree",
-                             "--split", "T1=0:400/401:600", "--threads", "1"])
+                             "--split", "T1=0:400/401:600", "--threads", {threads!r}])
         print(json.dumps({{"code": code, "loaded": [m for m in {NOT_FOR_SIMULATE[:3]!r}
                                                     if m in sys.modules],
-                          "logging": "logging" in sys.modules}}))
+                          "logging": "logging" in sys.modules,
+                          "pool": "concurrent.futures" in sys.modules}}))
     """)
-    assert result == {"code": 0, "loaded": list(NOT_FOR_SIMULATE[:3]), "logging": False}
+    assert result == {"code": 0, "loaded": list(NOT_FOR_SIMULATE[:3]), "logging": False, "pool": False}
     assert (tmp_path / "pipe" / "reports.csv").is_file()
 
 
